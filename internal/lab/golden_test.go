@@ -29,7 +29,9 @@ type goldenRow struct {
 }
 
 // goldenCells are deliberately cheap (45 s horizons) but cover both CBR
-// episode shapes and three probe rates.
+// episode shapes, three probe rates, and the TCP-driven scenarios (whose
+// retransmission timers, delayed ACKs and jittered sends exercise the
+// most event-core machinery).
 func goldenCells() []goldenRow {
 	specs := []struct {
 		sc   Scenario
@@ -40,6 +42,8 @@ func goldenCells() []goldenRow {
 		{CBRUniform, 0.9, 2},
 		{CBRMixed, 0.7, 3},
 		{CBRMixed, 0.3, 1},
+		{InfiniteTCP, 0.5, 1},
+		{Web, 0.5, 2},
 	}
 	cells := make([]cell[goldenRow], len(specs))
 	for i, s := range specs {
