@@ -77,6 +77,7 @@ type Monitor struct {
 	minGapQ  int // minimum queue bytes seen since the last drop
 
 	samples []QueueSample
+	sampler *simnet.Timer
 
 	arrivals map[simnet.Kind]uint64
 	drops    map[simnet.Kind]uint64
@@ -100,18 +101,17 @@ func Attach(sim *simnet.Sim, link *simnet.Link, cfg Config) *Monitor {
 	}
 	link.AddTap(m)
 	if cfg.Horizon > 0 {
-		m.scheduleSample()
+		m.sampler = sim.NewTimer(m.sample)
+		m.sampler.Reset(cfg.SampleInterval)
 	}
 	return m
 }
 
-func (m *Monitor) scheduleSample() {
-	m.sim.Schedule(m.cfg.SampleInterval, func() {
-		m.samples = append(m.samples, QueueSample{T: m.sim.Now(), Delay: m.link.QueueDelay()})
-		if m.sim.Now() < m.cfg.Horizon {
-			m.scheduleSample()
-		}
-	})
+func (m *Monitor) sample() {
+	m.samples = append(m.samples, QueueSample{T: m.sim.Now(), Delay: m.link.QueueDelay()})
+	if m.sim.Now() < m.cfg.Horizon {
+		m.sampler.Reset(m.cfg.SampleInterval)
+	}
 }
 
 // Arrive implements simnet.Tap.

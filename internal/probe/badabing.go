@@ -75,12 +75,14 @@ func StartBadabingSlots(sim *simnet.Sim, entry *simnet.Link, demux *simnet.Demux
 		slots:  slots,
 	}
 	demux.Register(flow, b.prober.Receiver())
-	for _, slot := range b.slots {
-		slot := slot
-		sim.ScheduleAt(time.Duration(slot)*cfg.Slot, func() {
-			b.prober.SendProbe(slot, cfg.PacketsPerProbe)
-		})
-	}
+	// One pre-keyed stream: every probe takes its place in the event
+	// order now, ahead of any cross traffic scheduled later for the same
+	// instant, without a heap entry per probe.
+	sim.ScheduleEach(len(slots), func(i int) time.Duration {
+		return time.Duration(slots[i]) * cfg.Slot
+	}, func(i int) {
+		b.prober.SendProbe(slots[i], cfg.PacketsPerProbe)
+	})
 	return b
 }
 

@@ -57,16 +57,16 @@ func StartFixedAt(sim *simnet.Sim, entry *simnet.Link, demux *simnet.Demux, flow
 	}
 	demux.Register(flow, f.prober.Receiver())
 	var key int64
-	var tick func()
-	tick = func() {
+	var tick *simnet.Timer
+	tick = sim.NewTimer(func() {
 		if sim.Now() >= cfg.Horizon {
 			return
 		}
 		f.prober.SendProbe(key, cfg.PacketsPerProbe)
 		key++
-		sim.Schedule(cfg.Interval, tick)
-	}
-	sim.Schedule(0, tick)
+		tick.Reset(cfg.Interval)
+	})
+	tick.Reset(0)
 	return f
 }
 

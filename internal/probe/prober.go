@@ -79,19 +79,19 @@ func (p *Prober) SendProbe(key int64, n int) {
 	p.sent[key] = n
 	p.sentAt[key] = p.sim.Now()
 	p.order = append(p.order, key)
-	for i := 0; i < n; i++ {
-		i := i
-		p.sim.Schedule(time.Duration(i)*p.pktGap, func() {
-			p.link.Send(&simnet.Packet{
-				ID:   p.sim.NextPacketID(),
-				Flow: p.flow,
-				Kind: simnet.Probe,
-				Size: p.size,
-				Seq:  key*pktsPerKey + int64(i),
-				Sent: p.sim.Now(),
-			})
+	start := p.sim.Now()
+	p.sim.ScheduleEach(n, func(i int) time.Duration {
+		return start + time.Duration(i)*p.pktGap
+	}, func(i int) {
+		p.link.Send(&simnet.Packet{
+			ID:   p.sim.NextPacketID(),
+			Flow: p.flow,
+			Kind: simnet.Probe,
+			Size: p.size,
+			Seq:  key*pktsPerKey + int64(i),
+			Sent: p.sim.Now(),
 		})
-	}
+	})
 }
 
 // Obs is the outcome of one probe after the simulation has drained.

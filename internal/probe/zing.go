@@ -61,16 +61,16 @@ func StartZingAt(sim *simnet.Sim, entry *simnet.Link, demux *simnet.Demux, flow 
 	}
 	demux.Register(flow, z.prober.Receiver())
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var tick func()
-	tick = func() {
+	var tick *simnet.Timer
+	tick = sim.NewTimer(func() {
 		if sim.Now() >= cfg.Horizon {
 			return
 		}
 		z.prober.SendProbe(z.next, cfg.Flight)
 		z.next++
-		sim.Schedule(stats.Exp(rng, cfg.Mean), tick)
-	}
-	sim.Schedule(stats.Exp(rng, cfg.Mean), tick)
+		tick.Reset(stats.Exp(rng, cfg.Mean))
+	})
+	tick.Reset(stats.Exp(rng, cfg.Mean))
 	return z
 }
 

@@ -26,9 +26,7 @@ func (k Kind) String() string {
 }
 
 // Packet is a simulated packet. Size is the on-the-wire size in bytes and
-// is what the link scheduler and queue account for. Meta carries
-// protocol-specific state (TCP sequence bookkeeping, probe identity) and is
-// owned by whichever layer created the packet.
+// is what the link scheduler and queue account for.
 type Packet struct {
 	ID   uint64
 	Flow uint64
@@ -36,7 +34,6 @@ type Packet struct {
 	Size int
 	Seq  int64
 	Sent time.Duration // time the packet entered the network
-	Meta any
 }
 
 // Receiver consumes delivered packets.

@@ -107,17 +107,16 @@ type Flow struct {
 	rttSeq  int64
 	rttAt   time.Duration
 
-	rtoGen uint64
-	rtoSet bool
+	rtoT *simnet.Timer
 
 	jrng     *rand.Rand
 	lastSend time.Duration
 
 	// Receiver state.
-	rcvNxt    int64
-	ooo       map[int64]bool
-	ackHeld   bool   // one in-order segment awaiting a delayed ACK
-	delackGen uint64 // cancels stale delayed-ACK timers
+	rcvNxt  int64
+	ooo     map[int64]bool
+	ackHeld bool          // one in-order segment awaiting a delayed ACK
+	delackT *simnet.Timer // nil unless Config.DelayedAck
 
 	// Counters.
 	sent     uint64
@@ -143,6 +142,10 @@ func Start(sim *simnet.Sim, id uint64, fwd, rev *simnet.Link, fwdDemux, revDemux
 		rto:      cfg.MinRTO,
 		rttSeq:   -1,
 		ooo:      make(map[int64]bool),
+	}
+	f.rtoT = sim.NewTimer(f.onRTO)
+	if cfg.DelayedAck {
+		f.delackT = sim.NewTimer(f.sendAck)
 	}
 	if cfg.SendJitter > 0 {
 		f.jrng = rand.New(rand.NewSource(int64(id)*2654435761 + 1))
@@ -232,31 +235,23 @@ func (f *Flow) sendSeg(seq int64, isRetrans bool) {
 	if sendAt == now {
 		f.fwd.Send(p)
 	} else {
-		f.sim.Schedule(sendAt-now, func() { f.fwd.Send(p) })
+		f.fwd.SendAt(sendAt, p)
 	}
-	if !f.rtoSet {
+	if !f.rtoT.Armed() {
 		f.armRTO()
 	}
 }
 
+// armRTO (re)starts the retransmission timer from now.
 func (f *Flow) armRTO() {
-	f.rtoSet = true
-	f.rtoGen++
-	gen := f.rtoGen
 	d := f.rto << f.backoff
 	if max := 60 * time.Second; d > max {
 		d = max
 	}
-	f.sim.Schedule(d, func() { f.onRTO(gen) })
+	f.rtoT.Reset(d)
 }
 
-func (f *Flow) disarmRTO() { f.rtoSet = false; f.rtoGen++ }
-
-func (f *Flow) onRTO(gen uint64) {
-	if gen != f.rtoGen || f.done {
-		return
-	}
-	f.rtoSet = false
+func (f *Flow) onRTO() {
 	if f.sndUna >= f.sndNxt {
 		return // nothing outstanding
 	}
@@ -327,9 +322,8 @@ func (f *Flow) newAck(ackNo int64) {
 		return
 	}
 	if f.sndUna >= f.sndNxt {
-		f.disarmRTO()
+		f.rtoT.Stop()
 	} else {
-		f.disarmRTO()
 		f.armRTO()
 	}
 }
@@ -348,7 +342,6 @@ func (f *Flow) dupAck() {
 		f.recover = f.sndNxt - 1
 		f.inFR = true
 		f.sendSeg(f.sndUna, true)
-		f.disarmRTO()
 		f.armRTO()
 	}
 }
@@ -373,7 +366,7 @@ func (f *Flow) sampleRTT(s time.Duration) {
 
 func (f *Flow) finish() {
 	f.done = true
-	f.disarmRTO()
+	f.rtoT.Stop()
 	if f.cfg.OnComplete != nil {
 		f.cfg.OnComplete()
 	}
@@ -407,19 +400,15 @@ func (f *Flow) onData(p *simnet.Packet) {
 		return
 	}
 	f.ackHeld = true
-	f.delackGen++
-	gen := f.delackGen
-	f.sim.Schedule(f.cfg.DelayedAckTimeout, func() {
-		if f.ackHeld && gen == f.delackGen {
-			f.sendAck()
-		}
-	})
+	f.delackT.Reset(f.cfg.DelayedAckTimeout)
 }
 
 // sendAck emits a cumulative ACK and clears any held delayed ACK.
 func (f *Flow) sendAck() {
-	f.ackHeld = false
-	f.delackGen++
+	if f.ackHeld {
+		f.ackHeld = false
+		f.delackT.Stop()
+	}
 	f.rev.Send(&simnet.Packet{
 		ID:   f.sim.NextPacketID(),
 		Flow: f.id,

@@ -38,13 +38,13 @@ func (s *IDSpace) Next() uint64 { s.next++; return s.next }
 
 // CBR is a constant-bit-rate packet source.
 type CBR struct {
-	sim     *simnet.Sim
-	link    *simnet.Link
-	flow    uint64
-	size    int
-	ival    time.Duration
-	stopped bool
-	sent    uint64
+	sim   *simnet.Sim
+	link  *simnet.Link
+	flow  uint64
+	size  int
+	ival  time.Duration
+	timer *simnet.Timer
+	sent  uint64
 }
 
 // NewCBR creates a CBR source sending size-byte packets into link at the
@@ -57,14 +57,12 @@ func NewCBR(sim *simnet.Sim, link *simnet.Link, flow uint64, rate simnet.Rate, s
 		size: size,
 		ival: time.Duration(int64(size) * 8 * int64(time.Second) / int64(rate)),
 	}
-	sim.Schedule(0, c.tick)
+	c.timer = sim.NewTimer(c.tick)
+	c.timer.Reset(0)
 	return c
 }
 
 func (c *CBR) tick() {
-	if c.stopped {
-		return
-	}
 	c.link.Send(&simnet.Packet{
 		ID:   c.sim.NextPacketID(),
 		Flow: c.flow,
@@ -74,11 +72,11 @@ func (c *CBR) tick() {
 		Sent: c.sim.Now(),
 	})
 	c.sent++
-	c.sim.Schedule(c.ival, c.tick)
+	c.timer.Reset(c.ival)
 }
 
-// Stop halts the source after the current tick.
-func (c *CBR) Stop() { c.stopped = true }
+// Stop halts the source: no further packets are sent.
+func (c *CBR) Stop() { c.timer.Stop() }
 
 // Sent returns how many packets have been sent.
 func (c *CBR) Sent() uint64 { return c.sent }
@@ -230,19 +228,18 @@ func (e *EpisodeInjector) burst() {
 
 	flow := e.ids.Next()
 	ival := time.Duration(int64(e.cfg.PacketSize) * 8 * int64(time.Second) / int64(extra))
-	n := int(on / ival)
-	for i := 0; i < n; i++ {
-		i := i
-		e.sim.Schedule(time.Duration(i)*ival, func() {
-			e.link.Send(&simnet.Packet{
-				ID:   e.sim.NextPacketID(),
-				Flow: flow,
-				Kind: simnet.Data,
-				Size: e.cfg.PacketSize,
-				Seq:  int64(i),
-				Sent: e.sim.Now(),
-			})
+	start := e.sim.Now()
+	e.sim.ScheduleEach(int(on/ival), func(i int) time.Duration {
+		return start + time.Duration(i)*ival
+	}, func(i int) {
+		e.link.Send(&simnet.Packet{
+			ID:   e.sim.NextPacketID(),
+			Flow: flow,
+			Kind: simnet.Data,
+			Size: e.cfg.PacketSize,
+			Seq:  int64(i),
+			Sent: e.sim.Now(),
 		})
-	}
+	})
 	e.scheduleNext()
 }
