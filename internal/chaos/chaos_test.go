@@ -547,7 +547,9 @@ func TestHungReflectorAbortsPartial(t *testing.T) {
 // TestKilledReflectorAbortsPartial crashes the far end hard (socket
 // closed → ICMP refused on loopback): the sender's consecutive
 // write-failure guard or the watchdog must abort the session with flagged
-// partial estimates, again without fabricating loss.
+// partial estimates, again without fabricating loss. The kill lands at a
+// known point — just after the tenth probe has been answered in full —
+// so every run exercises the same boundary.
 func TestKilledReflectorAbortsPartial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paces real probes for seconds")
@@ -574,9 +576,27 @@ func TestKilledReflectorAbortsPartial(t *testing.T) {
 	}
 	defer tr.Close()
 
+	const answered = 10 // probes fully answered before the kill
+	stop := make(chan struct{})
+	defer close(stop)
 	go func() {
-		time.Sleep(700 * time.Millisecond)
-		fr.Kill()
+		for {
+			full := 0
+			for _, got := range tr.Collector().ReceivedSlots(9) {
+				if got == 3 { // default packets per probe
+					full++
+				}
+			}
+			if full >= answered {
+				fr.Kill()
+				return
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
 	}()
 
 	res, err := session.Run(context.Background(), tr, session.Config{
@@ -591,6 +611,10 @@ func TestKilledReflectorAbortsPartial(t *testing.T) {
 	}
 	if f := res.Final.Snapshot.Total.Frequency; f != 0 {
 		t.Errorf("outage reported as loss frequency %v", f)
+	}
+	if c := res.Final.Counters; c.ProbesSent < answered || c.ProbesLost != 0 {
+		t.Errorf("partial result measured %d probes (%d lost), want the %d answered before the kill and no loss",
+			c.ProbesSent, c.ProbesLost, answered)
 	}
 }
 

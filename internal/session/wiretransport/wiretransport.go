@@ -17,9 +17,10 @@
 //     path loss essentially never produces — and confirms with a liveness
 //     re-check routed through the collector before declaring the path dead
 //     (session.ErrPathDead).
-//   - Once the path is declared dead, Observations truncates at the death
-//     point: the outage is unmeasured, not loss, and is excluded from the
-//     partial estimates the session engine flags as aborted.
+//   - Once the path is declared dead, Observations truncates after the
+//     last fully answered probe before the death point: the outage is
+//     unmeasured, not loss, and is excluded from the partial estimates
+//     the session engine flags as aborted.
 package wiretransport
 
 import (
@@ -361,9 +362,9 @@ func (t *Transport) recheckAlive(ctx context.Context) bool {
 // Observations assembles per-probe outcomes for every probe emitted so
 // far from the collector's log of the reflected stream, including the
 // collector's pacing-lag invalidation and clock-skew correction. Once the
-// path has been declared dead, observations are truncated at the death
-// point: those probes are unmeasured — infrastructure failure — and must
-// not enter the estimates as loss.
+// path has been declared dead, observations are truncated (see
+// answeredPrefix): the probes after it are unmeasured — infrastructure
+// failure — and must not enter the estimates as loss.
 func (t *Transport) Observations() ([]badabing.ProbeObs, map[int64]bool) {
 	t.mu.Lock()
 	emitted := t.slots[:t.sent]
@@ -371,14 +372,28 @@ func (t *Transport) Observations() ([]badabing.ProbeObs, map[int64]bool) {
 	t.mu.Unlock()
 	obs, invalid, _ := t.col.AssembleObs(t.cfg.ExpID, emitted, t.cfg.PacketsPerProbe, t.cfg.Slot)
 	if dead >= 0 {
-		for i, o := range obs {
-			if o.T >= dead {
-				obs = obs[:i]
-				break
-			}
-		}
+		obs = answeredPrefix(obs, dead)
 	}
 	return obs, invalid
+}
+
+// answeredPrefix cuts a dead path's observations after the last probe,
+// sent before the death point dead, whose every packet came back: the
+// far end provably lived through it. The detection point alone is too
+// late. Probes in flight as the far end died, and probes written before
+// the sender's terminal run of write failures began, are lost to the
+// outage, and a probe answered only in part may have straddled it.
+func answeredPrefix(obs []badabing.ProbeObs, dead time.Duration) []badabing.ProbeObs {
+	n := 0
+	for i, o := range obs {
+		if o.T >= dead {
+			break
+		}
+		if o.LostPackets == 0 {
+			n = i + 1
+		}
+	}
+	return obs[:n]
 }
 
 // Close shuts the socket, terminating the collector loop and (if still
