@@ -86,7 +86,16 @@ func TestAdmissionShedding(t *testing.T) {
 	mon.Set("store", health.Ok, "")
 
 	// Rate limit: burst of 2 is already spent by the two accepted
-	// creates; the next one sheds with 429 + computed Retry-After.
+	// creates; the next one sheds with 429 + computed Retry-After. With
+	// one worker the second session queues until the first finishes, and
+	// a queued session would shed this create as queue-full first, so
+	// wait for the queue to drain.
+	for deadline := time.Now().Add(10 * time.Second); reg.StateCounts()[Pending] > 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("second session still pending after 10s")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	code, hdr, body = postCreate(t, srv.URL)
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("over-rate create: %d (%s), want 429", code, body)
