@@ -31,7 +31,7 @@ type goldenRow struct {
 // goldenCells are deliberately cheap (45 s horizons) but cover both CBR
 // episode shapes, three probe rates, and the TCP-driven scenarios (whose
 // retransmission timers, delayed ACKs and jittered sends exercise the
-// most event-core machinery).
+// most event-core machinery), followed by pathCells.
 func goldenCells() []goldenRow {
 	specs := []struct {
 		sc   Scenario
@@ -56,7 +56,30 @@ func goldenCells() []goldenRow {
 			},
 		}
 	}
-	return runCells(RunConfig{}, cells)
+	return append(runCells(RunConfig{}, cells), pathCells()...)
+}
+
+// pathCells pins the lab paths the sweep cells above never reach, at the
+// same 45 s horizon: hand-built Poisson-pair schedules, the §5.5
+// extended pairs on the improved design, a RED bottleneck and a
+// two-hop chain.
+func pathCells() []goldenRow {
+	cfg := RunConfig{Horizon: 45 * time.Second, Seed: 1}
+	var rows []goldenRow
+	add := func(key string, trueF, estF, trueD, estD float64) {
+		rows = append(rows, goldenRow{Key: "golden/" + key, TrueF: trueF, EstF: estF, TrueD: trueD, EstD: estD})
+	}
+	for _, res := range []AblationResult{AblationPlacement(cfg), AblationExtendedPairs(cfg)} {
+		for _, r := range res.Rows {
+			add(res.Title+"/"+r.Variant, r.TrueF, r.EstF, r.TrueD, r.EstD)
+		}
+	}
+	for _, r := range RED(cfg).Rows {
+		add("RED/"+r.Queue, r.TrueF, r.EstF, r.TrueD, r.EstD)
+	}
+	mh := MultiHop(2, cfg)
+	add("multihop/hops=2", mh.TrueF, mh.EstF, mh.TrueD, mh.EstD)
+	return rows
 }
 
 func TestGoldenEstimates(t *testing.T) {
