@@ -13,10 +13,12 @@
 // This root package re-exports the measurement core so downstream users
 // can depend on a single import path:
 //
-//	sched := badabing.Schedule(badabing.ScheduleConfig{P: 0.3, N: 180000, Seed: 1})
+//	plans, err := badabing.Schedule(badabing.ScheduleConfig{P: 0.3, N: 180000, Seed: 1})
+//	... // run the probes, Mark the observations into a per-slot map bySlot
 //	acc := &badabing.Accumulator{}
-//	... // run the probes, Mark the observations, Assemble the outcomes
-//	report := acc.MakeReport()
+//	badabing.Assemble(plans, bySlot, func(_ int64, bits []bool) { acc.Add(bits) })
+//	est := badabing.EstimatesOf(acc) // F̂, D̂ and the §5.4 validation
+//	trusted := est.Validation.Passes(badabing.Criteria{})
 //
 // The repository also contains:
 //
@@ -43,8 +45,6 @@ type (
 	Plan = core.Plan
 	// ScheduleConfig parameterizes experiment generation.
 	ScheduleConfig = core.ScheduleConfig
-	// Report bundles a measurement's estimates and validation.
-	Report = core.Report
 	// Validation carries the §5.4 self-calibration checks.
 	Validation = core.Validation
 	// Criteria are acceptance thresholds for Validation.
@@ -53,9 +53,8 @@ type (
 	ProbeObs = core.ProbeObs
 	// MarkerConfig holds the §6.1 congestion-marking parameters α, τ.
 	MarkerConfig = core.MarkerConfig
-	// Monitor wraps an Accumulator with an open-ended stopping rule.
-	Monitor = core.Monitor
-	// MonitorConfig parameterizes a Monitor.
+	// MonitorConfig is the open-ended stopping rule: its Converged
+	// reports whether Estimates rest on enough validated evidence.
 	MonitorConfig = core.MonitorConfig
 )
 
@@ -82,7 +81,8 @@ type (
 	StreamConfig = core.StreamConfig
 	// StreamSnapshot is the estimator state at one instant.
 	StreamSnapshot = core.StreamSnapshot
-	// Estimates is a JSON-friendly snapshot of one view's estimators.
+	// Estimates is the one result: F̂, D̂, r̂, the §7 reliability bound
+	// and the §5.4 validation of one view, JSON-friendly.
 	Estimates = core.Estimates
 )
 
@@ -95,10 +95,6 @@ func EstimatesOf(a *Accumulator) Estimates { return core.EstimatesOf(a) }
 // Mark classifies probes as congested per §6.1 (loss, or high one-way
 // delay near a loss).
 func Mark(obs []ProbeObs, cfg MarkerConfig) []bool { return core.Mark(obs, cfg) }
-
-// OutcomeSink consumes experiment outcomes (Accumulator, Recorder and
-// Monitor all implement it).
-type OutcomeSink = core.OutcomeSink
 
 // Recorder retains the outcome sequence for bootstrap confidence
 // intervals.
@@ -119,18 +115,17 @@ type Adaptive = core.Adaptive
 // AdaptiveConfig parameterizes an Adaptive controller.
 type AdaptiveConfig = core.AdaptiveConfig
 
-// NewAdaptive creates an adaptive controller.
-func NewAdaptive(cfg AdaptiveConfig) *Adaptive { return core.NewAdaptive(cfg) }
+// NewAdaptive creates an adaptive controller, rejecting configurations it
+// cannot run.
+func NewAdaptive(cfg AdaptiveConfig) (*Adaptive, error) { return core.NewAdaptive(cfg) }
 
-// Assemble groups per-slot congestion bits into experiment outcomes.
-func Assemble(sink OutcomeSink, plans []Plan, marked map[int64]bool) int {
-	return core.Assemble(sink, plans, marked)
+// Assemble groups per-slot congestion bits into experiment outcomes and
+// hands each to observe; it returns how many experiments it skipped.
+func Assemble(plans []Plan, marked map[int64]bool, observe func(slot int64, bits []bool)) int {
+	return core.Assemble(plans, marked, observe)
 }
 
 // RecommendedMarker returns the §6.2 α/τ choices for a probe rate.
 func RecommendedMarker(p float64, slot time.Duration) MarkerConfig {
 	return core.RecommendedMarker(p, slot)
 }
-
-// NewMonitor returns a Monitor with the given config.
-func NewMonitor(cfg MonitorConfig) *Monitor { return core.NewMonitor(cfg) }

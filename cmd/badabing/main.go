@@ -27,7 +27,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"net"
 	"os"
 	"os/signal"
@@ -109,7 +108,6 @@ func runSend(args []string) error {
 			*id, *p, *pmax, *roundSlots, *target)
 		res, err := wire.SendAdaptive(ctx, conn, wire.AdaptiveConfig{
 			BaseID:          *id,
-			Slot:            *slot,
 			PacketsPerProbe: *packets,
 			PacketSize:      *size,
 			Seed:            *seed,
@@ -118,6 +116,7 @@ func runSend(args []string) error {
 				PMax:       *pmax,
 				RoundSlots: *roundSlots,
 				MaxRounds:  *maxRounds,
+				Slot:       *slot,
 			},
 		})
 		if err != nil {
@@ -125,10 +124,10 @@ func runSend(args []string) error {
 		}
 		fmt.Printf("%d rounds, final p %.2f, %d packets, converged=%v\n",
 			res.Rounds, res.FinalP, res.Packets, res.Converged)
-		rep := res.Report
-		fmt.Printf("frequency %.5f", rep.Frequency)
-		if rep.HasDuration {
-			fmt.Printf(", duration %.4fs ± %.4f", rep.Duration, rep.StdDev)
+		est := res.Estimates
+		fmt.Printf("frequency %.5f", est.Frequency)
+		if est.HasDuration {
+			fmt.Printf(", duration %.4fs ± %.4f", est.Duration, est.StdDev)
 		}
 		fmt.Println()
 		return nil
@@ -269,8 +268,8 @@ func runCollect(args []string) error {
 	alpha := fs.Float64("alpha", 0.1, "queue high-water fraction for delay marking")
 	tau := fs.Duration("tau", 30*time.Millisecond, "window around losses for delay marking")
 	every := fs.Duration("every", 10*time.Second, "report interval")
-	jsonOut := fs.Bool("json", false, "emit reports as JSON lines")
-	ci := fs.Bool("ci", false, "bootstrap 95% confidence intervals for the estimates")
+	jsonOut := fs.Bool("json", false, "emit reports as JSON lines (the daemon's session-snapshot schema)")
+	ci := fs.Bool("ci", false, "estimate with the bootstrap kind: 95% confidence intervals for the estimates")
 	fs.Parse(args)
 
 	conn, err := net.ListenPacket("udp", *listen)
@@ -288,110 +287,87 @@ func runCollect(args []string) error {
 	defer tick.Stop()
 	marker := badabing.MarkerConfig{Alpha: *alpha, Tau: *tau}
 	col.SetMarker(marker) // control-channel queries use the same marking
-	emit := report
+	var est estimate.Config
 	if *ci {
-		emit = func(col *wire.Collector, marker badabing.MarkerConfig) {
-			reportCI(col, marker)
-		}
+		est.Kind = estimate.KindBootstrap
 	}
+	emit := report
 	if *jsonOut {
 		emit = reportJSON
 	}
 	for {
 		select {
 		case <-ctx.Done():
-			emit(col, marker)
+			emit(col, marker, est)
 			return nil
 		case <-tick.C:
-			emit(col, marker)
+			emit(col, marker, est)
 		}
 	}
 }
 
-// jsonReport is the machine-readable form of a session report.
+// jsonReport is the machine-readable form of a session's estimates:
+// Snapshot is the daemon's session-snapshot schema, validation included.
 type jsonReport struct {
 	Session     uint64            `json:"session"`
 	Stats       wire.SessionStats `json:"stats"`
-	Report      badabing.Report   `json:"report"`
+	Snapshot    estimate.Snapshot `json:"snapshot"`
 	Validated   bool              `json:"validated"`
 	GeneratedAt time.Time         `json:"generated_at"`
 }
 
-func reportJSON(col *wire.Collector, marker badabing.MarkerConfig) {
+func reportJSON(col *wire.Collector, marker badabing.MarkerConfig, est estimate.Config) {
 	enc := json.NewEncoder(os.Stdout)
 	for _, id := range col.Sessions() {
-		rep, ss, err := col.Report(id, marker)
+		snap, ss, err := col.Estimate(id, marker, est)
 		if err != nil {
 			continue
-		}
-		// NaN is not representable in JSON; zero out undefined fields.
-		if math.IsNaN(rep.DurationBasic) {
-			rep.DurationBasic = 0
-		}
-		if math.IsNaN(rep.DurationImproved) {
-			rep.DurationImproved = 0
-		}
-		if math.IsNaN(rep.StdDev) {
-			rep.StdDev = 0
 		}
 		enc.Encode(jsonReport{
 			Session:     id,
 			Stats:       ss,
-			Report:      rep,
-			Validated:   rep.Validation.Passes(badabing.Criteria{}),
+			Snapshot:    snap,
+			Validated:   snap.Total.Validation.Passes(badabing.Criteria{}),
 			GeneratedAt: time.Now().UTC(),
 		})
 	}
 }
 
-func report(col *wire.Collector, marker badabing.MarkerConfig) {
+// report prints every session's estimates, with confidence intervals
+// when the estimator kind attaches them.
+func report(col *wire.Collector, marker badabing.MarkerConfig, est estimate.Config) {
 	ids := col.Sessions()
 	if len(ids) == 0 {
 		fmt.Println("no sessions yet")
 		return
 	}
 	for _, id := range ids {
-		rep, ss, err := col.Report(id, marker)
+		snap, ss, err := col.Estimate(id, marker, est)
 		if err != nil {
 			fmt.Printf("session %d: %v\n", id, err)
 			continue
 		}
+		e := snap.Total
 		fmt.Printf("session %d: %d pkts (%d lost, %d probes invalidated)\n",
 			id, ss.Packets, ss.PacketsLost, ss.LateInvalid)
-		fmt.Printf("  frequency: %.5f\n", rep.Frequency)
-		if rep.HasDuration {
-			fmt.Printf("  duration:  %.4fs (basic %.4f, improved %s, ±%.4f)\n",
-				rep.Duration, rep.DurationBasic, fmtNaN(rep.DurationImproved), rep.StdDev)
+		fmt.Printf("  frequency: %.5f", e.Frequency)
+		printCI(snap.FrequencyCI)
+		fmt.Println()
+		if e.HasDuration {
+			improved := "n/a"
+			if e.HasDurationImproved {
+				improved = fmt.Sprintf("%.4f", e.DurationImproved)
+			}
+			fmt.Printf("  duration:  %.4fs", e.Duration)
+			printCI(snap.DurationCI)
+			fmt.Printf(" (basic %.4f, improved %s, ±%.4f)\n", e.DurationBasic, improved, e.StdDev)
 		} else {
 			fmt.Println("  duration:  no episode boundaries observed yet")
 		}
-		v := rep.Validation
+		v := e.Validation
 		fmt.Printf("  validation: 01/10=%d/%d asym=%.2f violations=%d (rate %.3f) pass=%v\n",
 			v.C01, v.C10, v.BoundaryAsymmetry, v.Violations, v.ViolationRate,
 			v.Passes(badabing.Criteria{}))
-	}
-}
-
-// reportCI prints reports with bootstrap confidence intervals.
-func reportCI(col *wire.Collector, marker badabing.MarkerConfig) {
-	ids := col.Sessions()
-	if len(ids) == 0 {
-		fmt.Println("no sessions yet")
-		return
-	}
-	for _, id := range ids {
-		rep, freqCI, durCI, ss, err := col.ReportWithCI(id, marker, badabing.BootstrapConfig{})
-		if err != nil {
-			fmt.Printf("session %d: %v\n", id, err)
-			continue
-		}
-		fmt.Printf("session %d: %d pkts (%d lost)\n", id, ss.Packets, ss.PacketsLost)
-		fmt.Printf("  frequency: %.5f  [%.5f, %.5f] 95%%\n", rep.Frequency, freqCI.Lo, freqCI.Hi)
-		if rep.HasDuration {
-			fmt.Printf("  duration:  %.4fs [%.4f, %.4f] 95%%\n", rep.Duration, durCI.Lo, durCI.Hi)
-		} else {
-			fmt.Println("  duration:  no episode boundaries observed yet")
-		}
 	}
 }
 
@@ -401,11 +377,4 @@ func printCI(ci *badabing.Interval) {
 		return
 	}
 	fmt.Printf(" [%.5f, %.5f]@%v", ci.Lo, ci.Hi, ci.Level)
-}
-
-func fmtNaN(f float64) string {
-	if math.IsNaN(f) {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.4f", f)
 }

@@ -62,14 +62,13 @@ func main() {
 	start := time.Now()
 	res, err := wire.SendAdaptive(context.Background(), conn, wire.AdaptiveConfig{
 		BaseID: uint64(time.Now().Unix()) << 8,
-		Slot:   slot,
 		Controller: badabing.AdaptiveConfig{
+			Slot:       slot, // paces the rounds and scales the estimates
 			PMin:       0.1,
 			PMax:       0.9,
 			RoundSlots: 300, // 3 s rounds at 10 ms slots
 			MaxRounds:  10,
 			Monitor: badabing.MonitorConfig{
-				Slot:           slot,
 				MinExperiments: 200,
 				Criteria:       badabing.Criteria{MinBoundarySamples: 12},
 			},
@@ -87,9 +86,9 @@ func main() {
 	} else {
 		fmt.Println("stopped by round budget")
 	}
-	rep := res.Report
-	fmt.Printf("loss-episode frequency: %.4f\n", rep.Frequency)
-	if rep.HasDuration {
-		fmt.Printf("loss-episode duration:  %.3fs ± %.3fs\n", rep.Duration, rep.StdDev)
+	est := res.Estimates
+	fmt.Printf("loss-episode frequency: %.4f\n", est.Frequency)
+	if est.HasDuration {
+		fmt.Printf("loss-episode duration:  %.3fs ± %.3fs\n", est.Duration, est.StdDev)
 	}
 }

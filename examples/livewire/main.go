@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"badabing/internal/badabing"
+	"badabing/internal/estimate"
 	"badabing/internal/wire"
 	"badabing/internal/wire/gateway"
 )
@@ -74,10 +75,11 @@ func main() {
 	}
 	time.Sleep(400 * time.Millisecond) // drain in-flight packets
 
-	rep, ss, err := col.Report(cfg.ExpID, badabing.RecommendedMarker(cfg.P, cfg.Slot))
+	snap, ss, err := col.Estimate(cfg.ExpID, badabing.RecommendedMarker(cfg.P, cfg.Slot), estimate.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	rep := snap.Total
 	fwd, drop, eps := gw.Stats()
 
 	fmt.Printf("sender: %d experiments, %d probes, %d packets (max pacing lag %v)\n",

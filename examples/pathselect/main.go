@@ -18,13 +18,17 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"sort"
 	"time"
 
 	"badabing/internal/badabing"
 	"badabing/internal/capture"
 	"badabing/internal/probe"
+	"badabing/internal/session"
+	"badabing/internal/session/simtransport"
 	"badabing/internal/simnet"
 	"badabing/internal/traffic"
 )
@@ -32,18 +36,12 @@ import (
 type pathResult struct {
 	name   string
 	truthF float64
-	report badabing.Report
+	est    badabing.Estimates
 }
 
-// badness is the path-selection score: expected congestion exposure.
-func (r pathResult) badness() float64 {
-	d := r.report.Duration
-	if !r.report.HasDuration {
-		d = 0
-	}
-	_ = d
-	return r.report.Frequency
-}
+// badness is the path-selection score: expected congestion exposure, the
+// fraction of time a flow would find the path congested.
+func (r pathResult) badness() float64 { return r.est.Frequency }
 
 func measure(name string, build func(sim *simnet.Sim, d *simnet.Dumbbell, ids *traffic.IDSpace)) pathResult {
 	const (
@@ -57,18 +55,18 @@ func measure(name string, build func(sim *simnet.Sim, d *simnet.Dumbbell, ids *t
 	ids := traffic.NewIDSpace(1000)
 	build(sim, d, ids)
 
-	plans := badabing.MustSchedule(badabing.ScheduleConfig{
-		P: p, N: int64(horizon / slot), Improved: true, Seed: 7,
-	})
-	bb := probe.StartBadabing(sim, d, 7, probe.BadabingConfig{
-		Plans:  plans,
-		Marker: badabing.RecommendedMarker(p, slot),
-	})
-	sim.Run(horizon + time.Second)
+	tr := simtransport.New(sim, d, 7, probe.BadabingConfig{Slot: slot})
+	res, err := session.Run(context.Background(), tr, session.Config{
+		P: p, Slots: int64(horizon / slot), Slot: slot, Improved: true, Seed: 7,
+		StepSlots: int64(horizon / slot), // one harvest: no mid-run snapshots are read
+	}, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	return pathResult{
 		name:   name,
 		truthF: mon.Truth(horizon, slot).Frequency,
-		report: bb.Report(),
+		est:    res.Final.Snapshot.Total,
 	}
 }
 
@@ -108,12 +106,12 @@ func main() {
 		"path (best first)", "est freq", "true freq", "est dur", "validated")
 	for _, r := range results {
 		dur := "n/a"
-		if r.report.HasDuration {
-			dur = fmt.Sprintf("%.3fs", r.report.Duration)
+		if r.est.HasDuration {
+			dur = fmt.Sprintf("%.3fs", r.est.Duration)
 		}
 		fmt.Printf("%-24s %12.4f %12.4f %12s %10v\n",
-			r.name, r.report.Frequency, r.truthF, dur,
-			r.report.Validation.Passes(badabing.Criteria{}))
+			r.name, r.est.Frequency, r.truthF, dur,
+			r.est.Validation.Passes(badabing.Criteria{}))
 	}
 	fmt.Printf("\nselected: %s\n", results[0].name)
 }

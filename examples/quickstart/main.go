@@ -11,12 +11,16 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"time"
 
 	"badabing/internal/badabing"
 	"badabing/internal/capture"
 	"badabing/internal/probe"
+	"badabing/internal/session"
+	"badabing/internal/session/simtransport"
 	"badabing/internal/simnet"
 	"badabing/internal/traffic"
 )
@@ -44,31 +48,34 @@ func main() {
 		BaseUtilization: 0.25,
 	})
 
-	// The measurement: schedule the probe process and start BADABING.
-	plans := badabing.MustSchedule(badabing.ScheduleConfig{
+	// The measurement: the session engine draws the probe schedule,
+	// sends the probes over the simulated path, marks congestion and
+	// estimates, with the recommended §6.2 marking for p.
+	tr := simtransport.New(sim, path, 7, probe.BadabingConfig{Slot: slot})
+	res, err := session.Run(context.Background(), tr, session.Config{
 		P:        p,
-		N:        int64(horizon / slot),
+		Slots:    int64(horizon / slot),
+		Slot:     slot,
 		Improved: true,
 		Seed:     7,
-	})
-	bb := probe.StartBadabing(sim, path, 7, probe.BadabingConfig{
-		Plans:  plans,
-		Marker: badabing.RecommendedMarker(p, slot),
-	})
-
-	// Run the virtual clock and report.
-	sim.Run(horizon + time.Second)
+		// No mid-run snapshots are read, so harvest once at the end
+		// instead of re-marking every 5 s of virtual time.
+		StepSlots: int64(horizon / slot),
+	}, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	truth := monitor.Truth(horizon, slot)
-	report := bb.Report()
+	est := res.Final.Snapshot.Total
 
 	fmt.Println("BADABING quickstart — CBR traffic with engineered loss episodes")
 	fmt.Printf("probes: %d (%d experiments), ≈%.1f%% of bottleneck capacity\n",
-		bb.ProbeCount(), report.M,
-		100*float64(bb.ProbeCount()*3*600*8)/(horizon.Seconds()*float64(simnet.OC3)))
+		res.Probes, est.M,
+		100*float64(res.Probes*3*600*8)/(horizon.Seconds()*float64(simnet.OC3)))
 	fmt.Printf("%-22s %10s %12s\n", "", "true", "estimated")
-	fmt.Printf("%-22s %10.4f %12.4f\n", "episode frequency", truth.Frequency, report.Frequency)
-	fmt.Printf("%-22s %9.3fs %11.3fs\n", "episode duration", truth.Duration.Mean(), report.Duration)
-	v := report.Validation
+	fmt.Printf("%-22s %10.4f %12.4f\n", "episode frequency", truth.Frequency, est.Frequency)
+	fmt.Printf("%-22s %9.3fs %11.3fs\n", "episode duration", truth.Duration.Mean(), est.Duration)
+	v := est.Validation
 	fmt.Printf("validation: boundary counts %d/%d, violations %d — pass=%v\n",
 		v.C01, v.C10, v.Violations, v.Passes(badabing.Criteria{}))
 }

@@ -20,10 +20,13 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"badabing/internal/badabing"
+	"badabing/internal/estimate"
 	"badabing/internal/probe"
+	"badabing/internal/session"
 	"badabing/internal/simnet"
 	"badabing/internal/traffic"
 )
@@ -45,12 +48,26 @@ func wellBehaved() {
 	plans := badabing.MustSchedule(badabing.ScheduleConfig{
 		P: p, N: int64(horizon / slot), Improved: true, Seed: 8,
 	})
-	bb := probe.StartBadabing(sim, d, 7, probe.BadabingConfig{
-		Plans:  plans,
-		Marker: badabing.RecommendedMarker(p, slot),
-	})
+	bb := startProbes(sim, d, plans)
 	sim.Run(horizon + time.Second)
-	show("well-behaved path (≈100ms episodes every ≈8s)", bb.Report())
+	show("well-behaved path (≈100ms episodes every ≈8s)", estimates(bb, plans, badabing.RecommendedMarker(p, slot)))
+}
+
+// startProbes sends the schedule's probes over the simulated path.
+func startProbes(sim *simnet.Sim, d *simnet.Dumbbell, plans []badabing.Plan) *probe.Badabing {
+	return probe.StartBadabing(sim, d.Bottleneck, d.FwdDemux, 7, probe.BadabingConfig{}, badabing.ProbeSlots(plans))
+}
+
+// estimates marks the probes' observations so far and replays the
+// schedule through the batch estimator: the pipeline a live session runs,
+// in batch form. Experiments with probes not yet sent are skipped.
+func estimates(bb *probe.Badabing, plans []badabing.Plan, marker badabing.MarkerConfig) badabing.Estimates {
+	bySlot := session.MarkSlots(bb.Observations(), nil, marker)
+	snap, _, err := estimate.Batch(estimate.Config{}, badabing.StreamConfig{}, plans, bySlot)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return snap.Total
 }
 
 // pathological drives a path whose congestion alternates at the slot
@@ -91,17 +108,15 @@ func pathological() {
 	plans := badabing.MustSchedule(badabing.ScheduleConfig{
 		P: p, N: int64(horizon / slot), Improved: true, Seed: 3,
 	})
-	bb := probe.StartBadabing(sim, d, 7, probe.BadabingConfig{
-		Plans: plans,
-		// Loss-only marking: delay thresholds would only blur the
-		// sub-slot structure this scenario is about.
-		Marker: badabing.MarkerConfig{Alpha: 0, Tau: 0},
-	})
+	bb := startProbes(sim, d, plans)
 	sim.Run(horizon + time.Second)
-	show("pathological path (congestion flapping at the slot period)", bb.Report())
+	// Loss-only marking: delay thresholds would only blur the sub-slot
+	// structure this scenario is about.
+	lossOnly := badabing.MarkerConfig{Alpha: 0, Tau: 0}
+	show("pathological path (congestion flapping at the slot period)", estimates(bb, plans, lossOnly))
 }
 
-func show(name string, rep badabing.Report) {
+func show(name string, rep badabing.Estimates) {
 	v := rep.Validation
 	fmt.Printf("-- %s\n", name)
 	fmt.Printf("   frequency %.4f, duration %.3fs over %d experiments\n",
@@ -135,17 +150,14 @@ func monitorDemo() {
 	plans := badabing.MustSchedule(badabing.ScheduleConfig{
 		P: 0.3, N: int64(budget / slot), Improved: true, Seed: 9,
 	})
-	bb := probe.StartBadabing(sim, d, 7, probe.BadabingConfig{
-		Plans:  plans,
-		Marker: badabing.RecommendedMarker(0.3, slot),
-	})
+	bb := startProbes(sim, d, plans)
+	marker := badabing.RecommendedMarker(0.3, slot)
+	stop := badabing.MonitorConfig{MinExperiments: 2000, MaxDurationStdDev: 0.05}
 
 	var stoppedAt time.Duration
 	var check func()
 	check = func() {
-		rep := bb.Report()
-		if rep.M >= 2000 && rep.Validation.Passes(badabing.Criteria{}) &&
-			rep.StdDev > 0 && rep.StdDev <= 0.05 {
+		if stop.Converged(estimates(bb, plans, marker)) {
 			stoppedAt = sim.Now()
 			return
 		}
@@ -156,7 +168,7 @@ func monitorDemo() {
 	sim.Schedule(60*time.Second, check)
 	sim.Run(budget + time.Second)
 
-	rep := bb.Report()
+	rep := estimates(bb, plans, marker)
 	fmt.Println("-- open-ended monitoring with a stopping rule")
 	if stoppedAt > 0 {
 		fmt.Printf("   converged after %v of probing (budget %v)\n", stoppedAt, budget)

@@ -8,7 +8,7 @@ import (
 )
 
 // TestPublicAPIRoundTrip exercises the documented downstream workflow
-// through the facade package only: schedule, mark, assemble, report.
+// through the facade package only: schedule, mark, assemble, estimate.
 func TestPublicAPIRoundTrip(t *testing.T) {
 	plans := badabing.MustSchedule(badabing.ScheduleConfig{P: 0.5, N: 1000, Seed: 1})
 	if len(plans) == 0 {
@@ -46,11 +46,11 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 		bySlot[o.Slot] = bySlot[o.Slot] || marked[i]
 	}
 	acc := &badabing.Accumulator{}
-	skipped := badabing.Assemble(acc, plans, bySlot)
+	skipped := badabing.Assemble(plans, bySlot, func(_ int64, bits []bool) { acc.Add(bits) })
 	if skipped != 0 {
 		t.Fatalf("skipped %d experiments with full observations", skipped)
 	}
-	rep := acc.MakeReport()
+	rep := badabing.EstimatesOf(acc)
 	// True frequency is 20/1000 = 0.02.
 	if rep.Frequency < 0.01 || rep.Frequency > 0.04 {
 		t.Errorf("frequency %.4f, want ≈0.02", rep.Frequency)
@@ -65,11 +65,12 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 }
 
 func TestPublicMonitor(t *testing.T) {
-	m := badabing.NewMonitor(badabing.MonitorConfig{MinExperiments: 10})
+	mon := badabing.MonitorConfig{MinExperiments: 10}
+	acc := &badabing.Accumulator{}
 	for i := 0; i < 9; i++ {
-		m.Add([]bool{false, false})
+		acc.AddBasic(false, false)
 	}
-	if m.Converged() {
+	if mon.Converged(badabing.EstimatesOf(acc)) {
 		t.Fatal("converged below MinExperiments")
 	}
 }

@@ -1,8 +1,10 @@
 package badabing
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // driveAdaptive runs the controller against a synthetic series, laying
@@ -32,16 +34,16 @@ func driveAdaptive(t *testing.T, a *Adaptive, series []bool) {
 func TestAdaptiveConvergesOnLossyPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	series, _, _ := synthSeries(rng, 400_000, 400, 14)
-	a := NewAdaptive(AdaptiveConfig{
+	a := newAdaptive(t, AdaptiveConfig{
 		Monitor: MonitorConfig{MinExperiments: 500},
 	})
 	driveAdaptive(t, a, series)
 	if !a.Converged() {
 		t.Fatalf("did not converge in %d rounds", a.Round())
 	}
-	rep := a.Report()
-	if !rep.HasDuration || rep.Frequency <= 0 {
-		t.Fatalf("converged without usable estimates: %+v", rep)
+	est := a.Estimates()
+	if !est.HasDuration || est.Frequency <= 0 {
+		t.Fatalf("converged without usable estimates: %+v", est)
 	}
 }
 
@@ -50,7 +52,7 @@ func TestAdaptiveEscalatesOnQuietPath(t *testing.T) {
 	// controller must raise p.
 	rng := rand.New(rand.NewSource(72))
 	series, _, _ := synthSeries(rng, 400_000, 20_000, 14)
-	a := NewAdaptive(AdaptiveConfig{
+	a := newAdaptive(t, AdaptiveConfig{
 		MaxRounds: 20,
 		Monitor:   MonitorConfig{MinExperiments: 500},
 	})
@@ -66,7 +68,7 @@ func TestAdaptiveStaysGentleWhenEvidenceFlows(t *testing.T) {
 	// escalation should be mild or absent before convergence.
 	rng := rand.New(rand.NewSource(73))
 	series, _, _ := synthSeries(rng, 800_000, 150, 14)
-	a := NewAdaptive(AdaptiveConfig{
+	a := newAdaptive(t, AdaptiveConfig{
 		Monitor: MonitorConfig{MinExperiments: 300},
 	})
 	driveAdaptive(t, a, series)
@@ -82,7 +84,7 @@ func TestAdaptiveRespectsRoundBudget(t *testing.T) {
 	// All-clear path: can never converge (no boundaries), must stop at
 	// MaxRounds with p pinned at PMax.
 	series := make([]bool, 200_000)
-	a := NewAdaptive(AdaptiveConfig{
+	a := newAdaptive(t, AdaptiveConfig{
 		MaxRounds: 5,
 		Monitor:   MonitorConfig{MinExperiments: 100},
 	})
@@ -99,19 +101,70 @@ func TestAdaptiveRespectsRoundBudget(t *testing.T) {
 }
 
 func TestAdaptiveElapsed(t *testing.T) {
-	a := NewAdaptive(AdaptiveConfig{})
-	a.EndRound()
-	a.EndRound()
-	if got := a.Elapsed(0); got != 2*6000*DefaultSlot {
-		t.Fatalf("elapsed = %v", got)
+	for _, slot := range []time.Duration{0, 10 * time.Millisecond} {
+		a := newAdaptive(t, AdaptiveConfig{Slot: slot})
+		a.EndRound()
+		a.EndRound()
+		want := 2 * 6000 * slot
+		if slot == 0 {
+			want = 2 * 6000 * DefaultSlot
+		}
+		if got := a.Elapsed(); got != want {
+			t.Fatalf("slot %v: elapsed = %v, want %v", slot, got, want)
+		}
 	}
 }
 
-func TestAdaptiveInvalidRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid range accepted")
+// TestAdaptiveRejectsInvalidConfig: configurations the controller cannot
+// run are errors, not panics — they arrive from command-line flags.
+func TestAdaptiveRejectsInvalidConfig(t *testing.T) {
+	nan := math.NaN()
+	for _, cfg := range []AdaptiveConfig{
+		{PMin: 0.8, PMax: 0.2},
+		{PMin: 0.95}, // above the default PMax 0.9
+		{PMin: -0.1},
+		{PMax: 1.5},
+		{PMin: nan},
+		{Escalation: 0.5},
+		{Escalation: -2},
+		{RoundSlots: -1},
+		{MaxRounds: -3},
+		{Slot: -time.Millisecond},
+	} {
+		if a, err := NewAdaptive(cfg); err == nil {
+			t.Errorf("NewAdaptive(%+v) = %p, want an error", cfg, a)
 		}
-	}()
-	NewAdaptive(AdaptiveConfig{PMin: 0.8, PMax: 0.2})
+	}
+}
+
+// TestAdaptiveEstimatesAtConfiguredSlot: one slot width converts both
+// the round pacing and the estimates — at 10 ms slots, D̂ and the §7
+// bound come out in 10 ms units.
+func TestAdaptiveEstimatesAtConfiguredSlot(t *testing.T) {
+	a := newAdaptive(t, AdaptiveConfig{Slot: 10 * time.Millisecond, MaxRounds: 1})
+	var round Accumulator
+	for i := 0; i < 20; i++ {
+		round.AddBasic(true, true)
+		round.AddBasic(true, false)
+		round.AddBasic(false, true)
+	}
+	a.MergeRound(round.Counts())
+	slots, _ := round.DurationSlots()
+	sd, _ := round.DurationStdDev()
+	est := a.Estimates()
+	if !est.HasDurationBasic || est.DurationBasic != slots*0.010 {
+		t.Errorf("D̂ = %vs, want %v slots × 10 ms", est.DurationBasic, slots)
+	}
+	if !est.HasStdDev || est.StdDev != sd*0.010 {
+		t.Errorf("σ = %vs, want %v slots × 10 ms", est.StdDev, sd)
+	}
+}
+
+func newAdaptive(t *testing.T, cfg AdaptiveConfig) *Adaptive {
+	t.Helper()
+	a, err := NewAdaptive(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
 }

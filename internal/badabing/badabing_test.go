@@ -315,30 +315,34 @@ func TestDurationStdDevShrinksWithData(t *testing.T) {
 	}
 }
 
-func TestMakeReportFields(t *testing.T) {
+func TestEstimatesOfFields(t *testing.T) {
 	acc, _, _ := runSynthetic(t, 13, 1_000_000, 500, 14, 0.3, 1, 1, true)
-	rep := acc.MakeReport()
-	if rep.M != acc.M() {
-		t.Errorf("report M = %d, want %d", rep.M, acc.M())
+	e := EstimatesOf(acc)
+	if e.M != acc.M() {
+		t.Errorf("estimates M = %d, want %d", e.M, acc.M())
 	}
-	if !rep.HasDuration {
-		t.Error("report should have a duration")
+	if !e.HasDuration {
+		t.Error("estimates should have a duration")
 	}
-	if math.IsNaN(rep.DurationBasic) || math.IsNaN(rep.DurationImproved) {
+	if !e.HasDurationBasic || !e.HasDurationImproved {
 		t.Error("both estimators should be defined")
 	}
-	if rep.Frequency <= 0 {
+	if e.Frequency <= 0 {
 		t.Error("frequency should be positive")
 	}
-	if math.IsNaN(rep.StdDev) || rep.StdDev <= 0 {
+	if !e.HasStdDev || e.StdDev <= 0 {
 		t.Error("stddev should be defined and positive")
+	}
+	if e.Validation != acc.Validate() {
+		t.Errorf("validation %+v, want the accumulator's %+v", e.Validation, acc.Validate())
 	}
 }
 
 func TestMonitorConvergence(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	series, _, _ := synthSeries(rng, 4_000_000, 500, 14)
-	m := NewMonitor(MonitorConfig{MinExperiments: 500})
+	mon := MonitorConfig{MinExperiments: 500}
+	var acc Accumulator
 	plans := MustSchedule(ScheduleConfig{P: 0.2, N: int64(len(series)), Improved: true, Seed: 15})
 	converged := false
 	var used int
@@ -347,8 +351,8 @@ func TestMonitorConvergence(t *testing.T) {
 		for j := range bits {
 			bits[j] = series[pl.Slot+int64(j)]
 		}
-		m.Add(bits)
-		if m.Converged() {
+		acc.Add(bits)
+		if mon.Converged(EstimatesOf(&acc)) {
 			converged = true
 			used = i + 1
 			break
@@ -360,8 +364,7 @@ func TestMonitorConvergence(t *testing.T) {
 	if used == len(plans) {
 		t.Error("monitor only converged at the very end")
 	}
-	rep := m.Report()
-	if !rep.HasDuration {
+	if !EstimatesOf(&acc).HasDuration {
 		t.Error("converged monitor lacks duration estimate")
 	}
 }
@@ -370,9 +373,16 @@ func TestAssembleSkipsIncomplete(t *testing.T) {
 	acc := &Accumulator{}
 	plans := []Plan{{Slot: 0, Probes: 2}, {Slot: 10, Probes: 2}, {Slot: 20, Probes: 3}}
 	marked := map[int64]bool{0: false, 1: true, 20: true, 21: true, 22: false}
-	skipped := Assemble(acc, plans, marked)
+	var starts []int64
+	skipped := Assemble(plans, marked, func(slot int64, bits []bool) {
+		starts = append(starts, slot)
+		acc.Add(bits)
+	})
 	if skipped != 1 {
 		t.Fatalf("skipped = %d, want 1", skipped)
+	}
+	if len(starts) != 2 || starts[0] != 0 || starts[1] != 20 {
+		t.Fatalf("observed start slots %v, want [0 20]", starts)
 	}
 	if acc.M() != 2 {
 		t.Fatalf("M = %d, want 2", acc.M())

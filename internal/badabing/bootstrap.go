@@ -100,8 +100,9 @@ func (r *Recorder) Bootstrap(cfg BootstrapConfig) (freq Interval, dur Interval, 
 	freqs := make([]float64, 0, cfg.Resamples)
 	durs := make([]float64, 0, cfg.Resamples)
 	for b := 0; b < cfg.Resamples; b++ {
-		var acc Accumulator
-		acc.Slot = r.Acc.Slot
+		// Each resample is estimated exactly as the point estimate
+		// is, §5.5 pairs included.
+		acc := Accumulator{Slot: r.Acc.Slot, ExtendedPairs: r.Acc.ExtendedPairs}
 		for filled := 0; filled < n; filled += block {
 			start := rng.Intn(n - block + 1)
 			for i := 0; i < block && filled+i < n; i++ {

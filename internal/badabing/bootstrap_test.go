@@ -120,3 +120,29 @@ func TestPercentileInterval(t *testing.T) {
 		t.Fatalf("90%% interval [%v, %v], want [5, 95]", iv.Lo, iv.Hi)
 	}
 }
+
+// TestBootstrapKeepsExtendedPairs: a resample must be estimated exactly
+// as the point estimate is. With one block as long as the sequence,
+// every resample is the original sequence, so the §5.5 duration
+// interval collapses onto the point estimate.
+func TestBootstrapKeepsExtendedPairs(t *testing.T) {
+	rec := &Recorder{Acc: Accumulator{ExtendedPairs: true}}
+	for i := 0; i < 50; i++ {
+		rec.Add([]bool{false, true, true})
+		rec.Add([]bool{true, false})
+		rec.Add([]bool{false, false})
+		rec.Add([]bool{true, true, false})
+	}
+	point, ok := rec.Acc.Duration()
+	if !ok {
+		t.Fatal("no point estimate")
+	}
+	_, dur, durOK := rec.Bootstrap(BootstrapConfig{BlockLen: 200})
+	if !durOK {
+		t.Fatal("no duration interval")
+	}
+	if dur.Lo != point.Seconds() || dur.Hi != point.Seconds() {
+		t.Errorf("duration CI [%v, %v], want the point estimate %v at both ends",
+			dur.Lo, dur.Hi, point.Seconds())
+	}
+}

@@ -66,6 +66,6 @@ func (c Counts) Add(o Counts) Counts {
 // and applies the end-of-round stopping/escalation rules — the
 // control-channel twin of Add+EndRound.
 func (a *Adaptive) MergeRound(c Counts) {
-	a.mon.Acc.Merge(c)
+	a.acc.Merge(c)
 	a.EndRound()
 }

@@ -67,7 +67,7 @@ func TestCountsAdd(t *testing.T) {
 }
 
 func TestAdaptiveMergeRound(t *testing.T) {
-	a := NewAdaptive(AdaptiveConfig{
+	a := newAdaptive(t, AdaptiveConfig{
 		MaxRounds: 3,
 		Monitor:   MonitorConfig{MinExperiments: 10},
 	})
@@ -79,9 +79,9 @@ func TestAdaptiveMergeRound(t *testing.T) {
 	}
 	a.MergeRound(remote.Counts())
 	if !a.Converged() {
-		t.Fatalf("did not converge on merged evidence: %+v", a.Report().Validation)
+		t.Fatalf("did not converge on merged evidence: %+v", a.Estimates().Validation)
 	}
-	if got := a.Report().M; got != 40 {
+	if got := a.Estimates().M; got != 40 {
 		t.Fatalf("merged M = %d, want 40", got)
 	}
 }

@@ -46,11 +46,11 @@ func Example() {
 		bySlot[o.Slot] = bySlot[o.Slot] || marked[i]
 	}
 	acc := &badabing.Accumulator{}
-	badabing.Assemble(acc, plans, bySlot)
-	rep := acc.MakeReport()
+	badabing.Assemble(plans, bySlot, func(_ int64, bits []bool) { acc.Add(bits) })
+	est := badabing.EstimatesOf(acc)
 
 	// True frequency is 40/1000 = 0.04 and true duration 200 ms.
-	fmt.Printf("frequency %.3f\n", rep.Frequency)
+	fmt.Printf("frequency %.3f\n", est.Frequency)
 	d, _ := acc.Duration()
 	fmt.Printf("duration %v\n", d)
 	// Output:

@@ -167,34 +167,30 @@ func nearWithin(ts []time.Duration, t, d time.Duration) bool {
 	return false
 }
 
-// OutcomeSink consumes experiment outcomes; Accumulator, Recorder and
-// Monitor all implement it.
-type OutcomeSink interface {
-	Add(bits []bool)
-}
-
-// Assemble groups per-probe congestion bits into experiment outcomes and
-// feeds them to sink. plans is the experiment schedule; marked maps slot
-// index to the congestion bit of the probe sent in that slot (from Mark).
-// Experiments any of whose probes are missing from marked are skipped and
-// counted in the returned number.
-func Assemble(sink OutcomeSink, plans []Plan, marked map[int64]bool) (skipped int) {
+// Assemble is the one experiment-assembly loop: it groups per-probe
+// congestion bits into experiment outcomes and hands each, in plan order,
+// to observe together with its start slot. plans is the experiment
+// schedule; marked maps slot index to the congestion bit of the probe
+// sent in that slot (from Mark). Experiments any of whose probes are
+// missing from marked are skipped and counted in the returned number.
+// Every batch, streaming and control-channel estimate is fed through it.
+//
+// The bits slice is reused from one outcome to the next; observe must
+// not retain it.
+func Assemble(plans []Plan, marked map[int64]bool, observe func(slot int64, bits []bool)) (skipped int) {
+	var scratch [3]bool
+outer:
 	for _, pl := range plans {
-		bits := make([]bool, 0, pl.Probes)
-		ok := true
-		for j := 0; j < pl.Probes; j++ {
+		bits := scratch[:pl.Probes]
+		for j := range bits {
 			b, present := marked[pl.Slot+int64(j)]
 			if !present {
-				ok = false
-				break
+				skipped++
+				continue outer
 			}
-			bits = append(bits, b)
+			bits[j] = b
 		}
-		if !ok {
-			skipped++
-			continue
-		}
-		sink.Add(bits)
+		observe(pl.Slot, bits)
 	}
 	return skipped
 }

@@ -1,13 +1,10 @@
 package badabing
 
-import "time"
-
-// MonitorConfig controls open-ended, self-validating measurement (§7's
-// "alternate design ... take measurements continuously, and report when
-// our validation techniques confirm that the estimation is robust").
+// MonitorConfig is the stopping rule for open-ended, self-validating
+// measurement (§7's "alternate design ... take measurements continuously,
+// and report when our validation techniques confirm that the estimation
+// is robust").
 type MonitorConfig struct {
-	// Slot width; defaults to DefaultSlot.
-	Slot time.Duration
 	// Criteria accepted for stopping.
 	Criteria Criteria
 	// MinExperiments before stopping is considered. Default 1000.
@@ -17,52 +14,14 @@ type MonitorConfig struct {
 	MaxDurationStdDev float64
 }
 
-func (c *MonitorConfig) applyDefaults() {
-	if c.Slot == 0 {
-		c.Slot = DefaultSlot
-	}
+// Converged reports whether the estimates rest on enough validated
+// evidence to be trusted.
+func (c MonitorConfig) Converged(e Estimates) bool {
 	if c.MinExperiments == 0 {
 		c.MinExperiments = 1000
 	}
-}
-
-// Monitor wraps an Accumulator with a stopping rule.
-type Monitor struct {
-	Acc Accumulator
-	cfg MonitorConfig
-}
-
-// NewMonitor returns a Monitor with the given config.
-func NewMonitor(cfg MonitorConfig) *Monitor {
-	cfg.applyDefaults()
-	m := &Monitor{cfg: cfg}
-	m.Acc.Slot = cfg.Slot
-	return m
-}
-
-// Add records an experiment outcome.
-func (m *Monitor) Add(bits []bool) { m.Acc.Add(bits) }
-
-// Converged reports whether enough validated evidence has accumulated for
-// the estimates to be trustworthy.
-func (m *Monitor) Converged() bool {
-	if m.Acc.M() < m.cfg.MinExperiments {
+	if e.M < c.MinExperiments || !e.Validation.Passes(c.Criteria) {
 		return false
 	}
-	if !m.Acc.Validate().Passes(m.cfg.Criteria) {
-		return false
-	}
-	if m.cfg.MaxDurationStdDev > 0 {
-		sd, ok := m.Acc.DurationStdDev()
-		if !ok {
-			return false
-		}
-		if sd*m.cfg.Slot.Seconds() > m.cfg.MaxDurationStdDev {
-			return false
-		}
-	}
-	return true
+	return c.MaxDurationStdDev <= 0 || (e.HasStdDev && e.StdDev <= c.MaxDurationStdDev)
 }
-
-// Report returns the current estimates.
-func (m *Monitor) Report() Report { return m.Acc.MakeReport() }

@@ -192,22 +192,22 @@ func TestValidationPassesCriteriaEdges(t *testing.T) {
 }
 
 func TestMonitorStdDevGate(t *testing.T) {
-	m := NewMonitor(MonitorConfig{MinExperiments: 1, MaxDurationStdDev: 0.001})
+	mon := MonitorConfig{MinExperiments: 1, MaxDurationStdDev: 0.001}
+	var acc Accumulator
 	// Enough boundaries to pass validation (S = 20), but
 	// σ = sqrt(2/S)·slot ≈ 1.6 ms is still above the 1 ms gate.
 	for i := 0; i < 10; i++ {
-		m.Add([]bool{true, false})
-		m.Add([]bool{false, true})
+		acc.AddBasic(true, false)
+		acc.AddBasic(false, true)
 	}
-	if m.Converged() {
+	if mon.Converged(EstimatesOf(&acc)) {
 		t.Fatal("converged with σ above the gate")
 	}
 	for i := 0; i < 25000; i++ {
-		m.Add([]bool{true, false})
-		m.Add([]bool{false, true})
+		acc.AddBasic(true, false)
+		acc.AddBasic(false, true)
 	}
-	if !m.Converged() {
-		sd, _ := m.Acc.DurationStdDev()
-		t.Fatalf("did not converge with S huge (σ=%v slots)", sd)
+	if e := EstimatesOf(&acc); !mon.Converged(e) {
+		t.Fatalf("did not converge with S huge (σ=%vs)", e.StdDev)
 	}
 }

@@ -112,18 +112,19 @@ func (s *Stream) Observe(slot int64, bits []bool) {
 // M returns the total number of experiments observed.
 func (s *Stream) M() int { return s.total.M() }
 
-// Estimates is a JSON-friendly snapshot of one Accumulator's estimators:
-// F̂ (loss-episode frequency), D̂ (mean episode duration, seconds, basic
-// and improved variants) and r̂ (the p2/p1 detection-probability ratio).
-// Undefined estimates are flagged by their Has fields rather than NaN so
-// the struct survives encoding/json.
+// Estimates is the one BADABING result: a JSON-friendly snapshot of one
+// Accumulator's estimators — F̂ (loss-episode frequency), D̂ (mean episode
+// duration, seconds, basic and improved variants), r̂ (the p2/p1
+// detection-probability ratio) — and the §5.4 validation of the outcomes
+// they come from. Undefined estimates are flagged by their Has fields
+// rather than NaN so the struct survives encoding/json.
 type Estimates struct {
 	// M is the number of experiments the estimates are computed from.
 	M int `json:"m"`
 	// Frequency is F̂.
 	Frequency float64 `json:"frequency"`
 	// Duration is the best available duration estimate in seconds
-	// (improved when defined, basic otherwise), mirroring Report.
+	// (improved when defined, basic otherwise).
 	Duration    float64 `json:"duration_seconds"`
 	HasDuration bool    `json:"has_duration"`
 	// DurationBasic and DurationImproved expose both estimators when
@@ -144,13 +145,16 @@ type Estimates struct {
 	// estimate, in seconds.
 	StdDev    float64 `json:"stddev_seconds"`
 	HasStdDev bool    `json:"has_stddev"`
+	// Validation is the §5.4 self-calibration check over the same
+	// outcomes: whether these estimates deserve belief.
+	Validation Validation `json:"validation"`
 }
 
 // EstimatesOf summarizes an accumulator. Every numeric field is produced
 // by the same Accumulator methods the batch pipeline uses, so a stream
 // whose window covers a whole run is bit-identical to batch estimation.
 func EstimatesOf(a *Accumulator) Estimates {
-	e := Estimates{M: a.M(), Frequency: a.Frequency()}
+	e := Estimates{M: a.M(), Frequency: a.Frequency(), Validation: a.Validate()}
 	if d, ok := a.Duration(); ok {
 		e.DurationBasic = d.Seconds()
 		e.HasDurationBasic = true

@@ -10,23 +10,24 @@ type Validation struct {
 	// C01 and C10 are the basic-design boundary counts. The design
 	// assumes P(yi=01) = P(yi=10); a persistent imbalance not bridged
 	// by more experiments invalidates the estimates.
-	C01, C10 int
+	C01 int `json:"c01"`
+	C10 int `json:"c10"`
 	// BoundaryAsymmetry is |C01−C10| / (C01+C10), in [0,1].
-	BoundaryAsymmetry float64
+	BoundaryAsymmetry float64 `json:"boundary_asymmetry"`
 	// SingleCounts are the improved-design rates that should agree:
 	// counts of 01, 10, 001, 100.
-	SingleCounts [4]int
+	SingleCounts [4]int `json:"single_counts"`
 	// SingleSpread is (max−min)/mean over SingleCounts.
-	SingleSpread float64
+	SingleSpread float64 `json:"single_spread"`
 	// DoubleCounts are counts of 011 and 110, which should also agree.
-	DoubleCounts [2]int
+	DoubleCounts [2]int `json:"double_counts"`
 	// Violations counts yi ∈ {010, 101}, each occurrence of which
 	// contradicts the model's assumptions outright.
-	Violations int
+	Violations int `json:"violations"`
 	// ViolationRate is Violations divided by the number of extended
 	// experiments that observed any congestion (all-zero outcomes
 	// carry no evidence either way).
-	ViolationRate float64
+	ViolationRate float64 `json:"violation_rate"`
 }
 
 // Criteria are acceptance thresholds for Validation. The zero value is
@@ -110,53 +111,4 @@ func (v Validation) Passes(c Criteria) bool {
 		return false
 	}
 	return true
-}
-
-// Report bundles the estimates a measurement run produces, in the form
-// the paper's tables present them.
-type Report struct {
-	// M is the number of experiments.
-	M int
-	// Frequency is F̂.
-	Frequency float64
-	// Duration is the best available duration estimate: improved when
-	// extended experiments observed episode boundaries, basic
-	// otherwise. HasDuration is false if neither estimator is defined.
-	Duration    float64 // seconds
-	HasDuration bool
-	// DurationBasic and DurationImproved expose both estimators when
-	// defined (seconds; NaN when undefined).
-	DurationBasic    float64
-	DurationImproved float64
-	// StdDev is the §7 reliability approximation for the duration
-	// estimate (seconds; NaN when undefined).
-	StdDev float64
-	// Validation carries the self-calibration checks.
-	Validation Validation
-}
-
-// MakeReport summarizes the accumulator.
-func (a *Accumulator) MakeReport() Report {
-	rep := Report{
-		M:                a.m,
-		Frequency:        a.Frequency(),
-		DurationBasic:    math.NaN(),
-		DurationImproved: math.NaN(),
-		StdDev:           math.NaN(),
-		Validation:       a.Validate(),
-	}
-	if d, ok := a.Duration(); ok {
-		rep.DurationBasic = d.Seconds()
-		rep.Duration = d.Seconds()
-		rep.HasDuration = true
-	}
-	if d, ok := a.DurationImproved(); ok {
-		rep.DurationImproved = d.Seconds()
-		rep.Duration = d.Seconds()
-		rep.HasDuration = true
-	}
-	if sd, ok := a.DurationStdDev(); ok {
-		rep.StdDev = sd * a.slotWidth().Seconds()
-	}
-	return rep
 }

@@ -12,6 +12,7 @@ import (
 
 	"badabing/internal/badabing"
 	"badabing/internal/chaos"
+	"badabing/internal/estimate"
 	"badabing/internal/session"
 	"badabing/internal/session/wiretransport"
 	"badabing/internal/wire"
@@ -352,13 +353,11 @@ func TestImpairedAliveParity(t *testing.T) {
 			// result must match batch estimation over the very same
 			// collector log, bit for bit.
 			marker := badabing.RecommendedMarker(p, slotW)
-			counts, _, err := tr.Collector().Snapshot(tr.ExpID(), marker)
+			batch, _, err := tr.Collector().Estimate(tr.ExpID(), marker, estimate.Config{})
 			if err != nil {
-				t.Fatalf("collector snapshot: %v", err)
+				t.Fatalf("collector estimate: %v", err)
 			}
-			acc := &badabing.Accumulator{Slot: slotW}
-			acc.Merge(counts)
-			want := badabing.EstimatesOf(acc)
+			want := batch.Total
 			requireFloat64bitsEqual(t, prof.name, res.Final.Snapshot.Total, want)
 			if want.M == 0 {
 				t.Fatal("parity vacuous: no experiments assembled")

@@ -1,6 +1,10 @@
 package estimate
 
-import "testing"
+import (
+	"testing"
+
+	"badabing/internal/badabing"
+)
 
 // TestObservePathAllocFree pins the harvest-loop invariant the benchx
 // gate also watches: the basic, improved and parametric estimators'
@@ -11,7 +15,7 @@ import "testing"
 func TestObservePathAllocFree(t *testing.T) {
 	for _, kind := range []string{KindBasic, KindImproved, KindParametric} {
 		for _, windowSlots := range []int64{0, 512} {
-			est, err := New(Config{Kind: kind}, Params{WindowSlots: windowSlots})
+			est, err := New(Config{Kind: kind}, badabing.StreamConfig{WindowSlots: windowSlots})
 			if err != nil {
 				t.Fatal(err)
 			}

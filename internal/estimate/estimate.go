@@ -20,7 +20,6 @@ package estimate
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"badabing/internal/badabing"
 )
@@ -130,20 +129,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Params are the stream-shape parameters an estimator inherits from its
-// session: they describe the probe process, not the estimator choice,
-// which is why they travel separately from Config.
-type Params struct {
-	// Slot is the discretization width. Default badabing.DefaultSlot.
-	Slot time.Duration
-	// WindowSlots is the sliding-window span; zero disables windowing.
-	WindowSlots int64
-	// Buckets is the window ring granularity (default 16).
-	Buckets int
-	// ExtendedPairs enables the §5.5 pair-counting modification.
-	ExtendedPairs bool
-}
-
 // Snapshot is the state of an estimator at one instant. It embeds the
 // stream snapshot (total and window views), tags it with the estimator
 // kind and, for the bootstrap kind, attaches confidence intervals for
@@ -180,9 +165,12 @@ type Estimator interface {
 	Reset()
 }
 
-// New builds the estimator cfg selects, shaped by p. Unknown kinds and
-// out-of-range bootstrap settings are errors.
-func New(cfg Config, p Params) (Estimator, error) {
+// New builds the estimator cfg selects over a stream shaped by sc: the
+// slot width, window and §5.5 pairs describe the probe process, not the
+// estimator choice, which is why they travel separately from Config.
+// Unknown kinds, out-of-range bootstrap settings and invalid stream
+// shapes are errors.
+func New(cfg Config, sc badabing.StreamConfig) (Estimator, error) {
 	kind, err := Normalize(cfg.Kind)
 	if err != nil {
 		return nil, err
@@ -190,7 +178,7 @@ func New(cfg Config, p Params) (Estimator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := &streamEstimator{kind: kind, cfg: cfg, params: p}
+	e := &streamEstimator{kind: kind, cfg: cfg, sc: sc}
 	if err := e.rebuild(); err != nil {
 		return nil, err
 	}
@@ -203,7 +191,7 @@ func New(cfg Config, p Params) (Estimator, error) {
 type streamEstimator struct {
 	kind   string
 	cfg    Config
-	params Params
+	sc     badabing.StreamConfig
 	stream *badabing.Stream
 	rec    *badabing.Recorder // bootstrap kind only
 }
@@ -211,28 +199,22 @@ type streamEstimator struct {
 func (e *streamEstimator) Kind() string { return e.kind }
 
 // rebuild is Reset with the construction error exposed (New validates
-// params exactly once through it).
+// the stream shape exactly once through it).
 func (e *streamEstimator) rebuild() error {
-	stream, err := badabing.NewStream(badabing.StreamConfig{
-		Slot:          e.params.Slot,
-		WindowSlots:   e.params.WindowSlots,
-		Buckets:       e.params.Buckets,
-		ExtendedPairs: e.params.ExtendedPairs,
-	})
+	stream, err := badabing.NewStream(e.sc)
 	if err != nil {
 		return err
 	}
 	e.stream = stream
 	if e.kind == KindBootstrap {
-		e.rec = &badabing.Recorder{}
-		e.rec.Acc.Slot = e.params.Slot
-		e.rec.Acc.ExtendedPairs = e.params.ExtendedPairs
+		e.rec = &badabing.Recorder{Acc: badabing.Accumulator{Slot: e.sc.Slot, ExtendedPairs: e.sc.ExtendedPairs}}
 	}
 	return nil
 }
 
 func (e *streamEstimator) Reset() {
-	// Params were validated at construction; rebuilding cannot fail.
+	// The stream shape was validated at construction; rebuilding
+	// cannot fail.
 	if err := e.rebuild(); err != nil {
 		panic(fmt.Sprintf("estimate: reset of validated estimator failed: %v", err))
 	}
@@ -285,45 +267,18 @@ func applyKind(kind string, e *badabing.Estimates) {
 	// improved estimator when defined, basic otherwise.
 }
 
-// Batch is the batch entry point: it replays assembled outcomes for a
-// completed run through a fresh estimator of cfg's kind and returns the
-// final snapshot plus the number of experiments skipped because a probe
-// slot was missing or invalid. Because it runs the identical streaming
-// core in plan order, its result is Float64bits-identical to a live
-// session's end-of-run snapshot over the same marks.
-func Batch(cfg Config, p Params, plans []badabing.Plan, bySlot map[int64]bool) (Snapshot, int, error) {
-	est, err := New(cfg, p)
+// Batch is the only batch entry point: it replays the outcomes a
+// completed run's marks assemble to, in plan order, through a fresh
+// estimator of cfg's kind (badabing.Assemble, the loop a live session
+// feeds through too) and returns the final snapshot plus the number of
+// experiments skipped because a probe slot was missing or invalid. Its
+// result is Float64bits-identical to a live session's end-of-run
+// snapshot over the same marks.
+func Batch(cfg Config, sc badabing.StreamConfig, plans []badabing.Plan, bySlot map[int64]bool) (Snapshot, int, error) {
+	est, err := New(cfg, sc)
 	if err != nil {
 		return Snapshot{}, 0, err
 	}
-	skipped := Replay(est, plans, bySlot)
+	skipped := badabing.Assemble(plans, bySlot, est.Observe)
 	return est.Snapshot(), skipped, nil
-}
-
-// Replay feeds a schedule's outcomes into an estimator from a per-slot
-// congestion-bit map, in plan order, skipping experiments that touch a
-// slot absent from the map (lost-and-invalid slots). It returns the
-// skipped count. This is the one assembly loop every batch and rebuild
-// path shares.
-func Replay(est Estimator, plans []badabing.Plan, bySlot map[int64]bool) int {
-	skipped := 0
-	var scratch [3]bool
-	for _, pl := range plans {
-		bits := scratch[:0]
-		ok := true
-		for j := 0; j < pl.Probes; j++ {
-			b, present := bySlot[pl.Slot+int64(j)]
-			if !present {
-				ok = false
-				break
-			}
-			bits = append(bits, b)
-		}
-		if !ok {
-			skipped++
-			continue
-		}
-		est.Observe(pl.Slot, bits)
-	}
-	return skipped
 }

@@ -54,10 +54,10 @@ func configsUnderTest() []Config {
 // Float64bits-identical to the batch entry point over the same marks.
 func TestBatchStreamParity(t *testing.T) {
 	plans, bySlot := fixture(t)
-	p := Params{WindowSlots: 1200}
+	sc := badabing.StreamConfig{WindowSlots: 1200}
 	for _, cfg := range configsUnderTest() {
 		t.Run(cfg.Kind, func(t *testing.T) {
-			batchSnap, skipped, err := Batch(cfg, p, plans, bySlot)
+			batchSnap, skipped, err := Batch(cfg, sc, plans, bySlot)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +65,7 @@ func TestBatchStreamParity(t *testing.T) {
 				t.Fatalf("fixture skipped %d experiments, want 0", skipped)
 			}
 
-			est, err := New(cfg, p)
+			est, err := New(cfg, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +89,7 @@ func TestBatchStreamParity(t *testing.T) {
 			if est.M() != 0 {
 				t.Fatalf("M after reset = %d, want 0", est.M())
 			}
-			Replay(est, plans, bySlot)
+			badabing.Assemble(plans, bySlot, est.Observe)
 			assertSnapshotsIdentical(t, batchSnap, est.Snapshot())
 		})
 	}
@@ -129,7 +129,7 @@ func assertSnapshotsIdentical(t *testing.T, want, got Snapshot) {
 // workers — estimation must be deterministic under concurrency.
 func TestBatchParityAcrossWorkers(t *testing.T) {
 	plans, bySlot := fixture(t)
-	p := Params{WindowSlots: 1200}
+	sc := badabing.StreamConfig{WindowSlots: 1200}
 	cfgs := configsUnderTest()
 
 	runAll := func(workers int) []Snapshot {
@@ -140,7 +140,7 @@ func TestBatchParityAcrossWorkers(t *testing.T) {
 			cells[i] = runner.Cell{
 				Key: "parity/" + cfg.Kind,
 				Run: func(context.Context, int64) (any, error) {
-					snap, _, err := Batch(cfg, p, plans, bySlot)
+					snap, _, err := Batch(cfg, sc, plans, bySlot)
 					return snap, err
 				},
 			}
@@ -174,7 +174,7 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 		{Kind: "bootstrap", Level: -0.1},
 	}
 	for _, cfg := range bad {
-		if _, err := New(cfg, Params{}); err == nil {
+		if _, err := New(cfg, badabing.StreamConfig{}); err == nil {
 			t.Errorf("New(%+v) accepted, want error", cfg)
 		}
 		if err := cfg.Validate(); err == nil {
@@ -182,7 +182,7 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 		}
 	}
 	for _, kind := range append(Kinds(), "") {
-		if _, err := New(Config{Kind: kind}, Params{}); err != nil {
+		if _, err := New(Config{Kind: kind}, badabing.StreamConfig{}); err != nil {
 			t.Errorf("New(kind=%q): %v", kind, err)
 		}
 	}

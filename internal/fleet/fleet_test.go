@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"badabing/internal/badabing"
+	"badabing/internal/estimate"
 	"badabing/internal/lab"
 	"badabing/internal/probe"
 	"badabing/internal/session"
@@ -407,15 +408,14 @@ func TestFinalSnapshotMatchesBatch(t *testing.T) {
 	slot := time.Duration(full.SlotMicros) * time.Microsecond
 	plans := badabing.MustSchedule(full.scheduleConfig(full.Seed))
 	sim, d := labScenario(lab.CBRUniform)(full.Seed + 1)
-	bb := probe.StartBadabing(sim, d, probeFlowID, probe.BadabingConfig{
-		Plans:  plans,
-		Slot:   slot,
-		Marker: badabing.RecommendedMarker(full.P, slot),
-	})
+	bb := probe.StartBadabing(sim, d.Bottleneck, d.FwdDemux, probeFlowID, probe.BadabingConfig{Slot: slot}, badabing.ProbeSlots(plans))
 	sim.Run(time.Duration(full.Slots)*slot + session.DefaultSettle)
-	acc := &badabing.Accumulator{Slot: slot}
-	acc.Merge(bb.Counts())
-	want := badabing.EstimatesOf(acc)
+	bySlot := session.MarkSlots(bb.Observations(), nil, badabing.RecommendedMarker(full.P, slot))
+	batch, _, err := estimate.Batch(estimate.Config{}, badabing.StreamConfig{Slot: slot}, plans, bySlot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := batch.Total
 	if got != want {
 		t.Fatalf("final snapshot diverged from batch:\n got %+v\nwant %+v", got, want)
 	}

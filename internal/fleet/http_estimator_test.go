@@ -226,7 +226,7 @@ func TestWireSessionBootstrapEstimator(t *testing.T) {
 	obs, invalid := wt.Observations()
 	bySlot := session.MarkSlots(obs, invalid, badabing.RecommendedMarker(0.3, slot))
 	plans := badabing.MustSchedule(badabing.ScheduleConfig{P: 0.3, N: slots, Improved: true, Seed: seed})
-	batch, _, err := session.BatchSnapshot(estCfg, plans, bySlot, slot, false)
+	batch, _, err := estimate.Batch(estCfg, badabing.StreamConfig{Slot: slot}, plans, bySlot)
 	if err != nil {
 		t.Fatal(err)
 	}

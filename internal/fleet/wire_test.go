@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"badabing/internal/badabing"
+	"badabing/internal/estimate"
 	"badabing/internal/session/wiretransport"
 	"badabing/internal/wire"
 )
@@ -96,13 +97,11 @@ func TestWireSessionEndToEnd(t *testing.T) {
 	}
 	slot := time.Duration(slotMicros) * time.Microsecond
 	marker := badabing.RecommendedMarker(0.3, slot)
-	counts, _, err := wt.Collector().Snapshot(wt.ExpID(), marker)
+	batch, _, err := wt.Collector().Estimate(wt.ExpID(), marker, estimate.Config{})
 	if err != nil {
-		t.Fatalf("collector snapshot: %v", err)
+		t.Fatalf("collector estimate: %v", err)
 	}
-	acc := &badabing.Accumulator{Slot: slot}
-	acc.Merge(counts)
-	want := badabing.EstimatesOf(acc)
+	want := batch.Total
 	if got := v.Snapshot.Total; got != want {
 		t.Fatalf("final snapshot diverged from the collector's batch estimate:\n got %+v\nwant %+v", got, want)
 	}

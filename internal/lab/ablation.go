@@ -66,19 +66,14 @@ func poissonPairPlans(p float64, n int64, seed int64) []badabing.Plan {
 
 // runWithPlans measures the CBR workload with an explicit plan set.
 func runWithPlans(cfg RunConfig, plans []badabing.Plan, marker badabing.MarkerConfig, slot time.Duration, bunch int) AblationRow {
-	path := NewPath(CBRUniform, cfg)
-	bb := probe.StartBadabing(path.Sim, path.D, probeFlowID, probe.BadabingConfig{
-		Plans:           plans,
-		Slot:            slot,
-		Marker:          marker,
-		PacketsPerProbe: bunch,
+	est, truth := measure(CBRUniform, cfg, bbConfig{
+		plans:  plans,
+		marker: marker,
+		probe:  probe.BadabingConfig{Slot: slot, PacketsPerProbe: bunch},
 	})
-	path.Run(cfg.Horizon)
-	truth := path.Mon.Truth(cfg.Horizon, slot)
-	rep := bb.Report()
 	return AblationRow{
-		TrueF: truth.Frequency, EstF: rep.Frequency,
-		TrueD: truth.Duration.Mean(), EstD: rep.Duration,
+		TrueF: truth.Frequency, EstF: est.Frequency,
+		TrueD: truth.Duration.Mean(), EstD: est.Duration,
 	}
 }
 
@@ -165,25 +160,22 @@ func AblationEstimator(cfg RunConfig) AblationResult {
 	rows := runCells(cfg, []cell[[]AblationRow]{{
 		key: fmt.Sprintf("ablation/estimator/seed=%d/h=%v", cfg.Seed, cfg.Horizon),
 		run: func() []AblationRow {
-			path := NewPath(CBRUniform, cfg)
 			plans := badabing.MustSchedule(badabing.ScheduleConfig{
 				P: p, N: int64(cfg.Horizon / slot), Improved: true, Seed: cfg.Seed + 100,
 			})
-			bb := probe.StartBadabing(path.Sim, path.D, probeFlowID, probe.BadabingConfig{
-				Plans:  plans,
-				Marker: badabing.RecommendedMarker(p, slot),
+			est, truth := measure(CBRUniform, cfg, bbConfig{
+				plans:  plans,
+				marker: badabing.RecommendedMarker(p, slot),
+				probe:  probe.BadabingConfig{Slot: slot},
 			})
-			path.Run(cfg.Horizon)
-			truth := path.Mon.Truth(cfg.Horizon, slot)
-			rep := bb.Report()
 			return []AblationRow{{
 				Variant: "basic  D̂ = 2(R/S−1)+1",
-				TrueF:   truth.Frequency, EstF: rep.Frequency,
-				TrueD: truth.Duration.Mean(), EstD: rep.DurationBasic,
+				TrueF:   truth.Frequency, EstF: est.Frequency,
+				TrueD: truth.Duration.Mean(), EstD: orNaN(est.DurationBasic, est.HasDurationBasic),
 			}, {
 				Variant: "improved  D̂ = (2V/U)(R/S−1)+1",
-				TrueF:   truth.Frequency, EstF: rep.Frequency,
-				TrueD: truth.Duration.Mean(), EstD: rep.DurationImproved,
+				TrueF:   truth.Frequency, EstF: est.Frequency,
+				TrueD: truth.Duration.Mean(), EstD: orNaN(est.DurationImproved, est.HasDurationImproved),
 			}}
 		},
 	}})
@@ -258,22 +250,19 @@ func AblationExtendedPairs(cfg RunConfig) AblationResult {
 		cells = append(cells, cell[AblationRow]{
 			key: fmt.Sprintf("ablation/pairs=%v/seed=%d/h=%v", pairs, cfg.Seed, cfg.Horizon),
 			run: func() AblationRow {
-				path := NewPath(CBRUniform, cfg)
 				plans := badabing.MustSchedule(badabing.ScheduleConfig{
 					P: p, N: int64(cfg.Horizon / slot), Improved: true, Seed: cfg.Seed + 100,
 				})
-				bb := probe.StartBadabing(path.Sim, path.D, probeFlowID, probe.BadabingConfig{
-					Plans:         plans,
-					Marker:        badabing.RecommendedMarker(p, slot),
-					ExtendedPairs: pairs,
+				est, truth := measure(CBRUniform, cfg, bbConfig{
+					plans:  plans,
+					marker: badabing.RecommendedMarker(p, slot),
+					probe:  probe.BadabingConfig{Slot: slot},
+					pairs:  pairs,
 				})
-				path.Run(cfg.Horizon)
-				truth := path.Mon.Truth(cfg.Horizon, slot)
-				rep := bb.Report()
 				row := AblationRow{
 					Variant: "pairs off",
-					TrueF:   truth.Frequency, EstF: rep.Frequency,
-					TrueD: truth.Duration.Mean(), EstD: rep.Duration,
+					TrueF:   truth.Frequency, EstF: est.Frequency,
+					TrueD: truth.Duration.Mean(), EstD: est.Duration,
 				}
 				if pairs {
 					row.Variant = "pairs on (§5.5)"

@@ -111,11 +111,15 @@ func runAdaptiveStrategy(path adaptivePath, strat string, cfg RunConfig) Adaptiv
 	sim, d, mon := newStudyPath(path, cfg)
 
 	if strat == "adaptive" {
-		ctrl := badabing.NewAdaptive(badabing.AdaptiveConfig{
+		ctrl, err := badabing.NewAdaptive(badabing.AdaptiveConfig{
 			RoundSlots: studyRoundSlots,
 			MaxRounds:  int(cfg.Horizon / (studyRoundSlots * slot)),
 			Monitor:    monCriteria(),
+			Slot:       slot,
 		})
+		if err != nil {
+			panic(err) // a static configuration
+		}
 		// cursor tracks the absolute slot index; each round leaves a
 		// small drain gap so in-flight probes land before the next
 		// round's earliest slot.
@@ -127,21 +131,22 @@ func runAdaptiveStrategy(path adaptivePath, strat string, cfg RunConfig) Adaptiv
 			for i, pl := range plans {
 				shifted[i] = badabing.Plan{Slot: cursor + pl.Slot, Probes: pl.Probes}
 			}
-			bb := probe.StartBadabing(sim, d, probeFlowID+uint64(base+int64(round)), probe.BadabingConfig{
-				Plans:  shifted,
-				Marker: badabing.RecommendedMarker(p, slot),
+			r := startBadabing(sim, d.Bottleneck, d.FwdDemux, probeFlowID+uint64(base+int64(round)), bbConfig{
+				plans:  shifted,
+				marker: badabing.RecommendedMarker(p, slot),
+				probe:  probe.BadabingConfig{Slot: slot},
 			})
 			cursor += studyRoundSlots
 			sim.Run(time.Duration(cursor) * slot) // round ends
 			cursor += drainSlots
 			sim.Run(time.Duration(cursor) * slot) // in-flight probes land
-			sent, _ := bb.PacketCounts()
+			sent, _ := r.bb.PacketCounts()
 			row.Packets += sent
-			return bb.Counts(), nil
+			return r.counts(), nil
 		})
 		row.Converged = ctrl.Converged()
 		row.FinalP = ctrl.P()
-		row.EstF = ctrl.Report().Frequency
+		row.EstF = ctrl.Estimates().Frequency
 		row.TrueF = mon.Truth(time.Duration(cursor)*slot, slot).Frequency
 		return row
 	}
@@ -153,29 +158,29 @@ func runAdaptiveStrategy(path adaptivePath, strat string, cfg RunConfig) Adaptiv
 	plans := badabing.MustSchedule(badabing.ScheduleConfig{
 		P: pFixed, N: int64(cfg.Horizon / slot), Improved: true, Seed: cfg.Seed + 500,
 	})
-	bb := probe.StartBadabing(sim, d, probeFlowID, probe.BadabingConfig{
-		Plans:  plans,
-		Marker: badabing.RecommendedMarker(pFixed, slot),
+	r := startBadabing(sim, d.Bottleneck, d.FwdDemux, probeFlowID, bbConfig{
+		plans:  plans,
+		marker: badabing.RecommendedMarker(pFixed, slot),
+		probe:  probe.BadabingConfig{Slot: slot},
 	})
 	// Advance round by round against the same convergence bar; probes
 	// scheduled past the stopping time are never sent, so PacketCounts
 	// reflects the true cost.
-	mon2 := badabing.NewMonitor(monCriteria())
+	var est badabing.Estimates
 	elapsed := time.Duration(0)
 	for elapsed < cfg.Horizon {
 		elapsed += studyRoundSlots * slot
 		sim.Run(elapsed + time.Second)
-		mon2.Acc = badabing.Accumulator{Slot: slot}
-		mon2.Acc.Merge(bb.Counts())
-		if mon2.Converged() {
+		est = r.estimates()
+		if monCriteria().Converged(est) {
 			row.Converged = true
 			break
 		}
 	}
-	sent, _ := bb.PacketCounts()
+	sent, _ := r.bb.PacketCounts()
 	row.Packets = sent
 	row.FinalP = pFixed
-	row.EstF = mon2.Report().Frequency
+	row.EstF = est.Frequency
 	row.TrueF = mon.Truth(elapsed, slot).Frequency
 	return row
 }

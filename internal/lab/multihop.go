@@ -20,13 +20,13 @@ import (
 // for the end-to-end path is the union of the per-hop congested slots —
 // a probe observes congestion if any hop's queue was overflowing.
 type MultiHopResult struct {
-	Hops    int
-	PerHopF []float64 // per-hop true congestion frequency
-	TrueF   float64   // union frequency
-	TrueD   float64   // mean duration of union episodes (seconds)
-	EstF    float64
-	EstD    float64
-	Report  badabing.Report
+	Hops      int
+	PerHopF   []float64 // per-hop true congestion frequency
+	TrueF     float64   // union frequency
+	TrueD     float64   // mean duration of union episodes (seconds)
+	EstF      float64
+	EstD      float64
+	Estimates badabing.Estimates
 }
 
 func (r MultiHopResult) String() string {
@@ -82,15 +82,16 @@ func multiHopRun(hops int, cfg RunConfig) MultiHopResult {
 	plans := badabing.MustSchedule(badabing.ScheduleConfig{
 		P: 0.3, N: int64(cfg.Horizon / slot), Improved: true, Seed: cfg.Seed + 99,
 	})
-	bb := probe.StartBadabingAt(sim, ch.Entry(), ch.FwdDemux, probeFlowID, probe.BadabingConfig{
-		Plans:  plans,
-		Marker: badabing.RecommendedMarker(0.3, slot),
+	r := startBadabing(sim, ch.Entry(), ch.FwdDemux, probeFlowID, bbConfig{
+		plans:  plans,
+		marker: badabing.RecommendedMarker(0.3, slot),
+		probe:  probe.BadabingConfig{Slot: slot},
 	})
 	sim.Run(cfg.Horizon + time.Second)
 
-	res := MultiHopResult{Hops: hops, Report: bb.Report()}
-	res.EstF = res.Report.Frequency
-	res.EstD = res.Report.Duration
+	res := MultiHopResult{Hops: hops, Estimates: r.estimates()}
+	res.EstF = res.Estimates.Frequency
+	res.EstD = res.Estimates.Duration
 
 	// Union ground truth across hops.
 	n := int(cfg.Horizon / slot)

@@ -152,7 +152,6 @@ var DefaultPSweep = []float64{0.1, 0.3, 0.5, 0.7, 0.9}
 // returns the sweep row. Marker parameters follow §6.2 unless overridden.
 func badabingRun(sc Scenario, cfg RunConfig, p float64, marker *badabing.MarkerConfig, improved bool) SweepRow {
 	cfg.applyDefaults()
-	path := NewPath(sc, cfg)
 	slot := badabing.DefaultSlot
 	n := int64(cfg.Horizon / slot)
 	plans := badabing.MustSchedule(badabing.ScheduleConfig{
@@ -162,20 +161,13 @@ func badabingRun(sc Scenario, cfg RunConfig, p float64, marker *badabing.MarkerC
 	if marker != nil {
 		mk = *marker
 	}
-	bb := probe.StartBadabing(path.Sim, path.D, probeFlowID, probe.BadabingConfig{
-		Plans:  plans,
-		Slot:   slot,
-		Marker: mk,
-	})
-	path.Run(cfg.Horizon)
-	truth := path.Mon.Truth(cfg.Horizon, slot)
-	rep := bb.Report()
+	est, truth := measure(sc, cfg, bbConfig{plans: plans, marker: mk, probe: probe.BadabingConfig{Slot: slot}})
 	return SweepRow{
 		P:     p,
 		TrueF: truth.Frequency,
-		EstF:  rep.Frequency,
+		EstF:  est.Frequency,
 		TrueD: truth.Duration.Mean(),
-		EstD:  rep.Duration,
+		EstD:  est.Duration,
 	}
 }
 

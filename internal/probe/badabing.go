@@ -4,14 +4,15 @@ import (
 	"time"
 
 	"badabing/internal/badabing"
-	"badabing/internal/session"
 	"badabing/internal/simnet"
 )
 
-// BadabingConfig parameterizes a simulated BADABING run.
+// BadabingConfig shapes the probes of a simulated BADABING run. It
+// carries no schedule, marker or estimator settings: the prober is only
+// the substrate, and its observations are marked and estimated by the
+// shared pipeline (session.MarkSlots, then estimate.Batch or the
+// session engine).
 type BadabingConfig struct {
-	// Plans is the experiment schedule (from badabing.Schedule).
-	Plans []badabing.Plan
 	// Slot is the discretization width. Default badabing.DefaultSlot.
 	Slot time.Duration
 	// PacketsPerProbe: default 3 (§6.2).
@@ -20,11 +21,6 @@ type BadabingConfig struct {
 	PacketSize int
 	// PktGap spaces packets within a probe. Default 30 µs.
 	PktGap time.Duration
-	// Marker holds the α/τ congestion-marking parameters.
-	Marker badabing.MarkerConfig
-	// ExtendedPairs enables the §5.5 modification in the estimator:
-	// extended experiments' overlapping slot pairs also feed R/S.
-	ExtendedPairs bool
 }
 
 func (c *BadabingConfig) applyDefaults() {
@@ -44,33 +40,19 @@ func (c *BadabingConfig) applyDefaults() {
 
 // Badabing drives the slot-based probe process on a simulated path.
 type Badabing struct {
-	cfg    BadabingConfig
 	prober *Prober
 	slots  []int64 // deduplicated probe slots, in order
 }
 
-// StartBadabing schedules all probes of cfg.Plans on the dumbbell.
-// Overlapping experiments share probes: each slot is probed at most once
-// and its observation feeds every experiment covering it.
-func StartBadabing(sim *simnet.Sim, d *simnet.Dumbbell, flow uint64, cfg BadabingConfig) *Badabing {
-	return StartBadabingAt(sim, d.Bottleneck, d.FwdDemux, flow, cfg)
-}
-
-// StartBadabingAt is the topology-agnostic form: probes enter at entry
-// and are collected from demux (e.g. a multi-hop simnet.Chain's Entry and
-// FwdDemux).
-func StartBadabingAt(sim *simnet.Sim, entry *simnet.Link, demux *simnet.Demux, flow uint64, cfg BadabingConfig) *Badabing {
-	return StartBadabingSlots(sim, entry, demux, flow, cfg, badabing.ProbeSlots(cfg.Plans))
-}
-
-// StartBadabingSlots schedules one probe per slot of an already-flattened
-// schedule (ascending, deduplicated — see badabing.ProbeSlots). It is the
-// session engine's entry point, which derives the slot list itself;
-// cfg.Plans is then only needed for the batch Report/Counts accessors.
-func StartBadabingSlots(sim *simnet.Sim, entry *simnet.Link, demux *simnet.Demux, flow uint64, cfg BadabingConfig, slots []int64) *Badabing {
+// StartBadabing schedules one probe per slot of a flattened schedule
+// (ascending, deduplicated — see badabing.ProbeSlots): overlapping
+// experiments share probes, so each slot is probed at most once and its
+// observation feeds every experiment covering it. Probes enter the path
+// at entry and are collected from demux (a dumbbell's Bottleneck and
+// FwdDemux, or a multi-hop chain's Entry and FwdDemux).
+func StartBadabing(sim *simnet.Sim, entry *simnet.Link, demux *simnet.Demux, flow uint64, cfg BadabingConfig, slots []int64) *Badabing {
 	cfg.applyDefaults()
 	b := &Badabing{
-		cfg:    cfg,
 		prober: NewProber(sim, entry, flow, cfg.PacketSize, cfg.PktGap),
 		slots:  slots,
 	}
@@ -92,8 +74,9 @@ func (b *Badabing) ProbeCount() int { return len(b.slots) }
 // PacketCounts returns total probe packets sent and lost so far.
 func (b *Badabing) PacketCounts() (sent, lost int) { return b.prober.PacketCounts() }
 
-// Observations converts raw probe results to marker inputs. Call after
-// the simulation has drained.
+// Observations converts raw probe results to marker inputs, for every
+// probe sent so far. Call after the simulation has drained for a
+// complete run.
 func (b *Badabing) Observations() []badabing.ProbeObs {
 	raw := b.prober.Results()
 	obs := make([]badabing.ProbeObs, len(raw))
@@ -108,24 +91,4 @@ func (b *Badabing) Observations() []badabing.ProbeObs {
 	}
 	badabing.InheritOWD(obs)
 	return obs
-}
-
-// Report marks the observations, assembles experiment outcomes and
-// returns the estimates. Call after the simulation has drained.
-func (b *Badabing) Report() badabing.Report {
-	return b.accumulate().MakeReport()
-}
-
-// Counts returns the assembled outcome tallies, for merging across rounds
-// (e.g. by the adaptive controller). Experiments whose probes have not
-// been sent yet are skipped, so mid-run snapshots are safe.
-func (b *Badabing) Counts() badabing.Counts {
-	return b.accumulate().Counts()
-}
-
-func (b *Badabing) accumulate() *badabing.Accumulator {
-	acc := &badabing.Accumulator{Slot: b.cfg.Slot, ExtendedPairs: b.cfg.ExtendedPairs}
-	bySlot := session.MarkSlots(b.Observations(), nil, b.cfg.Marker)
-	badabing.Assemble(acc, b.cfg.Plans, bySlot)
-	return acc
 }

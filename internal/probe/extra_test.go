@@ -36,9 +36,7 @@ func TestBadabingObservationsInheritLastOWD(t *testing.T) {
 	// its queue-depth estimate (§6.1).
 	s := simnet.New()
 	d := simnet.NewDumbbell(s, simnet.DumbbellConfig{})
-	bb := StartBadabing(s, d, 9, BadabingConfig{
-		Plans: []badabing.Plan{{Slot: 0, Probes: 2}},
-	})
+	bb := StartBadabing(s, d.Bottleneck, d.FwdDemux, 9, BadabingConfig{}, []int64{0, 1})
 	// Block the queue entirely during slot 1 by filling it beyond
 	// capacity just before.
 	s.Schedule(4*time.Millisecond, func() {
@@ -125,9 +123,12 @@ func TestFixedHorizonRespected(t *testing.T) {
 func TestBadabingReportEmptySchedule(t *testing.T) {
 	s := simnet.New()
 	d := simnet.NewDumbbell(s, simnet.DumbbellConfig{})
-	bb := StartBadabing(s, d, 9, BadabingConfig{})
+	bb := StartBadabing(s, d.Bottleneck, d.FwdDemux, 9, BadabingConfig{}, nil)
 	s.Run(time.Second)
-	rep := bb.Report()
+	if obs := bb.Observations(); len(obs) != 0 {
+		t.Fatalf("empty schedule produced %d observations", len(obs))
+	}
+	rep := estimates(t, bb, nil, badabing.MarkerConfig{})
 	if rep.M != 0 || rep.HasDuration || rep.Frequency != 0 {
 		t.Fatalf("empty schedule produced estimates: %+v", rep)
 	}

@@ -7,6 +7,8 @@ import (
 
 	"badabing/internal/badabing"
 	"badabing/internal/capture"
+	"badabing/internal/estimate"
+	"badabing/internal/session"
 	"badabing/internal/simnet"
 	"badabing/internal/traffic"
 )
@@ -177,13 +179,10 @@ func TestBadabingEstimatesCBREpisodes(t *testing.T) {
 	slot := badabing.DefaultSlot
 	n := int64(horizon / slot)
 	plans := badabing.MustSchedule(badabing.ScheduleConfig{P: p, N: n, Improved: true, Seed: 4})
-	bb := StartBadabing(s, d, 7, BadabingConfig{
-		Plans:  plans,
-		Marker: badabing.RecommendedMarker(p, slot),
-	})
+	bb := startPlans(s, d, plans)
 	s.Run(horizon + time.Second)
 	truth := mon.Truth(horizon, slot)
-	rep := bb.Report()
+	rep := estimates(t, bb, plans, badabing.RecommendedMarker(p, slot))
 
 	if !rep.HasDuration {
 		t.Fatal("no duration estimate")
@@ -234,12 +233,9 @@ func TestBadabingBeatsZingAtSameLoad(t *testing.T) {
 		}
 		plans := badabing.MustSchedule(badabing.ScheduleConfig{
 			P: 0.3, N: int64(horizon / slot), Improved: false, Seed: 6})
-		bb := StartBadabing(s, d, 7, BadabingConfig{
-			Plans:  plans,
-			Marker: badabing.RecommendedMarker(0.3, slot),
-		})
+		bb := startPlans(s, d, plans)
 		s.Run(horizon + time.Second)
-		return bb.Report().Duration, mon.Truth(horizon, slot).Duration.Mean()
+		return estimates(t, bb, plans, badabing.RecommendedMarker(0.3, slot)).Duration, mon.Truth(horizon, slot).Duration.Mean()
 	}
 	bbEst, trueD := run(false)
 	zingEst, _ := run(true)
@@ -255,13 +251,29 @@ func TestBadabingProbesShareOverlappingSlots(t *testing.T) {
 	s := simnet.New()
 	d := simnet.NewDumbbell(s, simnet.DumbbellConfig{})
 	plans := []badabing.Plan{{Slot: 10, Probes: 2}, {Slot: 11, Probes: 2}}
-	bb := StartBadabing(s, d, 7, BadabingConfig{Plans: plans})
+	bb := startPlans(s, d, plans)
 	if bb.ProbeCount() != 3 {
 		t.Fatalf("scheduled %d probes for overlapping experiments, want 3 (slots 10,11,12)", bb.ProbeCount())
 	}
 	s.Run(time.Second)
-	rep := bb.Report()
-	if rep.M != 2 {
-		t.Fatalf("assembled %d experiments, want 2", rep.M)
+	if got := estimates(t, bb, plans, badabing.MarkerConfig{}).M; got != 2 {
+		t.Fatalf("assembled %d experiments, want 2", got)
 	}
+}
+
+// startPlans probes a schedule's slots over the dumbbell.
+func startPlans(s *simnet.Sim, d *simnet.Dumbbell, plans []badabing.Plan) *Badabing {
+	return StartBadabing(s, d.Bottleneck, d.FwdDemux, 7, BadabingConfig{}, badabing.ProbeSlots(plans))
+}
+
+// estimates reads a run back through the shared pipeline: marking, then
+// the batch replay of the schedule.
+func estimates(t *testing.T, bb *Badabing, plans []badabing.Plan, marker badabing.MarkerConfig) badabing.Estimates {
+	t.Helper()
+	bySlot := session.MarkSlots(bb.Observations(), nil, marker)
+	snap, _, err := estimate.Batch(estimate.Config{}, badabing.StreamConfig{}, plans, bySlot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap.Total
 }

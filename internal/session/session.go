@@ -128,10 +128,10 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// estimatorParams shapes the estimator from the session's probe-process
+// stream shapes the estimator from the session's probe-process
 // parameters.
-func (c *Config) estimatorParams() estimate.Params {
-	return estimate.Params{
+func (c *Config) stream() badabing.StreamConfig {
+	return badabing.StreamConfig{
 		Slot:          c.Slot,
 		WindowSlots:   c.WindowSlots,
 		ExtendedPairs: c.ExtendedPairs,
@@ -198,7 +198,7 @@ func Run(ctx context.Context, tr Transport, cfg Config, publish func(Update)) (*
 		return nil, err
 	}
 	slots := badabing.ProbeSlots(plans)
-	est, err := estimate.New(cfg.Estimator, cfg.estimatorParams())
+	est, err := estimate.New(cfg.Estimator, cfg.stream())
 	if err != nil {
 		return nil, err
 	}
@@ -305,28 +305,16 @@ func (h *harvester) harvest(tr Transport, now time.Duration, end bool) {
 	if end {
 		feedCutoff = cutoff
 	}
-	for h.fed < len(h.plans) {
-		pl := h.plans[h.fed]
+	due := h.fed
+	for due < len(h.plans) {
+		pl := h.plans[due]
 		if time.Duration(pl.Slot+int64(pl.Probes)-1)*h.cfg.Slot > feedCutoff {
 			break
 		}
-		bits := make([]bool, 0, pl.Probes)
-		ok := true
-		for j := 0; j < pl.Probes; j++ {
-			b, present := bySlot[pl.Slot+int64(j)]
-			if !present {
-				ok = false
-				break
-			}
-			bits = append(bits, b)
-		}
-		if ok {
-			h.est.Observe(pl.Slot, bits)
-		} else {
-			h.skip++
-		}
-		h.fed++
+		due++
 	}
+	h.skip += int64(badabing.Assemble(h.plans[h.fed:due], bySlot, h.est.Observe))
+	h.fed = due
 	c.Experiments = int64(h.est.M())
 	c.Skipped = h.skip
 
@@ -345,8 +333,9 @@ func (h *harvester) harvest(tr Transport, now time.Duration, end bool) {
 // observation as congested or not (badabing.Mark) and collapses the result
 // to a per-slot congestion-bit map, omitting slots flagged invalid so that
 // experiments touching them are skipped by assembly. Every estimation path
-// — the session engine, the wire collector's batch reports and the
-// control-channel counts — feeds its marker through this function.
+// — the session engine, the lab's batch replays, the wire collector's
+// estimates and the control-channel counts — feeds its marker through
+// this function.
 func MarkSlots(obs []badabing.ProbeObs, invalid map[int64]bool, cfg badabing.MarkerConfig) map[int64]bool {
 	marked := badabing.Mark(obs, cfg)
 	bySlot := make(map[int64]bool, len(obs))
@@ -357,32 +346,6 @@ func MarkSlots(obs []badabing.ProbeObs, invalid map[int64]bool, cfg badabing.Mar
 		bySlot[o.Slot] = bySlot[o.Slot] || marked[i]
 	}
 	return bySlot
-}
-
-// BatchEstimates assembles marked outcomes for a schedule and returns
-// the default (improved) estimator's batch estimates plus the number of
-// skipped experiments — the batch twin of a session's streaming feed,
-// used to cross-check final snapshots. It is a thin replay over the
-// pluggable estimator core; BatchSnapshot is the kind-aware form.
-func BatchEstimates(plans []badabing.Plan, bySlot map[int64]bool, slot time.Duration, extendedPairs bool) (badabing.Estimates, int) {
-	snap, skipped, err := BatchSnapshot(estimate.Config{}, plans, bySlot, slot, extendedPairs)
-	if err != nil {
-		// The zero estimator config is statically valid.
-		panic(err)
-	}
-	return snap.Total, skipped
-}
-
-// BatchSnapshot replays marked outcomes for a schedule through a fresh
-// estimator of cfg's kind — the batch pipeline for any estimator kind,
-// Float64bits-identical to the final snapshot of a session that ran the
-// same schedule, marks and estimator.
-func BatchSnapshot(cfg estimate.Config, plans []badabing.Plan, bySlot map[int64]bool, slot time.Duration, extendedPairs bool) (estimate.Snapshot, int, error) {
-	snap, skipped, err := estimate.Batch(cfg, estimate.Params{Slot: slot, ExtendedPairs: extendedPairs}, plans, bySlot)
-	if err != nil {
-		return estimate.Snapshot{}, 0, err
-	}
-	return snap, skipped, nil
 }
 
 // String implements a compact one-line rendering of counters for logs.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"badabing/internal/badabing"
+	"badabing/internal/estimate"
 	"badabing/internal/lab"
 	"badabing/internal/probe"
 	"badabing/internal/session"
@@ -55,12 +56,15 @@ func TestFinalSnapshotMatchesBatch(t *testing.T) {
 		t.Error("expected losses on the CBR scenario, got none")
 	}
 
-	est, skipped := session.BatchEstimates(res.Plans, res.Marked, badabing.DefaultSlot, false)
+	batch, skipped, err := estimate.Batch(estimate.Config{}, badabing.StreamConfig{}, res.Plans, res.Marked)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if skipped != int(res.Final.Counters.Skipped) {
 		t.Errorf("batch skipped %d, session skipped %d", skipped, res.Final.Counters.Skipped)
 	}
-	if res.Final.Snapshot.Total != est {
-		t.Errorf("final snapshot diverges from batch estimation:\n got %+v\nwant %+v", res.Final.Snapshot.Total, est)
+	if !reflect.DeepEqual(res.Final.Snapshot, batch) {
+		t.Errorf("final snapshot diverges from batch estimation:\n got %+v\nwant %+v", res.Final.Snapshot, batch)
 	}
 }
 

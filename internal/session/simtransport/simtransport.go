@@ -26,8 +26,8 @@ type Transport struct {
 }
 
 // New wraps a dumbbell path. cfg.Slot must match the session Config's slot
-// width (both default to badabing.DefaultSlot); cfg.Plans is ignored — the
-// session engine supplies the flattened slot list at Launch.
+// width (both default to badabing.DefaultSlot); the session engine
+// supplies the flattened slot list at Launch.
 func New(sim *simnet.Sim, d *simnet.Dumbbell, flow uint64, cfg probe.BadabingConfig) *Transport {
 	return NewAt(sim, d.Bottleneck, d.FwdDemux, flow, cfg)
 }
@@ -40,7 +40,7 @@ func NewAt(sim *simnet.Sim, entry *simnet.Link, demux *simnet.Demux, flow uint64
 
 // Launch pre-schedules one probe per slot on the simulator's event heap.
 func (t *Transport) Launch(ctx context.Context, slots []int64) error {
-	t.bb = probe.StartBadabingSlots(t.sim, t.entry, t.demux, t.flow, t.cfg, slots)
+	t.bb = probe.StartBadabing(t.sim, t.entry, t.demux, t.flow, t.cfg, slots)
 	return nil
 }
 

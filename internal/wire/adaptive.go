@@ -15,12 +15,11 @@ import (
 type AdaptiveConfig struct {
 	// BaseID seeds the per-round session ids (BaseID, BaseID+1, ...).
 	BaseID uint64
-	// Slot width; default badabing.DefaultSlot.
-	Slot time.Duration
 	// PacketsPerProbe / PacketSize as in SenderConfig.
 	PacketsPerProbe int
 	PacketSize      int
-	// Controller holds the escalation/stopping policy.
+	// Controller holds the escalation/stopping policy and the slot
+	// width, which paces the rounds and converts the estimates alike.
 	Controller badabing.AdaptiveConfig
 	// DrainWait is how long to wait after a round before querying, so
 	// in-flight probes land. Default 250 ms.
@@ -34,9 +33,6 @@ type AdaptiveConfig struct {
 }
 
 func (c *AdaptiveConfig) applyDefaults() {
-	if c.Slot == 0 {
-		c.Slot = badabing.DefaultSlot
-	}
 	if c.DrainWait == 0 {
 		c.DrainWait = 250 * time.Millisecond
 	}
@@ -53,7 +49,7 @@ func (c *AdaptiveConfig) applyDefaults() {
 
 // AdaptiveResult summarizes a completed adaptive measurement.
 type AdaptiveResult struct {
-	Report    badabing.Report
+	Estimates badabing.Estimates
 	Rounds    int
 	FinalP    float64
 	Converged bool
@@ -64,12 +60,16 @@ type AdaptiveResult struct {
 // stopping rule fires or its round budget is exhausted (§8 adaptivity on
 // a real path). Each round is its own wire session; after it drains, the
 // collector is queried for the round's outcome counts, which feed the
-// controller's escalation decision.
+// controller's escalation decision. A controller configuration it
+// cannot run is an error before any probe is sent.
 func SendAdaptive(ctx context.Context, conn net.Conn, cfg AdaptiveConfig) (AdaptiveResult, error) {
 	cfg.applyDefaults()
-	ctrl := badabing.NewAdaptive(cfg.Controller)
 	var res AdaptiveResult
-	err := ctrl.RunRounds(cfg.Seed, func(round int, _ []badabing.Plan, p float64) (badabing.Counts, error) {
+	ctrl, err := badabing.NewAdaptive(cfg.Controller)
+	if err != nil {
+		return res, err
+	}
+	err = ctrl.RunRounds(cfg.Seed, func(round int, _ []badabing.Plan, p float64) (badabing.Counts, error) {
 		if err := ctx.Err(); err != nil {
 			return badabing.Counts{}, err
 		}
@@ -77,7 +77,7 @@ func SendAdaptive(ctx context.Context, conn net.Conn, cfg AdaptiveConfig) (Adapt
 			ExpID:           cfg.BaseID + uint64(round),
 			P:               p,
 			N:               ctrl.RoundSlots(),
-			Slot:            cfg.Slot,
+			Slot:            ctrl.Slot(),
 			Improved:        true,
 			Seed:            cfg.Seed + int64(round),
 			PacketsPerProbe: cfg.PacketsPerProbe,
@@ -103,7 +103,7 @@ func SendAdaptive(ctx context.Context, conn net.Conn, cfg AdaptiveConfig) (Adapt
 	if err != nil {
 		return res, err
 	}
-	res.Report = ctrl.Report()
+	res.Estimates = ctrl.Estimates()
 	res.Rounds = ctrl.Round()
 	res.FinalP = ctrl.P()
 	res.Converged = ctrl.Converged()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"badabing/internal/badabing"
+	"badabing/internal/estimate"
 	"badabing/internal/session"
 	"badabing/internal/stats"
 )
@@ -222,69 +223,63 @@ type SessionStats struct {
 	// probe observations.
 	Skipped int
 	// Skew is the fitted clock drift between sender and receiver,
-	// which Report removes from the delays before marking (§7).
+	// which Estimate removes from the delays before marking (§7).
 	Skew Skew
 }
 
 // ErrUnknownSession is returned for an ExpID the collector has not seen.
 var ErrUnknownSession = errors.New("wire: unknown session")
 
-// Report reconstructs the session's experiment plan from the header
+// Estimate reconstructs the session's experiment plan from the header
 // parameters, assembles probe observations (fully lost probes included),
-// marks congestion with the given parameters and returns the estimates.
-func (c *Collector) Report(expID uint64, marker badabing.MarkerConfig) (badabing.Report, SessionStats, error) {
-	acc, ss, err := c.assemble(expID, marker)
+// marks congestion with the given parameters and replays the outcomes
+// through the batch estimator cfg selects (estimate.Batch). It leaves the
+// session undisturbed, so a long-running service can poll live sessions.
+func (c *Collector) Estimate(expID uint64, marker badabing.MarkerConfig, cfg estimate.Config) (estimate.Snapshot, SessionStats, error) {
+	plans, bySlot, slot, stats, err := c.marked(expID, marker)
 	if err != nil {
-		return badabing.Report{}, ss, err
+		return estimate.Snapshot{}, stats, err
 	}
-	return acc.MakeReport(), ss, nil
+	snap, skipped, err := estimate.Batch(cfg, badabing.StreamConfig{Slot: slot}, plans, bySlot)
+	stats.Skipped = skipped
+	return snap, stats, err
 }
 
-// ReportWithCI is Report plus bootstrap confidence intervals for the
-// frequency and duration estimates (§8: variability estimated directly
-// from the measured data).
-func (c *Collector) ReportWithCI(expID uint64, marker badabing.MarkerConfig, boot badabing.BootstrapConfig) (badabing.Report, badabing.Interval, badabing.Interval, SessionStats, error) {
-	rec, ss, err := c.assembleRecorder(expID, marker)
+// counts is Estimate's control-channel form: the session's raw outcome
+// tallies, assembled through the same loop.
+func (c *Collector) counts(expID uint64, marker badabing.MarkerConfig) (badabing.Counts, SessionStats, error) {
+	plans, bySlot, _, stats, err := c.marked(expID, marker)
 	if err != nil {
-		return badabing.Report{}, badabing.Interval{}, badabing.Interval{}, ss, err
+		return badabing.Counts{}, stats, err
 	}
-	freqCI, durCI, _ := rec.Bootstrap(boot)
-	return rec.Acc.MakeReport(), freqCI, durCI, ss, nil
+	var acc badabing.Accumulator
+	stats.Skipped = badabing.Assemble(plans, bySlot, func(_ int64, bits []bool) { acc.Add(bits) })
+	return acc.Counts(), stats, nil
 }
 
-// assemble runs the reconstruction/marking pipeline and returns the
-// loaded accumulator.
-func (c *Collector) assemble(expID uint64, marker badabing.MarkerConfig) (*badabing.Accumulator, SessionStats, error) {
-	rec, ss, err := c.assembleRecorder(expID, marker)
-	if err != nil {
-		return nil, ss, err
-	}
-	return &rec.Acc, ss, nil
-}
-
-// assembleRecorder is assemble retaining the outcome sequence. The whole
-// estimation pipeline below is the shared one: schedule reconstruction via
-// badabing.ProbeSlots, observation assembly via AssembleObs, marking via
-// session.MarkSlots, outcome grouping via badabing.Assemble — the same
-// calls the transport-neutral session engine makes.
-func (c *Collector) assembleRecorder(expID uint64, marker badabing.MarkerConfig) (*badabing.Recorder, SessionStats, error) {
+// marked runs the reconstruction and marking half of the pipeline: the
+// session's schedule, rebuilt from its header parameters via
+// badabing.Schedule and ProbeSlots, and the per-slot congestion bits of
+// its observations (AssembleObs, then session.MarkSlots) — the same calls
+// the transport-neutral session engine makes.
+func (c *Collector) marked(expID uint64, marker badabing.MarkerConfig) (plans []badabing.Plan, bySlot map[int64]bool, slot time.Duration, stats SessionStats, err error) {
 	c.mu.Lock()
 	s := c.sessions[expID]
 	if s == nil {
 		c.mu.Unlock()
-		return nil, SessionStats{}, ErrUnknownSession
+		return nil, nil, 0, SessionStats{}, ErrUnknownSession
 	}
 	params := s.params
-	stats := SessionStats{Packets: s.packets, ProbesSeen: len(s.probes)}
+	stats = SessionStats{Packets: s.packets, ProbesSeen: len(s.probes)}
 	c.mu.Unlock()
 
 	// Headers arrive off the network: an invalid embedded schedule
 	// config must surface as an error, never crash the collector.
-	plans, err := badabing.Schedule(badabing.ScheduleConfig{
+	plans, err = badabing.Schedule(badabing.ScheduleConfig{
 		P: params.P, N: params.N, Improved: params.Improved, Seed: params.Seed,
 	})
 	if err != nil {
-		return nil, stats, fmt.Errorf("wire: session %d: %w", expID, err)
+		return nil, nil, 0, stats, fmt.Errorf("wire: session %d: %w", expID, err)
 	}
 	slots := badabing.ProbeSlots(plans)
 	stats.ProbesPlanned = len(slots)
@@ -295,12 +290,7 @@ func (c *Collector) assembleRecorder(expID uint64, marker badabing.MarkerConfig)
 	for _, o := range obs {
 		stats.PacketsLost += o.LostPackets
 	}
-
-	bySlot := session.MarkSlots(obs, invalid, marker)
-	rec := &badabing.Recorder{}
-	rec.Acc.Slot = params.SlotWidth
-	stats.Skipped = badabing.Assemble(rec, plans, bySlot)
-	return rec, stats, nil
+	return plans, session.MarkSlots(obs, invalid, marker), params.SlotWidth, stats, nil
 }
 
 // AssembleObs builds per-probe observations for the given slots of a
@@ -350,46 +340,6 @@ func (c *Collector) AssembleObs(expID uint64, slots []int64, perProbe int, slotW
 	correctSkew(obs, skew)
 	badabing.InheritOWD(obs)
 	return obs, invalid, skew
-}
-
-// Snapshot returns a session's marked outcome counts and reception stats
-// without disturbing it: the session keeps accumulating packets, so a
-// long-running service can poll live sessions for streaming estimates.
-// It is the exported twin of the control channel's reply path.
-func (c *Collector) Snapshot(expID uint64, marker badabing.MarkerConfig) (badabing.Counts, SessionStats, error) {
-	return c.reportCounts(expID, marker)
-}
-
-// SessionHandle binds a collector, one ExpID and the marking parameters,
-// so a session registry can poll or report on a session without carrying
-// the triple around.
-type SessionHandle struct {
-	c      *Collector
-	expID  uint64
-	marker badabing.MarkerConfig
-}
-
-// Handle returns a reusable handle for one session.
-func (c *Collector) Handle(expID uint64, marker badabing.MarkerConfig) SessionHandle {
-	return SessionHandle{c: c, expID: expID, marker: marker}
-}
-
-// ExpID returns the session id the handle is bound to.
-func (h SessionHandle) ExpID() uint64 { return h.expID }
-
-// Counts snapshots the session's outcome tallies mid-run.
-func (h SessionHandle) Counts() (badabing.Counts, SessionStats, error) {
-	return h.c.Snapshot(h.expID, h.marker)
-}
-
-// Report produces the session's current estimates.
-func (h SessionHandle) Report() (badabing.Report, SessionStats, error) {
-	return h.c.Report(h.expID, h.marker)
-}
-
-// Delays returns the session's one-way-delay statistics.
-func (h SessionHandle) Delays() (DelayStats, error) {
-	return h.c.Delays(h.expID)
 }
 
 // DelayStats summarizes the raw one-way delays of a session's received

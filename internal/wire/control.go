@@ -91,7 +91,7 @@ func parseReply(data []byte) (reply ControlReply, ok bool, err error) {
 }
 
 // SetMarker configures the marking parameters used when answering
-// control queries (and only those; Report still takes explicit
+// control queries (and only those; Estimate still takes explicit
 // parameters). Safe to call while Run is active.
 func (c *Collector) SetMarker(m badabing.MarkerConfig) {
 	c.mu.Lock()
@@ -105,10 +105,10 @@ func (c *Collector) handleQuery(expID uint64, addr net.Addr) {
 	marker := c.queryMarker
 	c.mu.Unlock()
 	reply := ControlReply{ExpID: expID}
-	rep, ss, err := c.reportCounts(expID, marker)
+	counts, ss, err := c.counts(expID, marker)
 	if err == nil {
 		reply.Found = true
-		reply.Counts = rep
+		reply.Counts = counts
 		reply.PacketsLost = ss.PacketsLost
 		reply.Skipped = ss.Skipped
 	}
@@ -117,16 +117,6 @@ func (c *Collector) handleQuery(expID uint64, addr net.Addr) {
 		return
 	}
 	c.conn.WriteTo(buf, addr)
-}
-
-// reportCounts runs the marking/assembly pipeline and returns the raw
-// counts instead of a finished report.
-func (c *Collector) reportCounts(expID uint64, marker badabing.MarkerConfig) (badabing.Counts, SessionStats, error) {
-	acc, ss, err := c.assemble(expID, marker)
-	if err != nil {
-		return badabing.Counts{}, ss, err
-	}
-	return acc.Counts(), ss, nil
 }
 
 // Query sends a control request for expID over conn (a connected UDP

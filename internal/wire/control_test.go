@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"badabing/internal/badabing"
+	"badabing/internal/estimate"
 )
 
 func TestControlQueryRoundTrip(t *testing.T) {
@@ -86,8 +87,8 @@ func TestSendAdaptiveLoopback(t *testing.T) {
 	conn := dial(t, addr)
 	res, err := SendAdaptive(context.Background(), conn, AdaptiveConfig{
 		BaseID: 5000,
-		Slot:   10 * time.Millisecond,
 		Controller: badabing.AdaptiveConfig{
+			Slot:       10 * time.Millisecond,
 			RoundSlots: 100, // 1 s rounds
 			MaxRounds:  3,
 			Monitor:    badabing.MonitorConfig{MinExperiments: 10},
@@ -107,8 +108,8 @@ func TestSendAdaptiveLoopback(t *testing.T) {
 	if res.FinalP <= 0.1 {
 		t.Fatalf("p did not escalate: %v", res.FinalP)
 	}
-	if res.Report.Frequency != 0 {
-		t.Fatalf("loopback frequency %v", res.Report.Frequency)
+	if res.Estimates.Frequency != 0 {
+		t.Fatalf("loopback frequency %v", res.Estimates.Frequency)
 	}
 }
 
@@ -126,7 +127,78 @@ func TestSendAdaptiveRespectsContext(t *testing.T) {
 	}
 }
 
-func TestReportWithCI(t *testing.T) {
+// TestSendAdaptiveSlotWidth: the one slot width paces the rounds and
+// converts the controller's estimates, so at 10 ms slots D̂ and the §7
+// bound come out in 10 ms units. The far end answers every control query
+// with the same round counts.
+func TestSendAdaptiveSlotWidth(t *testing.T) {
+	var round badabing.Accumulator
+	for i := 0; i < 20; i++ {
+		round.AddBasic(true, true)
+		round.AddBasic(true, false)
+		round.AddBasic(false, true)
+	}
+	counts := round.Counts()
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	go func() {
+		buf := make([]byte, 2048)
+		for {
+			n, addr, err := pc.ReadFrom(buf)
+			if err != nil {
+				return
+			}
+			if id, ok := parseQuery(buf[:n]); ok {
+				reply, _ := encodeReply(ControlReply{ExpID: id, Found: true, Counts: counts})
+				pc.WriteTo(reply, addr)
+			}
+		}
+	}()
+
+	const slot = 10 * time.Millisecond
+	res, err := SendAdaptive(context.Background(), dial(t, pc.LocalAddr().String()), AdaptiveConfig{
+		BaseID:     7000,
+		Controller: badabing.AdaptiveConfig{Slot: slot, RoundSlots: 20, MaxRounds: 1},
+		DrainWait:  time.Millisecond,
+		Seed:       3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ := round.DurationSlots()
+	sd, _ := round.DurationStdDev()
+	est := res.Estimates
+	if want := time.Duration(d * float64(slot)).Seconds(); !est.HasDurationBasic || est.DurationBasic != want {
+		t.Errorf("D̂ = %vs, want %v slots at %v = %vs", est.DurationBasic, d, slot, want)
+	}
+	if want := sd * slot.Seconds(); !est.HasStdDev || est.StdDev != want {
+		t.Errorf("σ = %vs, want %vs", est.StdDev, want)
+	}
+}
+
+// TestSendAdaptiveRejectsInvalidConfig: flag values the controller cannot
+// run are an error before any probe leaves, never a panic.
+func TestSendAdaptiveRejectsInvalidConfig(t *testing.T) {
+	_, addr := startCollector(t)
+	conn := dial(t, addr)
+	for _, ctrl := range []badabing.AdaptiveConfig{
+		{PMin: 0.95, PMax: 0.9},
+		{RoundSlots: -1},
+	} {
+		res, err := SendAdaptive(context.Background(), conn, AdaptiveConfig{BaseID: 1, Controller: ctrl})
+		if err == nil {
+			t.Errorf("controller %+v accepted", ctrl)
+		}
+		if res.Packets != 0 {
+			t.Errorf("controller %+v: sent %d packets before rejecting", ctrl, res.Packets)
+		}
+	}
+}
+
+func TestCollectorEstimateBootstrap(t *testing.T) {
 	col, addr := startCollector(t)
 	conn := dial(t, addr)
 	if _, err := Send(context.Background(), conn, SenderConfig{
@@ -135,20 +207,22 @@ func TestReportWithCI(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(200 * time.Millisecond)
-	rep, freqCI, _, ss, err := col.ReportWithCI(33, badabing.MarkerConfig{},
-		badabing.BootstrapConfig{Resamples: 50})
+	boot := estimate.Config{Kind: estimate.KindBootstrap, Resamples: 50}
+	snap, ss, err := col.Estimate(33, badabing.MarkerConfig{}, boot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.M == 0 || ss.Packets == 0 {
-		t.Fatal("empty report")
+	if snap.Total.M == 0 || ss.Packets == 0 {
+		t.Fatal("empty estimate")
 	}
 	// Loopback: frequency 0 with a degenerate [0,0] interval.
-	if freqCI.Lo != 0 || freqCI.Hi != 0 {
-		t.Fatalf("loopback frequency CI [%v, %v], want [0, 0]", freqCI.Lo, freqCI.Hi)
+	if ci := snap.FrequencyCI; ci == nil || ci.Lo != 0 || ci.Hi != 0 {
+		t.Fatalf("loopback frequency CI %+v, want [0, 0]", ci)
 	}
-	if _, _, _, _, err := col.ReportWithCI(999, badabing.MarkerConfig{},
-		badabing.BootstrapConfig{}); err != ErrUnknownSession {
+	if _, _, err := col.Estimate(999, badabing.MarkerConfig{}, boot); err != ErrUnknownSession {
 		t.Fatalf("unknown session err = %v", err)
+	}
+	if _, _, err := col.Estimate(33, badabing.MarkerConfig{}, estimate.Config{Kind: "fourier"}); err == nil {
+		t.Fatal("unknown estimator kind accepted")
 	}
 }

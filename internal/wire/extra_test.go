@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"badabing/internal/badabing"
+	"badabing/internal/estimate"
 )
 
 func TestCollectorClampsDuplicates(t *testing.T) {
@@ -22,14 +23,13 @@ func TestCollectorClampsDuplicates(t *testing.T) {
 	col.record(&h, now)
 	col.record(&h, now)
 	col.record(&h, now)
-	rep, ss, err := col.Report(1, badabing.MarkerConfig{})
+	_, ss, err := col.Estimate(1, badabing.MarkerConfig{}, estimate.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ss.PacketsLost < 0 {
 		t.Fatalf("negative loss: %d", ss.PacketsLost)
 	}
-	_ = rep
 }
 
 // nopConn satisfies net.PacketConn for collectors fed directly via record.
@@ -68,7 +68,7 @@ func TestCollectorFullyLostProbesCongested(t *testing.T) {
 			col.record(&h, now)
 		}
 	}
-	rep, ss, err := col.Report(9, badabing.MarkerConfig{})
+	snap, ss, err := col.Estimate(9, badabing.MarkerConfig{}, estimate.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestCollectorFullyLostProbesCongested(t *testing.T) {
 	}
 	// All unseen probes are fully lost → frequency close to 1 over
 	// the remaining experiments.
-	if rep.Frequency == 0 {
+	if snap.Total.Frequency == 0 {
 		t.Fatal("fully lost probes not marked congested")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"badabing/internal/badabing"
+	"badabing/internal/estimate"
 )
 
 // synthObs builds observations over span with base delay, random queueing
@@ -107,7 +108,7 @@ func TestCollectorReportsSkew(t *testing.T) {
 	}
 	_ = st
 	time.Sleep(200 * time.Millisecond)
-	_, ss, err := col.Report(4, badabing.MarkerConfig{})
+	_, ss, err := col.Estimate(4, badabing.MarkerConfig{}, estimate.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

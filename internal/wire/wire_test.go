@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"badabing/internal/badabing"
+	"badabing/internal/estimate"
 )
 
 // startCollector opens a loopback collector and returns it with its
@@ -56,7 +57,7 @@ func TestSendCollectCleanPath(t *testing.T) {
 	if len(ids) != 1 || ids[0] != 42 {
 		t.Fatalf("sessions = %v, want [42]", ids)
 	}
-	rep, ss, err := col.Report(42, badabing.RecommendedMarker(cfg.P, badabing.DefaultSlot))
+	snap, ss, err := col.Estimate(42, badabing.RecommendedMarker(cfg.P, badabing.DefaultSlot), estimate.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,18 +67,18 @@ func TestSendCollectCleanPath(t *testing.T) {
 	if ss.PacketsLost != 0 {
 		t.Errorf("loopback lost %d packets", ss.PacketsLost)
 	}
-	if rep.Frequency != 0 {
-		t.Errorf("loopback frequency %v, want 0", rep.Frequency)
+	if snap.Total.Frequency != 0 {
+		t.Errorf("loopback frequency %v, want 0", snap.Total.Frequency)
 	}
-	if rep.M+ss.Skipped != st.Experiments {
+	if snap.Total.M+ss.Skipped != st.Experiments {
 		t.Errorf("assembled %d + skipped %d experiments, sender ran %d",
-			rep.M, ss.Skipped, st.Experiments)
+			snap.Total.M, ss.Skipped, st.Experiments)
 	}
 }
 
 func TestCollectorUnknownSession(t *testing.T) {
 	col, _ := startCollector(t)
-	if _, _, err := col.Report(999, badabing.MarkerConfig{}); err != ErrUnknownSession {
+	if _, _, err := col.Estimate(999, badabing.MarkerConfig{}, estimate.Config{}); err != ErrUnknownSession {
 		t.Fatalf("err = %v, want ErrUnknownSession", err)
 	}
 }
@@ -151,7 +152,7 @@ func TestSessionStatsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(200 * time.Millisecond)
-	rep, ss, err := col.Report(9, badabing.MarkerConfig{})
+	snap, ss, err := col.Estimate(9, badabing.MarkerConfig{}, estimate.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestSessionStatsAccounting(t *testing.T) {
 	}
 	// Some experiments may be discarded when the host paces a probe
 	// late; the accounting must balance exactly.
-	if rep.M+ss.Skipped != st.Experiments {
-		t.Errorf("report M=%d + skipped %d ≠ sent %d", rep.M, ss.Skipped, st.Experiments)
+	if snap.Total.M+ss.Skipped != st.Experiments {
+		t.Errorf("report M=%d + skipped %d ≠ sent %d", snap.Total.M, ss.Skipped, st.Experiments)
 	}
 }
