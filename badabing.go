@@ -93,11 +93,11 @@ func NewStream(cfg StreamConfig) (*Stream, error) { return core.NewStream(cfg) }
 func EstimatesOf(a *Accumulator) Estimates { return core.EstimatesOf(a) }
 
 // Mark classifies probes as congested per §6.1 (loss, or high one-way
-// delay near a loss).
+// delay near a loss). Observations must be in send order.
 func Mark(obs []ProbeObs, cfg MarkerConfig) []bool { return core.Mark(obs, cfg) }
 
-// Recorder retains the outcome sequence for bootstrap confidence
-// intervals.
+// Recorder retains what bootstrap confidence intervals need of the
+// outcome sequence.
 type Recorder = core.Recorder
 
 // Interval is a bootstrap confidence interval.

@@ -59,7 +59,7 @@ func main() {
 		Improved: true,
 		Seed:     7,
 		// No mid-run snapshots are read, so harvest once at the end
-		// instead of re-marking every 5 s of virtual time.
+		// instead of publishing one every 5 s of virtual time.
 		StepSlots: int64(horizon / slot),
 	}, nil)
 	if err != nil {

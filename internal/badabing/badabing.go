@@ -148,8 +148,8 @@ type Accumulator struct {
 
 	// Two-digit outcome counts.
 	c00, c01, c10, c11 int
-	// Three-digit outcome counts.
-	c3 map[uint8]int // key: bits b0b1b2 packed little-significance-last
+	// Three-digit outcome counts, indexed by key3.
+	c3 [8]int
 }
 
 // key packs up to three bits: b0<<2 | b1<<1 | b2.
@@ -191,9 +191,6 @@ func (a *Accumulator) AddExtended(b0, b1, b2 bool) {
 	a.m++
 	if b0 {
 		a.z++
-	}
-	if a.c3 == nil {
-		a.c3 = make(map[uint8]int)
 	}
 	a.c3[key3(b0, b1, b2)]++
 	if a.ExtendedPairs {

@@ -16,33 +16,34 @@ import (
 // contiguous blocks rather than singly, which preserves the short-range
 // dependence structure without modelling it.
 
-// outcome is a compact record of one experiment for resampling.
-type outcome struct {
-	bits uint8 // packed, key3-style; for basic experiments bit2 is unused
-	ext  bool
-}
-
-// Recorder wraps an Accumulator and retains the outcome sequence so that
-// confidence intervals can be bootstrapped afterwards. Use it in place of
-// a bare Accumulator when interval estimates are wanted; memory cost is
-// two bytes per experiment.
+// Recorder wraps an Accumulator and retains what resampling needs of the
+// outcome sequence, so that confidence intervals can be bootstrapped
+// afterwards. Use it in place of a bare Accumulator when interval
+// estimates are wanted; memory cost is 16 bytes per experiment.
 type Recorder struct {
 	Acc Accumulator
-	seq []outcome
+	// cum[i] holds Acc's running tallies after the first i outcomes
+	// (cum[0] before the first), so the tally of outcomes [i, j) is
+	// cum[j] − cum[i].
+	cum []tally
+}
+
+// tally is the part of an Accumulator's counts the resampled estimators
+// read: z, c01, c10 and c11. Counts wrap at 2³², but the difference of
+// two rows is exact for any block of fewer than 2³² outcomes.
+type tally [4]uint32
+
+func (a *Accumulator) tally() tally {
+	return tally{uint32(a.z), uint32(a.c01), uint32(a.c10), uint32(a.c11)}
 }
 
 // Add records an experiment outcome (2 or 3 bits, in slot order).
 func (r *Recorder) Add(bits []bool) {
-	r.Acc.Add(bits)
-	var o outcome
-	switch len(bits) {
-	case 2:
-		o.bits = key3(bits[0], bits[1], false)
-	case 3:
-		o.bits = key3(bits[0], bits[1], bits[2])
-		o.ext = true
+	if len(r.cum) == 0 {
+		r.cum = append(r.cum, r.Acc.tally())
 	}
-	r.seq = append(r.seq, o)
+	r.Acc.Add(bits)
+	r.cum = append(r.cum, r.Acc.tally())
 }
 
 // Interval is a two-sided confidence interval.
@@ -88,8 +89,8 @@ func (c *BootstrapConfig) applyDefaults() {
 // meaningful.
 func (r *Recorder) Bootstrap(cfg BootstrapConfig) (freq Interval, dur Interval, durOK bool) {
 	cfg.applyDefaults()
-	n := len(r.seq)
-	if n == 0 {
+	n := len(r.cum) - 1
+	if n <= 0 {
 		return Interval{Level: cfg.Level}, Interval{Level: cfg.Level}, false
 	}
 	block := cfg.BlockLen
@@ -100,20 +101,19 @@ func (r *Recorder) Bootstrap(cfg BootstrapConfig) (freq Interval, dur Interval, 
 	freqs := make([]float64, 0, cfg.Resamples)
 	durs := make([]float64, 0, cfg.Resamples)
 	for b := 0; b < cfg.Resamples; b++ {
-		// Each resample is estimated exactly as the point estimate
-		// is, §5.5 pairs included.
-		acc := Accumulator{Slot: r.Acc.Slot, ExtendedPairs: r.Acc.ExtendedPairs}
+		// Sum the blocks' tallies, then estimate once. The rows are
+		// Acc's own tallies, §5.5 pairs included, so each resample is
+		// estimated exactly as the point estimate is; Frequency and
+		// Duration read no other count.
+		var sum [4]int
 		for filled := 0; filled < n; filled += block {
 			start := rng.Intn(n - block + 1)
-			for i := 0; i < block && filled+i < n; i++ {
-				o := r.seq[start+i]
-				if o.ext {
-					acc.AddExtended(o.bits&4 != 0, o.bits&2 != 0, o.bits&1 != 0)
-				} else {
-					acc.AddBasic(o.bits&4 != 0, o.bits&2 != 0)
-				}
+			lo, hi := &r.cum[start], &r.cum[start+min(block, n-filled)]
+			for k := range sum {
+				sum[k] += int(hi[k] - lo[k])
 			}
 		}
+		acc := Accumulator{Slot: r.Acc.Slot, m: n, z: sum[0], c01: sum[1], c10: sum[2], c11: sum[3]}
 		freqs = append(freqs, acc.Frequency())
 		if d, ok := acc.Duration(); ok {
 			durs = append(durs, d.Seconds())

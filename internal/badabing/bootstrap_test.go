@@ -1,8 +1,10 @@
 package badabing
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // recordSynthetic drives a Recorder over a synthetic series.
@@ -144,5 +146,82 @@ func TestBootstrapKeepsExtendedPairs(t *testing.T) {
 	if dur.Lo != point.Seconds() || dur.Hi != point.Seconds() {
 		t.Errorf("duration CI [%v, %v], want the point estimate %v at both ends",
 			dur.Lo, dur.Hi, point.Seconds())
+	}
+}
+
+// refBootstrap is Recorder.Bootstrap as it was before block tallies:
+// every resample re-adds each outcome of each drawn block to a fresh
+// Accumulator.
+func refBootstrap(outcomes [][]bool, slot time.Duration, pairs bool, cfg BootstrapConfig) (freq, dur Interval, durOK bool) {
+	cfg.applyDefaults()
+	n := len(outcomes)
+	if n == 0 {
+		return Interval{Level: cfg.Level}, Interval{Level: cfg.Level}, false
+	}
+	block := min(cfg.BlockLen, n)
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	var freqs, durs []float64
+	for b := 0; b < cfg.Resamples; b++ {
+		acc := Accumulator{Slot: slot, ExtendedPairs: pairs}
+		for filled := 0; filled < n; filled += block {
+			start := rng.Intn(n - block + 1)
+			for i := 0; i < block && filled+i < n; i++ {
+				acc.Add(outcomes[start+i])
+			}
+		}
+		freqs = append(freqs, acc.Frequency())
+		if d, ok := acc.Duration(); ok {
+			durs = append(durs, d.Seconds())
+		}
+	}
+	freq = percentileInterval(freqs, cfg.Level)
+	if len(durs) >= cfg.Resamples/2 {
+		return freq, percentileInterval(durs, cfg.Level), true
+	}
+	return freq, Interval{Level: cfg.Level}, false
+}
+
+// TestBootstrapMatchesReference: intervals from block tallies are
+// bit-identical to re-adding every outcome, whether a block is longer
+// than the sequence, the last block is partial, or extended experiments
+// contribute §5.5 pairs, and at every length the sequence grows through.
+func TestBootstrapMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var outcomes [][]bool
+	congested := false
+	for len(outcomes) < 1037 {
+		if rng.Intn(12) == 0 {
+			congested = !congested
+		}
+		bits := make([]bool, 2+rng.Intn(2))
+		for j := range bits {
+			bits[j] = congested != (rng.Intn(10) == 0)
+		}
+		outcomes = append(outcomes, bits)
+	}
+	bitsOf := func(iv Interval) [3]uint64 {
+		return [3]uint64{math.Float64bits(iv.Lo), math.Float64bits(iv.Hi), math.Float64bits(iv.Level)}
+	}
+	for _, pairs := range []bool{false, true} {
+		for _, cfg := range []BootstrapConfig{
+			{},                           // 50-outcome blocks: the last one partial at 1037
+			{BlockLen: 5000, Seed: 3},    // one block longer than the sequence
+			{BlockLen: 7, Resamples: 37}, // many short blocks
+			{BlockLen: 1, Level: 0.9, Seed: 11},
+		} {
+			rec := &Recorder{Acc: Accumulator{Slot: 7 * time.Millisecond, ExtendedPairs: pairs}}
+			for i, o := range outcomes {
+				rec.Add(o)
+				if n := i + 1; n != len(outcomes) && n%211 != 0 && n > 3 {
+					continue
+				}
+				gf, gd, gok := rec.Bootstrap(cfg)
+				wf, wd, wok := refBootstrap(outcomes[:i+1], rec.Acc.Slot, pairs, cfg)
+				if bitsOf(gf) != bitsOf(wf) || bitsOf(gd) != bitsOf(wd) || gok != wok {
+					t.Fatalf("pairs %v, %+v, %d outcomes: got %+v %+v %v, want %+v %+v %v",
+						pairs, cfg, i+1, gf, gd, gok, wf, wd, wok)
+				}
+			}
+		}
 	}
 }

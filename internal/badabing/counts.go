@@ -16,15 +16,12 @@ type Counts struct {
 
 // Counts snapshots the accumulator's tallies.
 func (a *Accumulator) Counts() Counts {
-	c := Counts{
+	return Counts{
 		M:  a.m,
 		Z:  a.z,
 		C2: [4]int{a.c00, a.c01, a.c10, a.c11},
+		C3: a.c3,
 	}
-	for k, v := range a.c3 {
-		c.C3[k] = v
-	}
-	return c
 }
 
 // Merge adds another accumulator's counts into a. Slot width and
@@ -38,13 +35,7 @@ func (a *Accumulator) Merge(c Counts) {
 	a.c10 += c.C2[2]
 	a.c11 += c.C2[3]
 	for k, v := range c.C3 {
-		if v == 0 {
-			continue
-		}
-		if a.c3 == nil {
-			a.c3 = make(map[uint8]int)
-		}
-		a.c3[uint8(k)] += v
+		a.c3[k] += v
 	}
 }
 

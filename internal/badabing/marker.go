@@ -85,18 +85,48 @@ func (c *MarkerConfig) applyDefaults() {
 // queue's depth.
 //
 // Mark operates on the complete observation set because probes *preceding*
-// a loss by less than Tau also qualify. Observations need not be sorted.
+// a loss by less than Tau also qualify. Observations must be in send
+// order (ascending T), as every transport and prober returns them.
 func Mark(obs []ProbeObs, cfg MarkerConfig) []bool {
-	cfg.applyDefaults()
+	var m Marker
+	m.Reset(obs, cfg)
 	out := make([]bool, len(obs))
-	if len(obs) == 0 {
-		return out
+	for i := range obs {
+		out[i] = m.Congested(i)
 	}
+	return out
+}
+
+// Marker applies the §6.1 rule to single probes of one observation set.
+// Reset draws the set's references — the delay baseline, OWDmax and the
+// loss times — and Congested then marks any probe against them, so a
+// caller that needs only some marks (the session harvester freezing the
+// experiments a step feeds) gets exactly the bits Mark would give those
+// probes without marking the rest. The zero value is ready for Reset.
+type Marker struct {
+	cfg       MarkerConfig
+	obs       []ProbeObs
+	minOWD    time.Duration
+	owdMax    time.Duration
+	threshold time.Duration
+	losses    []int // indices of lost probes in obs, ascending
+}
+
+// Reset draws the §6.1 references from obs, which must be in send order
+// (ascending T). It reuses the Marker's loss buffer, and obs is read, not
+// copied, until the next Reset.
+func (m *Marker) Reset(obs []ProbeObs, cfg MarkerConfig) {
+	cfg.applyDefaults()
+	m.cfg, m.obs = cfg, obs
+	m.losses = m.losses[:0]
 
 	// Baseline: minimum OWD across probes with a known delay.
 	var minOWD time.Duration
 	first := true
-	for _, o := range obs {
+	for i, o := range obs {
+		if o.Lost() {
+			m.losses = append(m.losses, i)
+		}
 		if o.OWD == 0 {
 			continue
 		}
@@ -106,65 +136,45 @@ func Mark(obs []ProbeObs, cfg MarkerConfig) []bool {
 		}
 	}
 
-	// Loss times, sorted, and the OWDmax estimate from delays at loss.
-	var lossTimes []time.Duration
-	var est []time.Duration
-	idx := make([]int, 0, len(obs))
-	for i := range obs {
-		idx = append(idx, i)
-	}
-	sort.Slice(idx, func(a, b int) bool { return obs[idx[a]].T < obs[idx[b]].T })
-	for _, i := range idx {
-		o := obs[i]
-		if o.Lost() {
-			lossTimes = append(lossTimes, o.T)
-			if o.OWD > 0 {
-				est = append(est, o.OWD-minOWD)
-				if len(est) > cfg.MaxEstimates {
-					est = est[1:]
-				}
-			}
+	// OWDmax: the mean of the last MaxEstimates known delays at loss
+	// times, relative to the baseline.
+	var sum time.Duration
+	n := 0
+	for k := len(m.losses) - 1; k >= 0 && n < cfg.MaxEstimates; k-- {
+		if o := obs[m.losses[k]]; o.OWD > 0 {
+			sum += o.OWD - minOWD
+			n++
 		}
 	}
-	var owdMax time.Duration
-	if len(est) > 0 {
-		var sum time.Duration
-		for _, e := range est {
-			sum += e
-		}
-		owdMax = sum / time.Duration(len(est))
+	m.minOWD = minOWD
+	m.owdMax = 0
+	if n > 0 {
+		m.owdMax = sum / time.Duration(n)
 	}
-	threshold := time.Duration((1 - cfg.Alpha) * float64(owdMax))
-
-	for i, o := range obs {
-		if o.Lost() {
-			out[i] = true
-			continue
-		}
-		if owdMax == 0 || o.OWD == 0 {
-			continue
-		}
-		if o.OWD-minOWD < threshold {
-			continue
-		}
-		out[i] = nearWithin(lossTimes, o.T, cfg.Tau)
-	}
-	return out
+	m.threshold = time.Duration((1 - cfg.Alpha) * float64(m.owdMax))
 }
 
-// nearWithin reports whether sorted ts contains a value within d of t.
-func nearWithin(ts []time.Duration, t, d time.Duration) bool {
-	if len(ts) == 0 {
+// Congested reports the §6.1 mark of obs[i] against the references of
+// the whole set passed to Reset.
+func (m *Marker) Congested(i int) bool {
+	o := m.obs[i]
+	if o.Lost() {
+		return true
+	}
+	if m.owdMax == 0 || o.OWD == 0 || o.OWD-m.minOWD < m.threshold {
 		return false
 	}
-	i := sort.Search(len(ts), func(i int) bool { return ts[i] >= t })
-	if i < len(ts) && ts[i]-t <= d {
+	return m.nearLoss(o.T)
+}
+
+// nearLoss reports whether a loss was observed within Tau of t.
+func (m *Marker) nearLoss(t time.Duration) bool {
+	ls := m.losses
+	k := sort.Search(len(ls), func(k int) bool { return m.obs[ls[k]].T >= t })
+	if k < len(ls) && m.obs[ls[k]].T-t <= m.cfg.Tau {
 		return true
 	}
-	if i > 0 && t-ts[i-1] <= d {
-		return true
-	}
-	return false
+	return k > 0 && t-m.obs[ls[k-1]].T <= m.cfg.Tau
 }
 
 // Assemble is the one experiment-assembly loop: it groups per-probe

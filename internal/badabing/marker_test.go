@@ -113,18 +113,6 @@ func TestMarkTauSensitivity(t *testing.T) {
 	}
 }
 
-func TestMarkUnsortedInput(t *testing.T) {
-	obs := []ProbeObs{
-		mkObs(22, 110, 145, 0),
-		mkObs(0, 0, 50, 0),
-		mkObs(20, 100, 150, 1),
-	}
-	got := Mark(obs, MarkerConfig{Alpha: 0.1, Tau: ms(40)})
-	if !got[0] {
-		t.Error("marking must not depend on input order")
-	}
-}
-
 func TestMarkOWDMaxAveraging(t *testing.T) {
 	// Two losses with different delays: OWDmax is their mean queue
 	// depth. Losses at 150 ms and 130 ms over a 50 ms baseline give

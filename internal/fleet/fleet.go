@@ -153,8 +153,8 @@ type SessionConfig struct {
 	// Default Slots/4 (min 1000 slots).
 	WindowSlots int64 `json:"window_slots,omitempty"`
 	// StepSlots is the harvest cadence: how often (in slots of virtual
-	// time) the session re-marks observations, feeds the stream and
-	// publishes a snapshot. Default 1000.
+	// time) the session marks newly settled experiments, feeds them to
+	// the stream and publishes a snapshot. Default 1000.
 	StepSlots int64 `json:"step_slots,omitempty"`
 	// StepDelayMicros throttles the session by sleeping this much real
 	// time between harvest steps. Simulated paths run in virtual time,
@@ -302,6 +302,12 @@ type HistorySource interface {
 // /v1/store/stats endpoint).
 type StatsSource interface {
 	Stats() store.Stats
+}
+
+// historyReleaser is the optional side of a Sink that drops a deleted
+// session's in-memory history (store.Store.ReleaseHistory).
+type historyReleaser interface {
+	ReleaseHistory(id string)
 }
 
 // Config parameterizes a Registry.
@@ -587,9 +593,25 @@ func (r *Registry) Stop(id string) (*Session, error) {
 	return s, nil
 }
 
-// Delete unregisters a terminal session. Running or pending sessions must
-// be stopped first (ErrNotTerminal).
+// Delete unregisters a terminal session and has the store release its
+// in-memory history, keeping the newest point (the archive on disk is
+// untouched). Running or pending sessions must be stopped first
+// (ErrNotTerminal).
 func (r *Registry) Delete(id string) error {
+	if err := r.forget(id); err != nil {
+		return err
+	}
+	for _, s := range unwrapSink(r.store) {
+		if hr, ok := s.(historyReleaser); ok {
+			hr.ReleaseHistory(id)
+			break
+		}
+	}
+	return nil
+}
+
+// forget drops a terminal session from the registry.
+func (r *Registry) forget(id string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s, ok := r.sessions[id]

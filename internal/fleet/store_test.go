@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -239,4 +240,71 @@ func TestRestoreLifecycle(t *testing.T) {
 		t.Errorf("next id %s, want s0005", s5.ID)
 	}
 	waitTerminal(t, s5, 10*time.Second)
+}
+
+// TestDeleteReleasesHistory: deleting a session trims its in-memory
+// series to the newest point, so the store's live points stay at one per
+// deleted session however many sessions finish, while the WAL keeps
+// every point: a reopen restores each session with its full history.
+func TestDeleteReleasesHistory(t *testing.T) {
+	const sessions, points = 300, 8
+	dir := t.TempDir()
+	st, _, err := store.Open(store.Options{Dir: dir, Fsync: store.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry(Config{MaxConcurrent: 1, Store: st})
+	reg.runOverride = func(ctx context.Context, s *Session, seed int64) error {
+		for i := 1; i <= points; i++ {
+			var snap estimate.Snapshot
+			snap.Total = badabing.Estimates{M: i, Frequency: float64(i) / 100}
+			s.publish(snap, int64(i)*100, SessionCounters{ProbesSent: int64(i), Experiments: int64(i)})
+		}
+		return nil
+	}
+	want := make(map[string][]store.Point)
+	for i := 0; i < sessions; i++ {
+		s, err := reg.Create(SessionConfig{Scenario: "idle", Slots: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if state := waitTerminal(t, s, 10*time.Second); state != Done {
+			t.Fatalf("session %s state %v, want done", s.ID, state)
+		}
+		want[s.ID], _ = st.History(s.ID, time.Time{}, time.Time{})
+		if err := reg.Delete(s.ID); err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Stats().Points; got != i+1 {
+			t.Fatalf("after %d deletes the store holds %d points, want one per deleted session", i+1, got)
+		}
+		last, _ := st.History(s.ID, time.Time{}, time.Time{})
+		if len(last) != 1 || last[0] != want[s.ID][len(want[s.ID])-1] {
+			t.Fatalf("%s kept %+v, want only its newest point", s.ID, last)
+		}
+	}
+	reg.Close()
+
+	st2, info, err := store.Open(store.Options{Dir: dir, Fsync: store.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(info.Sessions) != sessions {
+		t.Fatalf("reopen found %d sessions, want %d", len(info.Sessions), sessions)
+	}
+	for _, rec := range info.Sessions {
+		full := want[rec.ID]
+		if rec.Points != len(full) || rec.LastPoint != full[len(full)-1] || rec.State != "done" {
+			t.Errorf("%s reopened with %d points, last %+v, state %s; want %d, %+v, done",
+				rec.ID, rec.Points, rec.LastPoint, rec.State, len(full), full[len(full)-1])
+		}
+		if hist, _ := st2.History(rec.ID, time.Time{}, time.Time{}); !reflect.DeepEqual(hist, full) {
+			t.Errorf("%s history after reopen differs from before its delete", rec.ID)
+		}
+	}
+	reg2 := NewRegistry(Config{MaxSessions: sessions, Store: st2})
+	defer reg2.Close()
+	if sum := reg2.Restore(info); sum.Terminal != sessions {
+		t.Errorf("restore summary %+v, want %d terminal", sum, sessions)
+	}
 }

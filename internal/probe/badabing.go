@@ -41,7 +41,8 @@ func (c *BadabingConfig) applyDefaults() {
 // Badabing drives the slot-based probe process on a simulated path.
 type Badabing struct {
 	prober *Prober
-	slots  []int64 // deduplicated probe slots, in order
+	slots  []int64             // deduplicated probe slots, in order
+	obs    []badabing.ProbeObs // Observations' buffer, one entry per slot
 }
 
 // StartBadabing schedules one probe per slot of a flattened schedule
@@ -55,7 +56,9 @@ func StartBadabing(sim *simnet.Sim, entry *simnet.Link, demux *simnet.Demux, flo
 	b := &Badabing{
 		prober: NewProber(sim, entry, flow, cfg.PacketSize, cfg.PktGap),
 		slots:  slots,
+		obs:    make([]badabing.ProbeObs, 0, len(slots)),
 	}
+	b.prober.probes = make([]record, 0, len(slots))
 	demux.Register(flow, b.prober.Receiver())
 	// One pre-keyed stream: every probe takes its place in the event
 	// order now, ahead of any cross traffic scheduled later for the same
@@ -75,20 +78,20 @@ func (b *Badabing) ProbeCount() int { return len(b.slots) }
 func (b *Badabing) PacketCounts() (sent, lost int) { return b.prober.PacketCounts() }
 
 // Observations converts raw probe results to marker inputs, for every
-// probe sent so far. Call after the simulation has drained for a
-// complete run.
+// probe sent so far, in send order. Call after the simulation has
+// drained for a complete run. The result is the prober's own buffer: the
+// next call refills it.
 func (b *Badabing) Observations() []badabing.ProbeObs {
-	raw := b.prober.Results()
-	obs := make([]badabing.ProbeObs, len(raw))
-	for i, r := range raw {
-		obs[i] = badabing.ProbeObs{
-			Slot:        r.Key,
-			T:           r.T,
-			SentPackets: r.Sent,
-			LostPackets: r.Lost,
-			OWD:         r.OWD,
-		}
+	b.obs = b.obs[:0]
+	for _, r := range b.prober.probes {
+		b.obs = append(b.obs, badabing.ProbeObs{
+			Slot:        r.key,
+			T:           r.at,
+			SentPackets: r.sent,
+			LostPackets: r.sent - r.got,
+			OWD:         r.maxOWD,
+		})
 	}
-	badabing.InheritOWD(obs)
-	return obs
+	badabing.InheritOWD(b.obs)
+	return b.obs
 }

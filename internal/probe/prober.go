@@ -6,14 +6,18 @@
 package probe
 
 import (
+	"sort"
 	"time"
 
 	"badabing/internal/simnet"
 )
 
-// arrival accumulates receiver-side state for one probe.
-type arrival struct {
-	count  int
+// record is one probe's send and receive state.
+type record struct {
+	key    int64
+	at     time.Duration // send time of the probe's first packet
+	sent   int
+	got    int
 	maxOWD time.Duration
 }
 
@@ -28,10 +32,10 @@ type Prober struct {
 	size   int
 	pktGap time.Duration
 
-	sent    map[int64]int
-	sentAt  map[int64]time.Duration
-	arrived map[int64]*arrival
-	order   []int64
+	// probes holds one record per probe in send order. Keys are
+	// strictly ascending, so an arrival finds its record by binary
+	// search.
+	probes []record
 }
 
 const pktsPerKey = 64
@@ -41,14 +45,11 @@ const pktsPerKey = 64
 // (the paper's hosts managed ≈30 µs back-to-back).
 func NewProber(sim *simnet.Sim, link *simnet.Link, flow uint64, size int, pktGap time.Duration) *Prober {
 	return &Prober{
-		sim:     sim,
-		link:    link,
-		flow:    flow,
-		size:    size,
-		pktGap:  pktGap,
-		sent:    make(map[int64]int),
-		sentAt:  make(map[int64]time.Duration),
-		arrived: make(map[int64]*arrival),
+		sim:    sim,
+		link:   link,
+		flow:   flow,
+		size:   size,
+		pktGap: pktGap,
 	}
 }
 
@@ -59,27 +60,25 @@ func (p *Prober) Receiver() simnet.Receiver {
 
 func (p *Prober) deliver(pkt *simnet.Packet) {
 	key := pkt.Seq / pktsPerKey
-	a := p.arrived[key]
-	if a == nil {
-		a = &arrival{}
-		p.arrived[key] = a
+	i := sort.Search(len(p.probes), func(i int) bool { return p.probes[i].key >= key })
+	if i == len(p.probes) || p.probes[i].key != key {
+		return
 	}
-	a.count++
-	if owd := p.sim.Now() - pkt.Sent; owd > a.maxOWD {
-		a.maxOWD = owd
+	r := &p.probes[i]
+	r.got++
+	if owd := p.sim.Now() - pkt.Sent; owd > r.maxOWD {
+		r.maxOWD = owd
 	}
 }
 
 // SendProbe emits a probe of n packets starting at the current virtual
-// time. Each key must be used at most once.
+// time. Keys must be strictly ascending from one probe to the next.
 func (p *Prober) SendProbe(key int64, n int) {
-	if _, dup := p.sent[key]; dup {
-		panic("probe: duplicate probe key")
+	if k := len(p.probes); k > 0 && key <= p.probes[k-1].key {
+		panic("probe: probe key not above the previous one")
 	}
-	p.sent[key] = n
-	p.sentAt[key] = p.sim.Now()
-	p.order = append(p.order, key)
 	start := p.sim.Now()
+	p.probes = append(p.probes, record{key: key, at: start, sent: n})
 	p.sim.ScheduleEach(n, func(i int) time.Duration {
 		return start + time.Duration(i)*p.pktGap
 	}, func(i int) {
@@ -107,25 +106,18 @@ type Obs struct {
 // simulation has run long enough for all probe packets to be delivered or
 // dropped.
 func (p *Prober) Results() []Obs {
-	out := make([]Obs, 0, len(p.order))
-	for _, key := range p.order {
-		o := Obs{Key: key, T: p.sentAt[key], Sent: p.sent[key]}
-		if a := p.arrived[key]; a != nil {
-			o.Lost = o.Sent - a.count
-			o.OWD = a.maxOWD
-		} else {
-			o.Lost = o.Sent
-		}
-		out = append(out, o)
+	out := make([]Obs, len(p.probes))
+	for i, r := range p.probes {
+		out[i] = Obs{Key: r.key, T: r.at, Sent: r.sent, Lost: r.sent - r.got, OWD: r.maxOWD}
 	}
 	return out
 }
 
 // PacketCounts returns total probe packets sent and lost.
 func (p *Prober) PacketCounts() (sent, lost int) {
-	for _, o := range p.Results() {
-		sent += o.Sent
-		lost += o.Lost
+	for _, r := range p.probes {
+		sent += r.sent
+		lost += r.sent - r.got
 	}
 	return sent, lost
 }

@@ -9,19 +9,20 @@
 //
 // The engine advances in harvest steps: Transport.AdvanceTo moves session
 // time forward (running the discrete-event simulator, or sleeping on the
-// wall clock), then the settled observations are re-marked, newly completed
-// experiments are fed to the streaming estimator and a snapshot is
-// published. Marking is retrospective — the baseline delay and loss-time
-// delay estimates refine as data arrives — so mid-run snapshots freeze an
-// outcome's congestion bits when the outcome is fed; the final snapshot is
-// rebuilt from the full observation set and is exactly what the batch
-// pipeline reports.
+// wall clock), then the probes of newly completed experiments are marked
+// against the settled observations, those experiments are fed to the
+// streaming estimator and a snapshot is published. Marking is
+// retrospective — the baseline delay and loss-time delay estimates refine
+// as data arrives — so mid-run snapshots freeze an outcome's congestion
+// bits when the outcome is fed; the final snapshot is rebuilt from the
+// full observation set and is exactly what the batch pipeline reports.
 package session
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"badabing/internal/badabing"
@@ -206,7 +207,7 @@ func Run(ctx context.Context, tr Transport, cfg Config, publish func(Update)) (*
 		return nil, err
 	}
 
-	h := &harvester{cfg: &cfg, plans: plans, est: est, publish: publish}
+	h := newHarvester(&cfg, plans, len(slots), est, publish)
 	res := &Result{Plans: plans, Probes: len(slots)}
 	horizon := time.Duration(cfg.Slots) * cfg.Slot
 	step := time.Duration(cfg.StepSlots) * cfg.Slot
@@ -259,25 +260,35 @@ type harvester struct {
 	fed     int // plans[:fed] have been fed to the stream
 	skip    int64
 	last    Update
-	marked  map[int64]bool
+	marked  map[int64]bool // the final pass's marks (Result.Marked)
+
+	// marker and due are a mid-run step's §6.1 references and the marks
+	// of the probes it feeds, reused from step to step.
+	marker badabing.Marker
+	due    map[int64]bool
 }
 
-// harvest re-marks the settled observations and feeds newly completed
-// experiments. At the end of the run it rebuilds the stream from the full
-// observation set so the published result matches batch estimation.
+func newHarvester(cfg *Config, plans []badabing.Plan, probes int, est estimate.Estimator, publish func(Update)) *harvester {
+	// A mid-run step feeds the experiments whose last probe crossed the
+	// feed cutoff since the previous step. They probe at most
+	// StepSlots+2 slots, so a map sized for that never grows.
+	return &harvester{
+		cfg: cfg, plans: plans, est: est, publish: publish,
+		due: make(map[int64]bool, min(cfg.StepSlots, int64(probes))+2),
+	}
+}
+
+// harvest feeds the experiments that became due. A mid-run step marks
+// only their probes, against the §6.1 references of every settled
+// observation; the final step re-marks everything and rebuilds the
+// stream so the published result matches batch estimation.
 func (h *harvester) harvest(tr Transport, now time.Duration, end bool) {
 	obs, invalid := tr.Observations()
 	cutoff := now - h.cfg.Settle
 	if end {
 		cutoff = now
 	}
-	settled := obs
-	for i, o := range obs {
-		if o.T > cutoff {
-			settled = obs[:i]
-			break
-		}
-	}
+	settled := obs[:sort.Search(len(obs), func(i int) bool { return obs[i].T > cutoff })]
 
 	var c Counters
 	for _, o := range settled {
@@ -289,11 +300,8 @@ func (h *harvester) harvest(tr Transport, now time.Duration, end bool) {
 		}
 	}
 
-	bySlot := MarkSlots(settled, invalid, h.cfg.Marker)
-
 	if end {
-		// Final pass: re-mark everything and rebuild, discarding the
-		// provisional mid-run marks.
+		// Final pass: discard the provisional mid-run marks.
 		h.est.Reset()
 		h.fed = 0
 		h.skip = 0
@@ -313,7 +321,14 @@ func (h *harvester) harvest(tr Transport, now time.Duration, end bool) {
 		}
 		due++
 	}
-	h.skip += int64(badabing.Assemble(h.plans[h.fed:due], bySlot, h.est.Observe))
+	var marked map[int64]bool
+	if end {
+		h.marked = MarkSlots(settled, invalid, h.cfg.Marker)
+		marked = h.marked
+	} else {
+		marked = h.markDue(settled, invalid, h.plans[h.fed:due])
+	}
+	h.skip += int64(badabing.Assemble(h.plans[h.fed:due], marked, h.est.Observe))
 	h.fed = due
 	c.Experiments = int64(h.est.M())
 	c.Skipped = h.skip
@@ -323,19 +338,43 @@ func (h *harvester) harvest(tr Transport, now time.Duration, end bool) {
 		slotsDone = h.cfg.Slots
 	}
 	h.last = Update{Snapshot: h.est.Snapshot(), SlotsDone: slotsDone, Counters: c}
-	h.marked = bySlot
 	if h.publish != nil {
 		h.publish(h.last)
 	}
+}
+
+// markDue returns the marks MarkSlots(settled, invalid, …) would give the
+// probes of plans, computing no others. Settled observations are in send
+// order, which for a schedule's ascending probe slots is slot order, so
+// each probe is found by binary search.
+func (h *harvester) markDue(settled []badabing.ProbeObs, invalid map[int64]bool, plans []badabing.Plan) map[int64]bool {
+	clear(h.due)
+	if len(plans) == 0 {
+		return h.due
+	}
+	h.marker.Reset(settled, h.cfg.Marker)
+	for _, pl := range plans {
+		for s := pl.Slot; s < pl.Slot+int64(pl.Probes); s++ {
+			if _, done := h.due[s]; done || invalid[s] {
+				continue
+			}
+			i := sort.Search(len(settled), func(i int) bool { return settled[i].Slot >= s })
+			if i < len(settled) && settled[i].Slot == s {
+				h.due[s] = h.marker.Congested(i)
+			}
+		}
+	}
+	return h.due
 }
 
 // MarkSlots is the one shared marking pipeline: it classifies each probe
 // observation as congested or not (badabing.Mark) and collapses the result
 // to a per-slot congestion-bit map, omitting slots flagged invalid so that
 // experiments touching them are skipped by assembly. Every estimation path
-// — the session engine, the lab's batch replays, the wire collector's
-// estimates and the control-channel counts — feeds its marker through
-// this function.
+// — the session engine's final step, the lab's batch replays, the wire
+// collector's estimates and the control-channel counts — feeds its marker
+// through this function; a mid-run harvest step gives the probes it feeds
+// exactly the bits this map would hold.
 func MarkSlots(obs []badabing.ProbeObs, invalid map[int64]bool, cfg badabing.MarkerConfig) map[int64]bool {
 	marked := badabing.Mark(obs, cfg)
 	bySlot := make(map[int64]bool, len(obs))

@@ -58,8 +58,9 @@ func (t *Transport) AdvanceTo(ctx context.Context, tt time.Duration) error {
 	return nil
 }
 
-// Observations returns the per-probe outcomes so far. Simulated probes are
-// never invalid: virtual pacing is exact.
+// Observations returns the per-probe outcomes so far, in the prober's
+// buffer, which the next call refills. Simulated probes are never
+// invalid: virtual pacing is exact.
 func (t *Transport) Observations() ([]badabing.ProbeObs, map[int64]bool) {
 	if t.bb == nil {
 		return nil, nil

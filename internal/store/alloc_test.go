@@ -8,8 +8,13 @@
 package store
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestEncodePointZeroAlloc pins the hot-path point encode at zero heap
@@ -83,4 +88,54 @@ func TestRecoverySpeed(t *testing.T) {
 		t.Errorf("recovery of %d records took %v, want < 1s", info.Records, elapsed)
 	}
 	t.Logf("recovered %d records from %d segments in %v", info.Records, info.Segments, elapsed)
+}
+
+// TestReplaySizesSeries pins replay's memory traffic: each session's
+// series is sized once from the segment's point count instead of growing
+// one append at a time, so replaying an archive allocates little beyond
+// the segment bytes and the points themselves.
+func TestReplaySizesSeries(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openT(t, Options{Dir: dir, Fsync: FsyncNever})
+	ids := []string{"s0001", "s0002", "s0003"}
+	const perSession = 1000
+	want := make(map[string][]Point)
+	base := time.Unix(8000, 0)
+	for n := 1; n <= perSession; n++ {
+		for k, id := range ids {
+			p := testPoint(base.Add(time.Duration(n)*time.Second).UnixNano(), n+k)
+			want[id] = append(want[id], p)
+			s.SessionPoint(id, p)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := listSegments(dir)
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one segment, got %v (%v)", segs, err)
+	}
+	fi, err := os.Stat(filepath.Join(dir, segName(segs[0])))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s2, _ := openT(t, Options{Dir: dir, Fsync: FsyncNever})
+	runtime.ReadMemStats(&after)
+	defer s2.Close()
+	points := int64(len(ids)*perSession) * int64(unsafe.Sizeof(Point{}))
+	budget := fi.Size() + points*5/4 + 64<<10
+	got := int64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("replay allocated %d B (segment %d B, points %d B, budget %d B)", got, fi.Size(), points, budget)
+	if got > budget {
+		t.Errorf("replaying %d B of segment with %d B of points allocated %d B, want <= %d",
+			fi.Size(), points, got, budget)
+	}
+	for _, id := range ids {
+		if hist, _ := s2.History(id, time.Time{}, time.Time{}); !reflect.DeepEqual(hist, want[id]) {
+			t.Errorf("%s: replayed history differs from what was written", id)
+		}
+	}
 }

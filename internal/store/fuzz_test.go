@@ -26,6 +26,7 @@ func fuzzSeedBody(f *testing.F) []byte {
 		ProbesSent: 21, ProbesLost: 2, PacketsSent: 63, PacketsLost: 5,
 		Experiments: 21,
 	})
+	s.SessionPoint("s0001", Point{At: base.Add(time.Second).UnixNano(), SlotsDone: 9, M: 30})
 	s.RegistryTotals(Totals{SessionsCreated: 1, ProbesSent: 10, PacketsSent: 30})
 	s.SessionState("s0001", base.Add(time.Minute), "done", true, "boom", 1, 42)
 	if err := s.Close(); err != nil {
@@ -83,5 +84,25 @@ func FuzzWALDecode(f *testing.F) {
 		// decodeRecord directly on raw bytes (bypassing the CRC gate)
 		// must never panic or over-read either
 		_, _ = decodeRecord(data)
+
+		// pointCounts walks the frames unchecked: it must not panic,
+		// and over the valid prefix it counts exactly the point records
+		// the scanner decodes.
+		_ = pointCounts(data)
+		want := make(map[string]int)
+		scanSegment(data[:valid], func(r record) {
+			if r.typ == recPoint {
+				want[r.id]++
+			}
+		})
+		got := pointCounts(data[:valid])
+		if len(got) != len(want) {
+			t.Fatalf("pointCounts found %d sessions, the scanner %d", len(got), len(want))
+		}
+		for id, n := range want {
+			if c := got[id]; c == nil || *c != n {
+				t.Fatalf("pointCounts for %q: %v, the scanner decoded %d", id, c, n)
+			}
+		}
 	})
 }

@@ -422,6 +422,36 @@ func scanSegment(data []byte, fn func(record)) (valid int, clean bool) {
 	}
 }
 
+// pointCounts counts the point records of each session in a segment
+// body. It walks the frames without checking them — replay only sizes
+// series from it, and scanSegment still rejects what does not check — so
+// a torn or corrupt tail just ends the count.
+func pointCounts(data []byte) map[string]*int {
+	// Counts sit behind pointers so that only a session's first record
+	// stores a key; a lookup by converted bytes does not allocate.
+	counts := make(map[string]*int)
+	for off := 0; off+recordOverhead <= len(data); {
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		if n > maxRecord || n > len(data)-off-recordOverhead {
+			break
+		}
+		p := data[off+recordOverhead : off+recordOverhead+n]
+		if len(p) > 1 && p[0] == recPoint {
+			if l, w := binary.Uvarint(p[1:]); w > 0 && l <= uint64(len(p)-1-w) {
+				id := p[1+w : 1+w+int(l)]
+				if c := counts[string(id)]; c != nil {
+					*c++
+				} else {
+					one := 1
+					counts[string(id)] = &one
+				}
+			}
+		}
+		off += recordOverhead + n
+	}
+	return counts
+}
+
 // timeOf converts a unixnano to time.Time, zero for zero.
 func timeOf(ns int64) time.Time {
 	if ns == 0 {

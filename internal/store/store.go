@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -224,9 +225,11 @@ func (s *Store) replay() (RecoveryInfo, error) {
 		valid := 0
 		clean := false
 		if goodMagic {
-			valid, clean = scanSegment(raw[len(segMagic):], func(rec record) {
+			body := raw[len(segMagic):]
+			grow := pointCounts(body)
+			valid, clean = scanSegment(body, func(rec record) {
 				info.Records++
-				s.applyLocked(rec, idx, &meta)
+				s.applyLocked(rec, idx, &meta, grow)
 			})
 		}
 		if !clean {
@@ -252,8 +255,10 @@ func (s *Store) replay() (RecoveryInfo, error) {
 }
 
 // applyLocked folds one replayed record into the index. seg is the
-// segment it came from; meta collects the segment's time bounds.
-func (s *Store) applyLocked(rec record, seg int, meta *segMeta) {
+// segment it came from; meta collects the segment's time bounds; grow
+// holds the segment's point-record count per session, so a series grows
+// once per segment instead of one append at a time.
+func (s *Store) applyLocked(rec record, seg int, meta *segMeta, grow map[string]*int) {
 	switch rec.typ {
 	case recCreated:
 		sr := s.upsertLocked(rec.id)
@@ -270,6 +275,11 @@ func (s *Store) applyLocked(rec record, seg int, meta *segMeta) {
 		meta.note(rec.at)
 	case recPoint:
 		sr := s.upsertLocked(rec.id)
+		if len(sr.points) == cap(sr.points) {
+			if c := grow[rec.id]; c != nil {
+				sr.points = slices.Grow(sr.points, *c)
+			}
+		}
 		sr.addPoint(rec.point)
 		meta.note(rec.point.At)
 	case recTotals:
@@ -500,6 +510,19 @@ func rangeNs(from, to time.Time) (int64, int64) {
 		toNs = to.UnixNano()
 	}
 	return fromNs, toNs
+}
+
+// ReleaseHistory trims a session's in-memory series to its newest point.
+// The registry calls it once it has deleted the session, after which no
+// query can read the older points. Identity and newest point stay, so
+// compaction's carry-forward and the restored view are unchanged; the
+// WAL is not touched, so a restart replays the full series as before.
+func (s *Store) ReleaseHistory(id string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if sr, ok := s.sessions[id]; ok && len(sr.points) > 1 {
+		sr.points = []Point{sr.points[len(sr.points)-1]}
+	}
 }
 
 // Sessions returns every archived session in creation order.
