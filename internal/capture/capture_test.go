@@ -61,7 +61,7 @@ func TestMonitorSeparatesDistantEpisodes(t *testing.T) {
 func TestMonitorMergesNearbyDrops(t *testing.T) {
 	s := simnet.New()
 	l := simnet.NewLink(s, simnet.Rate(8_000_000), 0, 10_000, sink{})
-	m := Attach(s, l, Config{MaxGap: 30 * time.Millisecond})
+	m := Attach(s, l, Config{})
 	// Two bursts 20 ms apart (< MaxGap): one episode.
 	overload(s, l, 0, 40*time.Millisecond, 1000)
 	overload(s, l, 60*time.Millisecond, 40*time.Millisecond, 1000)
@@ -82,13 +82,12 @@ func TestMonitorCountsByKind(t *testing.T) {
 		l.Send(&simnet.Packet{ID: s.NextPacketID(), Kind: simnet.Probe, Size: 1000})
 	})
 	s.Run(time.Second)
-	da, dd := m.Counts(simnet.Data)
-	pa, pd := m.Counts(simnet.Probe)
-	if da != 4 || pa != 1 {
-		t.Fatalf("arrivals (data=%d, probe=%d), want (4,1)", da, pa)
+	arrivals, drops := m.Tally()
+	if arrivals != 5 || drops != 3 {
+		t.Fatalf("tally = %d arrivals, %d drops; want 5, 3", arrivals, drops)
 	}
-	if dd+pd != 3 {
-		t.Fatalf("drops = %d, want 3 total", dd+pd)
+	if tr := m.Truth(time.Second, 5*time.Millisecond); tr.LossRate != 0.6 {
+		t.Fatalf("loss rate %v, want 3/5", tr.LossRate)
 	}
 }
 
@@ -155,7 +154,7 @@ func TestCongestedSlotsMatchesEpisodes(t *testing.T) {
 func TestQueueSampling(t *testing.T) {
 	s := simnet.New()
 	l := simnet.NewLink(s, simnet.Rate(8_000_000), 0, 10_000, sink{})
-	m := Attach(s, l, Config{SampleInterval: time.Millisecond, Horizon: 100 * time.Millisecond})
+	m := Attach(s, l, Config{Horizon: 100 * time.Millisecond})
 	overload(s, l, 0, 50*time.Millisecond, 1000)
 	s.Run(200 * time.Millisecond)
 	samples := m.Samples()

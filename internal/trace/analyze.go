@@ -1,131 +1,58 @@
 package trace
 
 import (
+	"fmt"
 	"io"
 	"time"
 
-	"badabing/internal/stats"
+	"badabing/internal/capture"
 )
 
-// Summary is the offline analysis of a trace: the same loss
-// characteristics the live capture monitor computes, reconstructed purely
-// from recorded packet events.
+// Summary is the offline analysis of a trace: the Delineator the live
+// capture monitor also uses, fed from recorded packet events, plus what
+// only a trace records.
 type Summary struct {
-	Records   uint64
-	Arrivals  uint64
-	Departs   uint64
-	Drops     uint64
-	Span      time.Duration
-	LossRate  float64
-	Episodes  []EpisodeSummary
-	Frequency float64 // fraction of slots intersecting an episode
-	Duration  stats.Summary
+	*capture.Delineator
+	Records uint64
+	Departs uint64
+	// Span is the time of the last record.
+	Span time.Duration
 	// PeakQueue is the highest observed occupancy in bytes.
 	PeakQueue uint32
 }
 
-// EpisodeSummary is one reconstructed loss episode.
-type EpisodeSummary struct {
-	Start, End time.Duration
-	Drops      int
-}
-
-// AnalyzeConfig controls episode reconstruction; the defaults match the
-// live capture monitor so online and offline results agree.
-type AnalyzeConfig struct {
-	// MaxGap merges drops closer than this. Default 30 ms.
-	MaxGap time.Duration
-	// HighWater merges across longer gaps when the queue stayed above
-	// this fraction of capacity. Default 0.9.
-	HighWater float64
-	// Slot for the frequency computation. Default 5 ms.
-	Slot time.Duration
-}
-
-func (c *AnalyzeConfig) applyDefaults() {
-	if c.MaxGap == 0 {
-		c.MaxGap = 30 * time.Millisecond
-	}
-	if c.HighWater == 0 {
-		c.HighWater = 0.9
-	}
-	if c.Slot == 0 {
-		c.Slot = 5 * time.Millisecond
-	}
-}
-
-// Analyze reads an entire trace and reconstructs its loss characteristics.
-func Analyze(r *Reader, cfg AnalyzeConfig) (Summary, error) {
-	cfg.applyDefaults()
-	var s Summary
-	highWater := uint32(cfg.HighWater * float64(r.Header.QueueCap))
-
-	var cur EpisodeSummary
-	open := false
-	var minQ uint32
-	flush := func() {
-		if open {
-			s.Episodes = append(s.Episodes, cur)
-			s.Duration.AddDuration(cur.End - cur.Start)
-			open = false
-		}
-	}
+// Analyze replays an entire trace into a capture.Delineator. Each Drop
+// record reuses the occupancy of the Arrive record before it, as the
+// live tap does. A record whose time runs backwards or whose event is
+// unknown is an error that names the record's index.
+func Analyze(r *Reader) (Summary, error) {
+	s := Summary{Delineator: capture.NewDelineator(int(r.Header.QueueCap))}
 	for {
 		rec, err := r.Next()
 		if err == io.EOF {
-			break
+			return s, nil
 		}
 		if err != nil {
 			return s, err
 		}
-		s.Records++
-		if rec.T > s.Span {
-			s.Span = rec.T
-		}
-		if rec.QueueBytes > s.PeakQueue {
-			s.PeakQueue = rec.QueueBytes
+		if rec.T < s.Span {
+			return s, fmt.Errorf("trace: record %d: time %v precedes %v", s.Records, rec.T, s.Span)
 		}
 		switch rec.Event {
 		case Arrive:
-			s.Arrivals++
+			s.Arrive(int(rec.QueueBytes))
 		case Depart:
 			s.Departs++
-			if open && rec.QueueBytes < minQ {
-				minQ = rec.QueueBytes
-			}
+			s.Depart(int(rec.QueueBytes))
 		case Drop:
-			s.Drops++
-			if !open {
-				open = true
-				cur = EpisodeSummary{Start: rec.T, End: rec.T, Drops: 1}
-				minQ = r.Header.QueueCap
-				continue
-			}
-			gap := rec.T - cur.End
-			if gap <= cfg.MaxGap || minQ >= highWater {
-				cur.End = rec.T
-				cur.Drops++
-			} else {
-				s.Episodes = append(s.Episodes, cur)
-				s.Duration.AddDuration(cur.End - cur.Start)
-				cur = EpisodeSummary{Start: rec.T, End: rec.T, Drops: 1}
-			}
-			minQ = r.Header.QueueCap
+			s.Drop(rec.T)
+		default:
+			return s, fmt.Errorf("trace: record %d: unknown event %d", s.Records, rec.Event)
 		}
+		s.Records++
+		s.Span = rec.T
+		s.PeakQueue = max(s.PeakQueue, rec.QueueBytes)
 	}
-	flush()
-	if s.Arrivals > 0 {
-		s.LossRate = float64(s.Drops) / float64(s.Arrivals)
-	}
-	if s.Span > 0 && cfg.Slot > 0 {
-		nSlots := int64(s.Span/cfg.Slot) + 1
-		congested := int64(0)
-		for _, e := range s.Episodes {
-			congested += int64(e.End/cfg.Slot) - int64(e.Start/cfg.Slot) + 1
-		}
-		s.Frequency = float64(congested) / float64(nSlots)
-	}
-	return s, nil
 }
 
 // MatchLoss reproduces the paper's DAG trace-differencing: given the
