@@ -72,14 +72,19 @@ func main() {
 	tick := time.NewTicker(10 * time.Second)
 	defer tick.Stop()
 	for {
+		msg := "stats"
 		select {
 		case <-ctx.Done():
-			fwd, drop, eps := g.Stats()
-			log.Info("final stats", "forwarded", fwd, "dropped", drop, "episodes", eps)
-			return
+			msg = "final stats"
 		case <-tick.C:
-			fwd, drop, eps := g.Stats()
-			log.Info("stats", "forwarded", fwd, "dropped", drop, "episodes", eps)
+		}
+		// Ground truth at the paper's 5 ms slot.
+		fwd, drop, eps := g.Stats()
+		truth := g.Truth(5 * time.Millisecond)
+		log.Info(msg, "forwarded", fwd, "dropped", drop, "episodes", eps,
+			"true_episodes", truth.Episodes, "true_f", truth.Frequency, "true_d", truth.Duration.MeanDuration())
+		if ctx.Err() != nil {
+			return
 		}
 	}
 }

@@ -8,7 +8,9 @@
 // is loss. A built-in episode generator adds fluid cross traffic that
 // periodically overloads the queue, creating loss episodes of a configured
 // duration at exponentially spaced intervals — the same workload shape as
-// the paper's Iperf scenario, but on a live socket path.
+// the paper's Iperf scenario, but on a live socket path. The queue feeds a
+// capture.Delineator, so the gateway reports the ground truth of the
+// episodes it makes.
 package gateway
 
 import (
@@ -17,6 +19,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"badabing/internal/capture"
 )
 
 // Config parameterizes a Gateway.
@@ -75,6 +79,8 @@ type Gateway struct {
 	closed sync.Once
 
 	mu         sync.Mutex
+	start      time.Time // time zero of the ground truth
+	truth      *capture.Delineator
 	occ        float64 // queue occupancy, bytes
 	lastDrain  time.Time
 	crossBps   float64 // current cross-traffic rate, bits/s
@@ -107,12 +113,15 @@ func New(cfg Config) (*Gateway, error) {
 		in.Close()
 		return nil, fmt.Errorf("gateway: dial target: %w", err)
 	}
+	start := time.Now()
 	g := &Gateway{
 		cfg:       cfg,
 		in:        in,
 		out:       out,
 		done:      make(chan struct{}),
-		lastDrain: time.Now(),
+		start:     start,
+		truth:     capture.NewDelineator(cfg.QueueBytes),
+		lastDrain: start,
 	}
 	g.wg.Add(1)
 	go g.readLoop()
@@ -167,6 +176,17 @@ func (g *Gateway) Stats() (forwarded, dropped uint64, episodes int) {
 	return g.forwarded, g.dropped, g.episodes
 }
 
+// Truth returns the ground truth of the loss the gateway's queue has made
+// over [0, now), measured from New, at the given slot width. The last
+// episode may still be in progress.
+func (g *Gateway) Truth(slot time.Duration) capture.Truth {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	now := time.Now()
+	g.drainLocked(now)
+	return g.truth.Truth(now.Sub(g.start), slot)
+}
+
 // Close stops the gateway and releases its sockets.
 func (g *Gateway) Close() {
 	g.closed.Do(func() {
@@ -179,45 +199,42 @@ func (g *Gateway) Close() {
 
 // drainLocked advances the fluid queue model to now: the queue drains at
 // the link rate and any active cross traffic refills it (excess is lost
-// fluid — the cross traffic experiencing the loss episode).
+// fluid — the cross traffic experiencing the loss episode). The truth
+// sees the occupancy after each drain step, and each cross quantum's
+// arrival or drop at its interpolated time.
 func (g *Gateway) drainLocked(now time.Time) {
-	dt := now.Sub(g.lastDrain).Seconds()
+	prev := g.lastDrain
+	dt := now.Sub(prev).Seconds()
 	if dt <= 0 {
 		return
 	}
 	g.lastDrain = now
 	drainBytes := float64(g.cfg.BitsPerSec) / 8 * dt
-	if g.crossBps <= 0 {
-		g.occ -= drainBytes
-		if g.occ < 0 {
-			g.occ = 0
-		}
-		return
+	quanta := 0
+	if g.crossBps > 0 {
+		// Interleave cross arrivals and drain in crossPkt quanta so
+		// probe arrivals see realistic occupancy fluctuation rather
+		// than a queue pinned exactly at capacity.
+		arriveBytes := g.crossBps/8*dt + g.crossRem
+		quanta = int(arriveBytes / crossPkt)
+		g.crossRem = arriveBytes - float64(quanta*crossPkt)
 	}
-	// Interleave cross arrivals and drain in crossPkt quanta so probe
-	// arrivals see realistic occupancy fluctuation rather than a queue
-	// pinned exactly at capacity.
-	arriveBytes := g.crossBps/8*dt + g.crossRem
-	quanta := int(arriveBytes / crossPkt)
-	g.crossRem = arriveBytes - float64(quanta*crossPkt)
 	if quanta == 0 {
-		g.occ -= drainBytes
-		if g.occ < 0 {
-			g.occ = 0
-		}
+		g.occ = max(g.occ-drainBytes, 0)
+		g.truth.Depart(int(g.occ))
 		return
 	}
 	drainPerQuantum := drainBytes / float64(quanta)
 	cap := float64(g.cfg.QueueBytes)
-	for i := 0; i < quanta; i++ {
-		g.occ -= drainPerQuantum
-		if g.occ < 0 {
-			g.occ = 0
-		}
+	for i := 1; i <= quanta; i++ {
+		g.occ = max(g.occ-drainPerQuantum, 0)
+		g.truth.Depart(int(g.occ))
+		g.truth.Arrive(int(g.occ))
 		if g.occ+crossPkt <= cap {
 			g.occ += crossPkt
+		} else { // cross packet dropped (fluid loss), queue stays full
+			g.truth.Drop(prev.Sub(g.start) + now.Sub(prev)*time.Duration(i)/time.Duration(quanta))
 		}
-		// else: cross packet dropped (fluid loss), queue stays full.
 	}
 }
 
@@ -229,20 +246,22 @@ func (g *Gateway) readLoop() {
 		if err != nil {
 			return
 		}
-		g.mu.Lock()
-		g.lastClient = addr
-		g.mu.Unlock()
 		pkt := make([]byte, n)
 		copy(pkt, buf[:n])
-		g.handle(pkt)
+		g.handle(pkt, addr)
 	}
 }
 
-func (g *Gateway) handle(pkt []byte) {
-	now := time.Now()
+// handle queues pkt from addr or drops it. The clock is read under g.mu,
+// so events reach the truth in time order.
+func (g *Gateway) handle(pkt []byte, addr *net.UDPAddr) {
 	g.mu.Lock()
+	g.lastClient = addr
+	now := time.Now()
 	g.drainLocked(now)
+	g.truth.Arrive(int(g.occ))
 	if g.occ+float64(len(pkt)) > float64(g.cfg.QueueBytes) {
+		g.truth.Drop(now.Sub(g.start))
 		g.dropped++
 		g.mu.Unlock()
 		return
@@ -278,9 +297,8 @@ func (g *Gateway) episodeLoop() {
 		}
 		// Episode start: abrupt overload — prefill the queue and turn
 		// on cross traffic.
-		now := time.Now()
 		g.mu.Lock()
-		g.drainLocked(now)
+		g.drainLocked(time.Now())
 		g.occ = float64(g.cfg.QueueBytes)
 		g.crossBps = g.cfg.EpisodeOverload * float64(g.cfg.BitsPerSec)
 		g.episodes++
@@ -291,9 +309,8 @@ func (g *Gateway) episodeLoop() {
 			return
 		case <-time.After(g.cfg.EpisodeDuration):
 		}
-		now = time.Now()
 		g.mu.Lock()
-		g.drainLocked(now)
+		g.drainLocked(time.Now())
 		g.crossBps = 0
 		g.mu.Unlock()
 	}

@@ -174,8 +174,10 @@ func TestEndToEndLossEpisodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := snap.Total
-	t.Logf("%d episodes, C01+C10 = %d, F̂ %.3f, D̂ %.3fs",
-		episodes, rep.Validation.C01+rep.Validation.C10, rep.Frequency, rep.Duration)
+	truth := g.Truth(cfg.Slot)
+	t.Logf("%d episodes (%d true), C01+C10 = %d, F̂ %.3f (F %.3f), D̂ %.3fs (D %.3fs)",
+		episodes, truth.Episodes, rep.Validation.C01+rep.Validation.C10,
+		rep.Frequency, truth.Frequency, rep.Duration, truth.Duration.Mean())
 	if ss.PacketsLost == 0 {
 		t.Fatal("no probe packets lost across episodes")
 	}
