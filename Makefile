@@ -69,8 +69,9 @@ metrics-hygiene:
 .PHONY: metrics-hygiene
 
 # Wire hot-path benchmark harness: reflector throughput (batch vs
-# single-packet), sender pacing-error distribution, and session cost at
-# 1/16/64 concurrent sessions. Writes BENCH_6.json (see README).
+# single-packet), estimator observe cost and /metrics render cost.
+# Writes BENCH_6.json (see README). Pacing lag and session cost come
+# from the repository benchmark (perfbench).
 bench:
 	$(GO) run ./cmd/benchx -out BENCH_6.json
 
@@ -94,6 +95,7 @@ fuzz:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzZingHeaderUnmarshal -fuzztime 30s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzLiveness -fuzztime 30s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzWALDecode -fuzztime 30s
+	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzTraceAnalyze -fuzztime 30s
 
 # Reproduce every paper table and figure at full scale: 103 cells, 3 min
 # 25 s wall on a 2-vCPU Intel Xeon host (2 workers, 6 min 43 s of work).
