@@ -94,6 +94,7 @@ fuzz:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzControlReply -fuzztime 30s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzZingHeaderUnmarshal -fuzztime 30s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzLiveness -fuzztime 30s
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzCollectorPacket -fuzztime 30s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzWALDecode -fuzztime 30s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzTraceAnalyze -fuzztime 30s
 

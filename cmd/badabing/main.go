@@ -267,7 +267,7 @@ func runCollect(args []string) error {
 	listen := fs.String("listen", ":8790", "UDP address to listen on")
 	alpha := fs.Float64("alpha", 0.1, "queue high-water fraction for delay marking")
 	tau := fs.Duration("tau", 30*time.Millisecond, "window around losses for delay marking")
-	every := fs.Duration("every", 10*time.Second, "report interval")
+	every := fs.Duration("every", 10*time.Second, "report interval; after each report, sessions idle for longer are dropped")
 	jsonOut := fs.Bool("json", false, "emit reports as JSON lines (the daemon's session-snapshot schema)")
 	ci := fs.Bool("ci", false, "estimate with the bootstrap kind: 95% confidence intervals for the estimates")
 	fs.Parse(args)
@@ -291,17 +291,27 @@ func runCollect(args []string) error {
 	if *ci {
 		est.Kind = estimate.KindBootstrap
 	}
-	emit := report
+	emit := func() { report(col, marker, est) }
 	if *jsonOut {
-		emit = reportJSON
+		emit = func() { reportJSON(col, marker, est) }
 	}
+	serveReports(ctx, col, tick.C, *every, emit)
+	return nil
+}
+
+// serveReports emits a report at every tick and a last one when ctx
+// ends. After each tick's report it forgets the sessions idle for longer
+// than every: ticks are every apart, so each session is reported at least
+// once after its last packet, and is then dropped.
+func serveReports(ctx context.Context, col *wire.Collector, tick <-chan time.Time, every time.Duration, emit func()) {
 	for {
 		select {
 		case <-ctx.Done():
-			emit(col, marker, est)
-			return nil
-		case <-tick.C:
-			emit(col, marker, est)
+			emit()
+			return
+		case <-tick:
+			emit()
+			col.Expire(every)
 		}
 	}
 }

@@ -27,6 +27,12 @@ import (
 // DefaultSlot is the paper's discretization interval.
 const DefaultSlot = 5 * time.Millisecond
 
+// MaxSlots bounds a schedule's slot count: 11.6 h at 5 ms slots, 2.3 h at
+// 1 ms. Drawing a schedule costs time and memory linear in N, and N
+// arrives off the network in probe headers and session specs, so one
+// packet or request must not be able to buy an unbounded loop.
+const MaxSlots = 1 << 23
+
 // Kind distinguishes experiment shapes.
 type Kind uint8
 
@@ -73,8 +79,8 @@ func (cfg ScheduleConfig) Validate() error {
 	if !(cfg.P > 0 && cfg.P <= 1) {
 		return fmt.Errorf("badabing: probe probability %v out of (0,1]", cfg.P)
 	}
-	if cfg.N <= 0 {
-		return fmt.Errorf("badabing: slot count %d must be positive", cfg.N)
+	if cfg.N <= 0 || cfg.N > MaxSlots {
+		return fmt.Errorf("badabing: slot count %d out of range [1,%d]", cfg.N, MaxSlots)
 	}
 	if f := cfg.ExtendedFraction; f != nil && !(*f >= 0 && *f <= 1) {
 		return fmt.Errorf("badabing: extended fraction %v out of [0,1]", *f)

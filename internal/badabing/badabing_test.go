@@ -192,6 +192,14 @@ func TestScheduleInvalidP(t *testing.T) {
 	if _, err := Schedule(ScheduleConfig{P: 0.5, N: 0}); err == nil {
 		t.Error("Schedule(N=0) accepted")
 	}
+	if err := (ScheduleConfig{P: 0.5, N: MaxSlots}).Validate(); err != nil {
+		t.Errorf("N=MaxSlots rejected: %v", err)
+	}
+	for _, n := range []int64{MaxSlots + 1, 1 << 62} {
+		if _, err := Schedule(ScheduleConfig{P: 0.5, N: n}); err == nil {
+			t.Errorf("Schedule(N=%d) accepted", n)
+		}
+	}
 	if _, err := Schedule(ScheduleConfig{P: 0.5, N: 10}); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}

@@ -576,12 +576,21 @@ func TestKilledReflectorAbortsPartial(t *testing.T) {
 	defer tr.Close()
 
 	const answered = 10 // probes fully answered before the kill
+	probeSlots := badabing.ProbeSlots(badabing.MustSchedule(badabing.ScheduleConfig{
+		P: p, N: slots, Improved: true, Seed: 9,
+	}))
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
 		for {
+			// The path is clean and in order: once a probe has no
+			// packet back, neither has any later one.
 			full := 0
-			for _, got := range tr.Collector().ReceivedSlots(9) {
+			for _, slot := range probeSlots {
+				got := tr.Collector().Received(9, slot)
+				if got == 0 {
+					break
+				}
 				if got == 3 { // default packets per probe
 					full++
 				}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"badabing/internal/badabing"
 	"badabing/internal/chaos"
 )
 
@@ -172,6 +173,7 @@ func TestCreateAPIHardening(t *testing.T) {
 		{"unknown scenario", `{"scenario":"teleport"}`, http.StatusBadRequest},
 		{"wire without target", `{"scenario":"wire"}`, http.StatusBadRequest},
 		{"probability out of range", `{"p":1.5}`, http.StatusBadRequest},
+		{"slots above the cap", fmt.Sprintf(`{"slots":%d}`, badabing.MaxSlots+1), http.StatusBadRequest},
 		{"negative retries", `{"max_retries":-1}`, http.StatusBadRequest},
 		{"negative retry backoff", `{"max_retries":1,"retry_backoff_millis":-5}`, http.StatusBadRequest},
 		{"oversized body", `{"name":"` + strings.Repeat("x", 2<<20) + `"}`, http.StatusRequestEntityTooLarge},

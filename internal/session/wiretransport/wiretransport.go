@@ -295,7 +295,6 @@ func (t *Transport) watchdog(ctx context.Context) error {
 	// Only probes whose reflection has had Grace to come home count.
 	dueBy := time.Since(start) - wd.Grace
 	emitted := slots[:sent]
-	received := t.col.ReceivedSlots(t.cfg.ExpID)
 	run := 0
 	var runStart int64 = -1
 	for i := len(emitted) - 1; i >= 0; i-- {
@@ -303,7 +302,7 @@ func (t *Transport) watchdog(ctx context.Context) error {
 		if time.Duration(slot)*t.cfg.Slot > dueBy {
 			continue
 		}
-		if received[slot] > 0 {
+		if t.col.Received(t.cfg.ExpID, slot) > 0 {
 			break
 		}
 		run++

@@ -10,6 +10,7 @@ package wire
 
 import (
 	"net"
+	"runtime/debug"
 	"testing"
 	"time"
 )
@@ -142,4 +143,41 @@ func TestMmsgBatchZeroAlloc(t *testing.T) {
 			got += n
 		}
 	})
+}
+
+// TestCollectorRecordZeroAlloc pins recording a packet into an existing
+// record, the newest one or an older one, at zero allocations.
+func TestCollectorRecordZeroAlloc(t *testing.T) {
+	col := NewCollector(nopConn{})
+	h := Header{ExpID: 1, PktsPerProbe: 3, P: 0.3, N: 1000,
+		SlotWidth: 5 * time.Millisecond, Seed: 1, SendTime: time.Now().UnixNano()}
+	now := time.Now()
+	for _, slot := range []int64{3, 7, 9} {
+		h.Slot = slot
+		col.record(&h, now)
+	}
+	h.Slot = 9
+	assertZeroAllocs(t, "record into the newest record", func() { col.record(&h, now) })
+	old := h
+	old.Slot = 3
+	assertZeroAllocs(t, "record into an older record", func() { col.record(&old, now) })
+}
+
+// TestAssembleObsAllocsFlat pins an assembly's allocation count: the
+// same at 720 000 slots as at 60 000, because no record is copied. The
+// collector is off during the count: a cycle set off by a large buffer
+// runs runtime cleanups that allocate, and those would count too.
+func TestAssembleObsAllocsFlat(t *testing.T) {
+	allocs := func(n int64) float64 {
+		col, slots := filledCollector(n)
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		return testing.AllocsPerRun(3, func() {
+			col.AssembleObs(1, slots, refPerProbe, refSlot)
+		})
+	}
+	small, large := allocs(60_000), allocs(720_000)
+	t.Logf("AssembleObs allocates %.0f times at 60 000 slots, %.0f at 720 000", small, large)
+	if small != large {
+		t.Errorf("AssembleObs allocates %.0f times at 60 000 slots but %.0f at 720 000", small, large)
+	}
 }

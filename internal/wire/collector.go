@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -11,11 +13,11 @@ import (
 	"badabing/internal/badabing"
 	"badabing/internal/estimate"
 	"badabing/internal/session"
-	"badabing/internal/stats"
 )
 
 // probeRec accumulates the collector's view of one probe.
 type probeRec struct {
+	slot    int64
 	got     int
 	maxOWD  time.Duration
 	maxLate time.Duration // worst sender pacing lag among the packets
@@ -23,12 +25,40 @@ type probeRec struct {
 
 // colSession is the collector's state for one ExpID.
 type colSession struct {
-	params   Header // schedule parameters from the first packet seen
-	probes   map[int64]*probeRec
+	params Header // schedule parameters from the first packet seen
+	// probes holds one record per probe heard from, in strictly
+	// ascending slot order (the simulated prober's shape). Packets
+	// arrive in slot order on a sane path, so an arrival appends a
+	// record or updates the newest one; only a duplicated or reordered
+	// packet binary-searches, and inserts if its probe is new.
+	probes   []probeRec
 	packets  uint64
-	lastSeq  uint64
-	delays   *stats.Histogram
 	lastSeen time.Time
+}
+
+// find returns the index of slot's record, or the index it would be
+// inserted at, and whether the record exists.
+func (s *colSession) find(slot int64) (int, bool) {
+	return slices.BinarySearchFunc(s.probes, slot, func(r probeRec, slot int64) int {
+		return cmp.Compare(r.slot, slot)
+	})
+}
+
+// rec returns slot's record, creating it in slot order if it is new.
+func (s *colSession) rec(slot int64) *probeRec {
+	n := len(s.probes)
+	switch {
+	case n == 0 || s.probes[n-1].slot < slot:
+		s.probes = append(s.probes, probeRec{slot: slot})
+		return &s.probes[n]
+	case s.probes[n-1].slot == slot:
+		return &s.probes[n-1]
+	}
+	i, ok := s.find(slot)
+	if !ok {
+		s.probes = slices.Insert(s.probes, i, probeRec{slot: slot})
+	}
+	return &s.probes[i]
 }
 
 // Collector receives probe packets on a UDP socket and produces
@@ -137,33 +167,30 @@ func copyAddr(addr net.Addr) net.Addr {
 	return addr
 }
 
+// record logs one probe packet. A packet whose slot lies outside [0, N)
+// of its session's schedule names no probe and is dropped, so a session
+// never holds more than N records.
 func (c *Collector) record(h *Header, now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.sessions[h.ExpID]
+	n := h.N
+	if s != nil {
+		n = s.params.N
+	}
+	if h.Slot < 0 || h.Slot >= n {
+		return
+	}
 	if s == nil {
-		s = &colSession{
-			params: *h,
-			probes: make(map[int64]*probeRec),
-			delays: stats.NewHistogram(100*time.Microsecond, 10*time.Second, 256),
-		}
+		s = &colSession{params: *h}
 		c.sessions[h.ExpID] = s
 	}
 	s.packets++
-	s.lastSeq = h.Seq
 	s.lastSeen = now
-	r := s.probes[h.Slot]
-	if r == nil {
-		r = &probeRec{}
-		s.probes[h.Slot] = r
-	}
+	r := s.rec(h.Slot)
 	r.got++
-	owd := time.Duration(now.UnixNano() - h.SendTime)
-	if owd > r.maxOWD {
+	if owd := time.Duration(now.UnixNano() - h.SendTime); owd > r.maxOWD {
 		r.maxOWD = owd
-	}
-	if owd > 0 {
-		s.delays.Add(owd)
 	}
 	scheduled := h.Start + h.Slot*int64(h.SlotWidth)
 	if late := time.Duration(h.SendTime - scheduled); late > r.maxLate {
@@ -179,20 +206,19 @@ func (c *Collector) LastPong() (nonce uint64, at time.Time, ok bool) {
 	return c.lastPongNonce, c.lastPongAt, !c.lastPongAt.IsZero()
 }
 
-// ReceivedSlots returns the per-slot received-packet counts of a session
-// (a copy). The wire transport's watchdog uses it to tell a lossy path
-// (scattered gaps) from a dead far end (an unbroken trailing run of
-// unanswered probes).
-func (c *Collector) ReceivedSlots(expID uint64) map[int64]int {
+// Received returns how many packets of the session's probe at slot have
+// arrived, duplicates included. The wire transport's watchdog reads it
+// slot by slot to tell a lossy path (scattered gaps) from a dead far end
+// (an unbroken trailing run of unanswered probes).
+func (c *Collector) Received(expID uint64, slot int64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[int64]int)
 	if s := c.sessions[expID]; s != nil {
-		for slot, r := range s.probes {
-			out[slot] = r.got
+		if i, ok := s.find(slot); ok {
+			return s.probes[i].got
 		}
 	}
-	return out
+	return 0
 }
 
 // Sessions lists the ExpIDs seen so far.
@@ -302,72 +328,58 @@ func (c *Collector) marked(expID uint64, marker badabing.MarkerConfig) (plans []
 // all-lost observations, which is what a sender whose every probe vanished
 // should conclude. Both the collector's batch reports and the wire
 // transport of the session engine assemble through this one method.
+//
+// slots must be ascending, as badabing.ProbeSlots and the session
+// engine's emitted prefix are: they are merged against the session's
+// slot-ordered records in one pass under the collector's lock, without
+// copying the records.
 func (c *Collector) AssembleObs(expID uint64, slots []int64, perProbe int, slotWidth time.Duration) (obs []badabing.ProbeObs, invalid map[int64]bool, skew Skew) {
-	c.mu.Lock()
-	probes := make(map[int64]probeRec)
-	if s := c.sessions[expID]; s != nil {
-		for slot, r := range s.probes {
-			probes[slot] = *r
-		}
-	}
-	c.mu.Unlock()
-
-	lateLimit := slotWidth / 2
-	obs = make([]badabing.ProbeObs, 0, len(slots))
+	obs = make([]badabing.ProbeObs, len(slots))
 	invalid = make(map[int64]bool)
-	for _, slot := range slots {
-		o := badabing.ProbeObs{
-			Slot:        slot,
-			SentPackets: perProbe,
-			T:           time.Duration(slot) * slotWidth,
-		}
-		if r, ok := probes[slot]; ok {
-			o.LostPackets = perProbe - r.got
-			o.OWD = r.maxOWD
-			if r.maxLate > lateLimit {
-				invalid[slot] = true
-			}
-		} else {
-			o.LostPackets = perProbe
-		}
-		if o.LostPackets < 0 {
-			o.LostPackets = 0 // duplicated packets; clamp
-		}
-		obs = append(obs, o)
-	}
-
+	c.merge(expID, slots, perProbe, slotWidth, obs, invalid)
 	skew = estimateSkew(obs)
 	correctSkew(obs, skew)
 	badabing.InheritOWD(obs)
 	return obs, invalid, skew
 }
 
-// DelayStats summarizes the raw one-way delays of a session's received
-// packets (uncorrected for clock offset or skew): sample count, mean and
-// quantile upper bounds at p50/p95/p99. ZING-style tools report delay
-// alongside loss; BADABING sessions get it for free from the same packets.
-type DelayStats struct {
-	N             uint64
-	Mean          time.Duration
-	P50, P95, P99 time.Duration
-}
-
-// Delays returns the one-way-delay statistics for a session.
-func (c *Collector) Delays(expID uint64) (DelayStats, error) {
+// merge fills obs[i] from the record of slots[i] and flags late probes
+// in invalid.
+func (c *Collector) merge(expID uint64, slots []int64, perProbe int, slotWidth time.Duration, obs []badabing.ProbeObs, invalid map[int64]bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := c.sessions[expID]
-	if s == nil {
-		return DelayStats{}, ErrUnknownSession
+	var recs []probeRec
+	if s := c.sessions[expID]; s != nil {
+		recs = s.probes
 	}
-	qs := s.delays.Quantiles(0.5, 0.95, 0.99)
-	return DelayStats{
-		N:    s.delays.N(),
-		Mean: s.delays.Mean(),
-		P50:  qs[0],
-		P95:  qs[1],
-		P99:  qs[2],
-	}, nil
+	lateLimit := slotWidth / 2
+	j := 0
+	for i, slot := range slots {
+		if i > 0 && slot < slots[i-1] {
+			panic("wire: AssembleObs slots not ascending")
+		}
+		for j < len(recs) && recs[j].slot < slot {
+			j++
+		}
+		o := badabing.ProbeObs{
+			Slot:        slot,
+			SentPackets: perProbe,
+			T:           time.Duration(slot) * slotWidth,
+			LostPackets: perProbe,
+		}
+		if j < len(recs) && recs[j].slot == slot {
+			r := &recs[j]
+			o.LostPackets = perProbe - r.got
+			o.OWD = r.maxOWD
+			if r.maxLate > lateLimit {
+				invalid[slot] = true
+			}
+		}
+		if o.LostPackets < 0 {
+			o.LostPackets = 0 // duplicated packets; clamp
+		}
+		obs[i] = o
+	}
 }
 
 // Expire drops sessions that have received no packet for at least

@@ -146,31 +146,44 @@ func TestCollectorCloseIdempotent(t *testing.T) {
 	}
 }
 
-func TestCollectorDelayStats(t *testing.T) {
-	col, addr := startCollector(t)
-	conn := dial(t, addr)
-	if _, err := Send(context.Background(), conn, SenderConfig{
-		ExpID: 11, P: 0.5, N: 200, Seed: 19,
-	}); err != nil {
-		t.Fatal(err)
+// TestCollectorRejectsOversizedSchedule: one header claiming 2^62 slots
+// must not buy a schedule draw; Estimate refuses it at once.
+func TestCollectorRejectsOversizedSchedule(t *testing.T) {
+	col := NewCollector(nopConn{})
+	h := Header{ExpID: 3, Slot: 1, PktsPerProbe: 3, P: 0.5, N: 1 << 62,
+		SlotWidth: badabing.DefaultSlot, Seed: 1, SendTime: 100}
+	col.record(&h, time.Now())
+	if _, _, err := col.Estimate(3, badabing.MarkerConfig{}, estimate.Config{}); err == nil {
+		t.Fatal("Estimate accepted a 2^62-slot schedule")
 	}
-	time.Sleep(200 * time.Millisecond)
-	ds, err := col.Delays(11)
+}
+
+// TestCollectorDropsOutOfRangeSlots: a packet whose slot lies outside
+// [0, N) of its session's schedule names no probe and leaves no record.
+func TestCollectorDropsOutOfRangeSlots(t *testing.T) {
+	col := NewCollector(nopConn{})
+	h := Header{ExpID: 4, PktsPerProbe: 1, P: 0.5, N: 10,
+		SlotWidth: badabing.DefaultSlot, Seed: 1, SendTime: 100}
+	now := time.Now()
+	for _, slot := range []int64{-1, 10, 1 << 40} {
+		h.Slot = slot
+		col.record(&h, now)
+	}
+	if got := col.Sessions(); len(got) != 0 {
+		t.Fatalf("out-of-range slots created sessions %v", got)
+	}
+	h.Slot = 9
+	col.record(&h, now)
+	wider := h // a later header cannot widen the session's schedule
+	wider.N, wider.Slot = 100, 50
+	col.record(&wider, now)
+	_, ss, err := col.Estimate(4, badabing.MarkerConfig{}, estimate.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.N == 0 {
-		t.Fatal("no delay samples")
-	}
-	// Loopback delays: all tiny, quantiles ordered.
-	if ds.P50 > ds.P95 || ds.P95 > ds.P99 {
-		t.Fatalf("quantiles not ordered: %+v", ds)
-	}
-	if ds.P99 > time.Second {
-		t.Fatalf("implausible loopback delay %v", ds.P99)
-	}
-	if _, err := col.Delays(999); err != ErrUnknownSession {
-		t.Fatalf("unknown session: err = %v", err)
+	if ss.Packets != 1 || ss.ProbesSeen != 1 || col.Received(4, 50) != 0 {
+		t.Fatalf("recorded %d packets in %d probes (%d at slot 50), want the one in range",
+			ss.Packets, ss.ProbesSeen, col.Received(4, 50))
 	}
 }
 

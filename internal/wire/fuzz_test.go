@@ -1,8 +1,12 @@
 package wire
 
 import (
+	"net"
 	"testing"
 	"time"
+
+	"badabing/internal/badabing"
+	"badabing/internal/estimate"
 )
 
 // FuzzHeaderUnmarshal ensures arbitrary bytes never panic the decoder and
@@ -181,6 +185,77 @@ func FuzzZingHeaderUnmarshal(f *testing.F) {
 		var h2 ZingHeader
 		if err := h2.Unmarshal(buf); err != nil || h2 != h {
 			t.Fatalf("round trip diverged: %+v vs %+v (%v)", h2, h, err)
+		}
+	})
+}
+
+// FuzzCollectorPacket drives the collector's packet path. The input is a
+// sequence of datagrams, each preceded by its one-byte length; every one
+// goes through handlePacket on a no-op socket, and then every session is
+// estimated and assembled. Nothing may panic or hang, and each session's
+// records must stay strictly ascending by slot and inside [0, N).
+// Schedules longer than 1<<16 slots but within badabing.MaxSlots are
+// skipped: they are valid, and drawing them is only slow.
+func FuzzCollectorPacket(f *testing.F) {
+	probe := func(slot int64, idx uint8, n int64) []byte {
+		h := Header{ExpID: 1, Slot: slot, PktIdx: idx, PktsPerProbe: 3, P: 0.5, N: n,
+			SlotWidth: 5 * time.Millisecond, Seed: 3, SendTime: 1000}
+		buf := make([]byte, HeaderSize)
+		if _, err := h.Marshal(buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf
+	}
+	frames := func(dgrams ...[]byte) []byte {
+		var out []byte
+		for _, d := range dgrams {
+			out = append(append(out, byte(len(d))), d...)
+		}
+		return out
+	}
+	f.Add(frames(probe(4, 0, 100), probe(4, 1, 100), probe(4, 2, 100)))
+	f.Add(frames(probe(4, 0, 1<<62)))
+	f.Add(frames(probe(9, 0, 100), probe(7, 0, 100), probe(5, 0, 100), probe(3, 0, 100), probe(1, 0, 100)))
+	f.Add(frames(probe(4, 0, 100), probe(4, 0, 100)))
+	f.Add(frames(probe(4, 0, 100), marshalQuery(1)))
+	f.Add(frames(marshalLiveness(livenessPing, 7, 1), probe(4, 0, 100)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var dgrams [][]byte
+		for len(data) > 0 {
+			n := min(int(data[0]), len(data)-1)
+			dgrams = append(dgrams, data[1:1+n])
+			data = data[1+n:]
+		}
+		for _, d := range dgrams {
+			var h Header
+			if h.Unmarshal(d) == nil && h.N > 1<<16 && h.N <= badabing.MaxSlots {
+				t.Skip("valid schedule too long to draw per input")
+			}
+		}
+		col := NewCollector(nopConn{})
+		from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}
+		for _, d := range dgrams {
+			col.handlePacket(d, from)
+		}
+		for _, id := range col.Sessions() {
+			col.Estimate(id, badabing.MarkerConfig{}, estimate.Config{})
+			col.mu.Lock()
+			s := col.sessions[id]
+			slots := make([]int64, len(s.probes))
+			for i, r := range s.probes {
+				if r.slot < 0 || r.slot >= s.params.N {
+					t.Fatalf("session %d: record for slot %d outside [0, %d)", id, r.slot, s.params.N)
+				}
+				if i > 0 && r.slot <= slots[i-1] {
+					t.Fatalf("session %d: records not strictly ascending: slot %d after %d", id, r.slot, slots[i-1])
+				}
+				slots[i] = r.slot
+			}
+			perProbe, width := int(s.params.PktsPerProbe), s.params.SlotWidth
+			col.mu.Unlock()
+			if obs, _, _ := col.AssembleObs(id, slots, perProbe, width); len(obs) != len(slots) {
+				t.Fatalf("session %d: %d observations for %d slots", id, len(obs), len(slots))
+			}
 		}
 	})
 }

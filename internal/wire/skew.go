@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"sort"
 	"time"
 
 	"badabing/internal/badabing"
@@ -27,11 +26,12 @@ type Skew struct {
 // Valid reports whether enough envelope points supported the fit.
 func (s Skew) Valid() bool { return s.Windows >= 4 }
 
-// estimateSkew fits the lower envelope of OWD over time. Observations with
+// estimateSkew fits the lower envelope of OWD over time. obs must be in
+// ascending time order, as AssembleObs builds them. Observations with
 // zero OWD (fully lost probes) are ignored.
 func estimateSkew(obs []badabing.ProbeObs) Skew {
 	type pt struct{ t, d float64 }
-	var pts []pt
+	pts := make([]pt, 0, len(obs))
 	for _, o := range obs {
 		if o.OWD > 0 {
 			pts = append(pts, pt{t: o.T.Seconds(), d: o.OWD.Seconds()})
@@ -40,7 +40,6 @@ func estimateSkew(obs []badabing.ProbeObs) Skew {
 	if len(pts) < 8 {
 		return Skew{}
 	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].t < pts[j].t })
 	span := pts[len(pts)-1].t - pts[0].t
 	if span <= 0 {
 		return Skew{}
