@@ -95,6 +95,7 @@ fuzz:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzZingHeaderUnmarshal -fuzztime 30s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzLiveness -fuzztime 30s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzCollectorPacket -fuzztime 30s
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzZingCollector -fuzztime 30s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzWALDecode -fuzztime 30s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzTraceAnalyze -fuzztime 30s
 

@@ -2,7 +2,9 @@
 // the baseline tool of the paper's §4. The sender emits timestamped,
 // sequence-numbered probes at exponentially distributed intervals; the
 // collector infers loss from sequence gaps and reports loss frequency and
-// the durations of runs of consecutive lost probes.
+// the durations of runs of consecutive lost probes. The sender paces its
+// drawn Poisson epochs; the collector drops a session one report after
+// its last packet.
 //
 // Usage:
 //
@@ -90,7 +92,7 @@ func runSend(args []string) error {
 func runCollect(args []string) error {
 	fs := flag.NewFlagSet("collect", flag.ExitOnError)
 	listen := fs.String("listen", ":8791", "UDP address to listen on")
-	every := fs.Duration("every", 10*time.Second, "report interval")
+	every := fs.Duration("every", 10*time.Second, "report interval; after each report, sessions idle for longer are dropped")
 	total := fs.Uint64("total", 0, "probes the sender reports having sent (0 = infer)")
 	fs.Parse(args)
 
@@ -119,13 +121,23 @@ func runCollect(args []string) error {
 	defer stop()
 	tick := time.NewTicker(*every)
 	defer tick.Stop()
+	serveReports(ctx, col, tick.C, *every, func() { report(col, *total) })
+	return nil
+}
+
+// serveReports emits a report at every tick and a last one when ctx
+// ends. After each tick's report it forgets the sessions idle for at
+// least every: ticks are every apart, so each session is reported at
+// least once after its last packet, and is then dropped.
+func serveReports(ctx context.Context, col *wire.ZingCollector, tick <-chan time.Time, every time.Duration, emit func()) {
 	for {
 		select {
 		case <-ctx.Done():
-			report(col, *total)
-			return nil
-		case <-tick.C:
-			report(col, *total)
+			emit()
+			return
+		case <-tick:
+			emit()
+			col.Expire(every)
 		}
 	}
 }

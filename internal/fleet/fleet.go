@@ -130,12 +130,6 @@ type SessionConfig struct {
 	SlotMicros int64 `json:"slot_micros,omitempty"`
 	// Basic disables the improved (triple-probe) design.
 	Basic bool `json:"basic,omitempty"`
-	// DisableBatch forces the "wire" scenario's sender onto per-packet
-	// writes instead of the batched (sendmmsg) probe fast path. The two
-	// paths measure identically (the chaos matrix pins their estimates
-	// bit-for-bit); this knob exists for A/B runs and syscall-level
-	// debugging on live paths.
-	DisableBatch bool `json:"disable_batch,omitempty"`
 	// ExtendedFraction is the improved design's triple-probe weighting;
 	// null selects the paper's 1/2, 0 disables extended experiments.
 	ExtendedFraction *float64 `json:"extended_fraction,omitempty"`
@@ -213,6 +207,9 @@ func (c *SessionConfig) scheduleConfig(seed int64) badabing.ScheduleConfig {
 	}
 }
 
+// slot is the slot width.
+func (c *SessionConfig) slot() time.Duration { return time.Duration(c.SlotMicros) * time.Microsecond }
+
 // estimatorConfig resolves the estimator selection; nil (the spec
 // omitted it) means the zero config, i.e. the default improved kind.
 func (c *SessionConfig) estimatorConfig() estimate.Config {
@@ -259,20 +256,6 @@ func (c *SessionConfig) Validate() error {
 		return errors.New("fleet: wire scenario requires a target")
 	}
 	return nil
-}
-
-// Totals are the registry's lifetime aggregate counters, monotone across
-// session deletion (the /metrics counters).
-type Totals struct {
-	SessionsCreated  int64
-	SessionsFinished int64
-	SessionRetries   int64
-	ProbesSent       int64
-	ProbesLost       int64
-	PacketsSent      int64
-	PacketsLost      int64
-	Experiments      int64
-	WriteFailures    int64
 }
 
 // Sink receives the registry's durable events: session lifecycle
@@ -440,7 +423,7 @@ func (r *Registry) Create(cfg SessionConfig) (*Session, error) {
 	if r.store != nil {
 		cfgJSON, _ := json.Marshal(cfg)
 		r.store.SessionCreated(id, s.created, cfgJSON, cfg.Seed)
-		r.store.RegistryTotals(r.storeTotals())
+		r.store.RegistryTotals(r.Totals())
 	}
 	r.launch(ctx, s)
 	return s, nil
@@ -490,7 +473,7 @@ func (r *Registry) launch(ctx context.Context, s *Session) {
 		r.totals.sessionsFinished.Add(1)
 		r.emitState(s)
 		if r.store != nil {
-			r.store.RegistryTotals(r.storeTotals())
+			r.store.RegistryTotals(r.Totals())
 		}
 	}
 	go func() {
@@ -539,22 +522,6 @@ func (r *Registry) emitState(s *Session) {
 	seed := s.seed
 	s.mu.Unlock()
 	r.store.SessionState(s.ID, time.Now(), state.String(), state.Terminal(), errMsg, retries, seed)
-}
-
-// storeTotals converts the lifetime counters to the store's form.
-func (r *Registry) storeTotals() store.Totals {
-	t := r.Totals()
-	return store.Totals{
-		SessionsCreated:  t.SessionsCreated,
-		SessionsFinished: t.SessionsFinished,
-		SessionRetries:   t.SessionRetries,
-		ProbesSent:       t.ProbesSent,
-		ProbesLost:       t.ProbesLost,
-		PacketsSent:      t.PacketsSent,
-		PacketsLost:      t.PacketsLost,
-		Experiments:      t.Experiments,
-		WriteFailures:    t.WriteFailures,
-	}
 }
 
 // Get returns a session by id.
@@ -640,9 +607,11 @@ func (r *Registry) StateCounts() map[State]int {
 	return counts
 }
 
-// Totals returns the lifetime aggregate counters.
-func (r *Registry) Totals() Totals {
-	return Totals{
+// Totals returns the lifetime aggregate counters: monotone across
+// session deletion and, persisted as they are, across restarts (the
+// /metrics counters).
+func (r *Registry) Totals() store.Totals {
+	return store.Totals{
 		SessionsCreated:  r.totals.sessionsCreated.Load(),
 		SessionsFinished: r.totals.sessionsFinished.Load(),
 		SessionRetries:   r.totals.sessionRetries.Load(),
@@ -741,24 +710,11 @@ type Session struct {
 
 	snap      estimate.Snapshot
 	slotsDone int64
-	counters  SessionCounters
+	counters  session.Counters
 
 	// tr is the live measurement substrate, kept so tests can reach the
 	// wire collector behind a running session.
 	tr session.Transport
-}
-
-// SessionCounters are a session's probe-level tallies so far.
-// WriteFailures counts probe-socket write errors on wire sessions — a
-// burst of them is the signature of a refused (crashed) far end.
-type SessionCounters struct {
-	ProbesSent    int64 `json:"probes_sent"`
-	ProbesLost    int64 `json:"probes_lost"`
-	PacketsSent   int64 `json:"packets_sent"`
-	PacketsLost   int64 `json:"packets_lost"`
-	Experiments   int64 `json:"experiments"`
-	Skipped       int64 `json:"skipped"`
-	WriteFailures int64 `json:"write_failures,omitempty"`
 }
 
 // Config returns the session's (defaulted) configuration.
@@ -787,7 +743,7 @@ func (s *Session) Snapshot() estimate.Snapshot {
 }
 
 // Counters returns the probe-level tallies.
-func (s *Session) Counters() SessionCounters {
+func (s *Session) Counters() session.Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.counters
@@ -873,18 +829,22 @@ func (s *Session) beginRetry() {
 	s.snap = estimate.Snapshot{Kind: s.cfg.EstimatorKind()}
 	s.snap.LastSlot = -1
 	s.slotsDone = 0
-	s.counters = SessionCounters{}
+	s.counters = session.Counters{}
 	s.tr = nil
 }
 
-// publish stores a new snapshot and counter set, accumulating the deltas
-// into the registry's lifetime totals and appending one point to the
-// session's persisted estimate series.
-func (s *Session) publish(snap estimate.Snapshot, slotsDone int64, c SessionCounters) {
+// publish shows one harvest step's update and appends it to the
+// session's persisted estimate series. The registry's lifetime totals
+// advance by the run's progress since prev, the run's previous update,
+// which is zero when any run starts, resumed or retried. The counters the
+// session showed are no baseline: a resumed session shows the interrupted
+// run's counters until its first step, and the restored totals already
+// hold them.
+func (s *Session) publish(u session.Update, prev session.Counters) {
+	c, snap := u.Counters, u.Snapshot
 	s.mu.Lock()
-	prev := s.counters
 	s.snap = snap
-	s.slotsDone = slotsDone
+	s.slotsDone = u.SlotsDone
 	s.counters = c
 	s.mu.Unlock()
 	t := &s.reg.totals
@@ -893,13 +853,11 @@ func (s *Session) publish(snap estimate.Snapshot, slotsDone int64, c SessionCoun
 	t.packetsSent.Add(c.PacketsSent - prev.PacketsSent)
 	t.packetsLost.Add(c.PacketsLost - prev.PacketsLost)
 	t.experiments.Add(c.Experiments - prev.Experiments)
-	if d := c.WriteFailures - prev.WriteFailures; d > 0 {
-		t.writeFailures.Add(d)
-	}
+	t.writeFailures.Add(c.WriteFailures - prev.WriteFailures)
 	if st := s.reg.store; st != nil {
 		pt := store.Point{
 			At:          time.Now().UnixNano(),
-			SlotsDone:   slotsDone,
+			SlotsDone:   u.SlotsDone,
 			M:           int64(snap.Total.M),
 			Frequency:   snap.Total.Frequency,
 			Duration:    snap.Total.Duration,
@@ -921,7 +879,7 @@ func (s *Session) publish(snap estimate.Snapshot, slotsDone int64, c SessionCoun
 			pt.CILevel = ci.Level
 		}
 		st.SessionPoint(s.ID, pt)
-		st.RegistryTotals(s.reg.storeTotals())
+		st.RegistryTotals(s.reg.Totals())
 	}
 }
 
@@ -939,7 +897,7 @@ type View struct {
 	SlotsDone int64             `json:"slots_done"`
 	Retries   int               `json:"retries,omitempty"`
 	Recovered bool              `json:"recovered,omitempty"`
-	Counters  SessionCounters   `json:"counters"`
+	Counters  session.Counters  `json:"counters"`
 	Snapshot  estimate.Snapshot `json:"snapshot"`
 }
 

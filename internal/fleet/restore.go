@@ -10,6 +10,7 @@ import (
 
 	"badabing/internal/badabing"
 	"badabing/internal/estimate"
+	"badabing/internal/session"
 	"badabing/internal/store"
 )
 
@@ -208,8 +209,8 @@ func snapshotOfPoint(kind string, p store.Point) estimate.Snapshot {
 	return snap
 }
 
-func countersOfPoint(p store.Point) SessionCounters {
-	return SessionCounters{
+func countersOfPoint(p store.Point) session.Counters {
+	return session.Counters{
 		ProbesSent:  p.ProbesSent,
 		ProbesLost:  p.ProbesLost,
 		PacketsSent: p.PacketsSent,

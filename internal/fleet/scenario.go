@@ -68,21 +68,19 @@ func simScenario(build func(seed int64) (*simnet.Sim, *simnet.Dumbbell)) transpo
 // on the schedule.
 func wireScenario(cfg SessionConfig, seed int64, slot time.Duration) (session.Transport, error) {
 	return wiretransport.DialOptions(cfg.Target, wire.SenderConfig{
-		ExpID:        uint64(seed),
-		P:            cfg.P,
-		N:            cfg.Slots,
-		Slot:         slot,
-		Improved:     !cfg.Basic,
-		Seed:         seed,
-		DisableBatch: cfg.DisableBatch,
+		ExpID:    uint64(seed),
+		P:        cfg.P,
+		N:        cfg.Slots,
+		Slot:     slot,
+		Improved: !cfg.Basic,
+		Seed:     seed,
 	}, wiretransport.Options{
 		Liveness: wire.LivenessConfig{Seed: seed},
 	})
 }
 
 // runSession is the session body: it resolves the scenario to a transport
-// and hands the whole measurement to the transport-neutral session engine,
-// republishing each harvest step's update into the registry.
+// and measures over it.
 func runSession(ctx context.Context, s *Session, seed int64) error {
 	cfg := s.cfg
 	if cfg.Seed != 0 {
@@ -90,22 +88,30 @@ func runSession(ctx context.Context, s *Session, seed int64) error {
 	}
 	s.setSeed(seed)
 
-	slot := time.Duration(cfg.SlotMicros) * time.Microsecond
 	build, err := scenarioOf(cfg.Scenario)
 	if err != nil {
 		return err
 	}
-	tr, err := build(cfg, seed, slot)
+	tr, err := build(cfg, seed, cfg.slot())
 	if err != nil {
 		return err
 	}
 	defer tr.Close()
-	s.setTransport(tr)
+	return s.measure(ctx, tr, seed)
+}
 
-	_, err = session.Run(ctx, tr, session.Config{
+// measure hands one run of the session to the transport-neutral session
+// engine, republishing each harvest step's update into the registry. The
+// run's previous update is the lifetime totals' delta baseline, so it
+// starts at zero with every run.
+func (s *Session) measure(ctx context.Context, tr session.Transport, seed int64) error {
+	s.setTransport(tr)
+	cfg := s.cfg
+	var prev session.Counters
+	_, err := session.Run(ctx, tr, session.Config{
 		P:                cfg.P,
 		Slots:            cfg.Slots,
-		Slot:             slot,
+		Slot:             cfg.slot(),
 		Improved:         !cfg.Basic,
 		ExtendedFraction: cfg.ExtendedFraction,
 		ExtendedPairs:    cfg.ExtendedPairs,
@@ -115,22 +121,8 @@ func runSession(ctx context.Context, s *Session, seed int64) error {
 		StepSlots:        cfg.StepSlots,
 		StepDelay:        time.Duration(cfg.StepDelayMicros) * time.Microsecond,
 	}, func(u session.Update) {
-		c := SessionCounters{
-			ProbesSent:  u.Counters.ProbesSent,
-			ProbesLost:  u.Counters.ProbesLost,
-			PacketsSent: u.Counters.PacketsSent,
-			PacketsLost: u.Counters.PacketsLost,
-			Experiments: u.Counters.Experiments,
-			Skipped:     u.Counters.Skipped,
-		}
-		if wf, ok := tr.(writeFailureSource); ok {
-			c.WriteFailures = wf.WriteFailures()
-		}
-		s.publish(u.Snapshot, u.SlotsDone, c)
+		s.publish(u, prev)
+		prev = u.Counters
 	})
 	return err
 }
-
-// writeFailureSource is implemented by transports that count probe-socket
-// write errors (the wire transport); simulated paths have none.
-type writeFailureSource interface{ WriteFailures() int64 }

@@ -9,6 +9,7 @@ import (
 
 	"badabing/internal/badabing"
 	"badabing/internal/estimate"
+	"badabing/internal/session"
 	"badabing/internal/store"
 )
 
@@ -21,7 +22,8 @@ func TestRegistryEmitsStoreEvents(t *testing.T) {
 		snap := estimate.Snapshot{Kind: estimate.DefaultKind}
 		snap.Total = badabing.Estimates{M: 10, Frequency: 0.25}
 		snap.LastSlot = 99
-		s.publish(snap, 100, SessionCounters{ProbesSent: 10, ProbesLost: 2, PacketsSent: 30, PacketsLost: 5, Experiments: 10})
+		s.publish(session.Update{Snapshot: snap, SlotsDone: 100,
+			Counters: session.Counters{ProbesSent: 10, ProbesLost: 2, PacketsSent: 30, PacketsLost: 5, Experiments: 10}}, session.Counters{})
 		return nil
 	}
 	s, err := reg.Create(SessionConfig{Scenario: "idle", Slots: 2000})
@@ -78,7 +80,8 @@ func TestDrainStoreOrdering(t *testing.T) {
 			var snap estimate.Snapshot
 			snap.Total = badabing.Estimates{M: i + 1}
 			snap.LastSlot = int64(i)
-			s.publish(snap, int64(i), SessionCounters{Experiments: int64(i) + 1})
+			s.publish(session.Update{Snapshot: snap, SlotsDone: int64(i),
+				Counters: session.Counters{Experiments: int64(i) + 1}}, session.Counters{Experiments: int64(i)})
 			time.Sleep(5 * time.Millisecond)
 		}
 		close(release)
@@ -258,7 +261,9 @@ func TestDeleteReleasesHistory(t *testing.T) {
 		for i := 1; i <= points; i++ {
 			var snap estimate.Snapshot
 			snap.Total = badabing.Estimates{M: i, Frequency: float64(i) / 100}
-			s.publish(snap, int64(i)*100, SessionCounters{ProbesSent: int64(i), Experiments: int64(i)})
+			s.publish(session.Update{Snapshot: snap, SlotsDone: int64(i) * 100,
+				Counters: session.Counters{ProbesSent: int64(i), Experiments: int64(i)}},
+				session.Counters{ProbesSent: int64(i) - 1, Experiments: int64(i) - 1})
 		}
 		return nil
 	}

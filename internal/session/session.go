@@ -150,15 +150,23 @@ func (c *Config) schedule() ([]badabing.Plan, error) {
 	})
 }
 
-// Counters are a session's probe-level tallies so far.
+// Counters are a session's probe-level tallies so far, the "counters"
+// object of the daemon's session JSON. WriteFailures counts probe writes
+// the socket rejected, on transports that count them (a burst is the
+// signature of a refused far end); simulated paths have none.
 type Counters struct {
-	ProbesSent  int64
-	ProbesLost  int64
-	PacketsSent int64
-	PacketsLost int64
-	Experiments int64
-	Skipped     int64
+	ProbesSent    int64 `json:"probes_sent"`
+	ProbesLost    int64 `json:"probes_lost"`
+	PacketsSent   int64 `json:"packets_sent"`
+	PacketsLost   int64 `json:"packets_lost"`
+	Experiments   int64 `json:"experiments"`
+	Skipped       int64 `json:"skipped"`
+	WriteFailures int64 `json:"write_failures,omitempty"`
 }
+
+// writeFailureCounter is the optional side of a Transport that counts
+// probe writes its socket rejected (the wire transport).
+type writeFailureCounter interface{ WriteFailures() int64 }
 
 // Update is one published harvest step: the estimator snapshot, progress
 // through the horizon and the tallies backing it.
@@ -332,6 +340,9 @@ func (h *harvester) harvest(tr Transport, now time.Duration, end bool) {
 	h.fed = due
 	c.Experiments = int64(h.est.M())
 	c.Skipped = h.skip
+	if wf, ok := tr.(writeFailureCounter); ok {
+		c.WriteFailures = wf.WriteFailures()
+	}
 
 	slotsDone := int64(now / h.cfg.Slot)
 	if slotsDone > h.cfg.Slots {

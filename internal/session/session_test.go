@@ -212,3 +212,42 @@ func TestSimWireParity(t *testing.T) {
 		t.Errorf("loss frequency %v on a loss-free path", simRes.Final.Snapshot.Total.Frequency)
 	}
 }
+
+// failingWrites is a loss-free simulated path whose probe socket rejects
+// one write each time the engine asks, as a wire transport's pacer
+// counts them.
+type failingWrites struct {
+	session.Transport
+	n int64
+}
+
+func (f *failingWrites) WriteFailures() int64 {
+	f.n++
+	return f.n
+}
+
+// TestRunCarriesWriteFailures: the engine reads a transport's write
+// failures at every harvest step and carries them in every update.
+func TestRunCarriesWriteFailures(t *testing.T) {
+	s := simnet.New()
+	tr := simtransport.New(s, simnet.NewDumbbell(s, simnet.DumbbellConfig{}), 7, probe.BadabingConfig{})
+	defer tr.Close()
+	var got []int64
+	res, err := session.Run(context.Background(), &failingWrites{Transport: tr},
+		session.Config{P: 0.3, Slots: 4000, StepSlots: 500, Seed: 5},
+		func(u session.Update) { got = append(got, u.Counters.WriteFailures) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) < 2 {
+		t.Fatalf("%d updates, want several harvest steps", len(got))
+	}
+	for i, wf := range got {
+		if wf != int64(i+1) {
+			t.Fatalf("update %d carries %d write failures, want %d", i, wf, i+1)
+		}
+	}
+	if wf := res.Final.Counters.WriteFailures; wf != int64(len(got)) {
+		t.Errorf("final update carries %d write failures, want %d", wf, len(got))
+	}
+}

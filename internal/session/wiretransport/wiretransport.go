@@ -39,9 +39,6 @@ import (
 
 // WatchdogConfig tunes the mid-run dead-path detector.
 type WatchdogConfig struct {
-	// Disable turns the watchdog off (the liveness handshake at Launch
-	// is governed separately by Options.SkipHandshake).
-	Disable bool
 	// ConsecutiveProbes is how many trailing probes must be unanswered
 	// in an unbroken run before the far end is suspected dead. Default
 	// 20 — at any plausible per-probe loss rate the chance of that many
@@ -91,13 +88,12 @@ type Transport struct {
 	start time.Time
 	slots []int64
 
-	writeFails atomic.Int64
-	pingNonce  atomic.Uint64
+	pingNonce atomic.Uint64
 
 	mu       sync.Mutex
 	sent     int // slots[:sent] have been emitted
 	sendErr  error
-	stats    wire.SendStats
+	stats    wire.SendStats // the pacer's running stats, final once done is closed
 	launched bool
 	deadFrom time.Duration // session time the path died; -1 while alive
 	done     chan struct{}
@@ -140,32 +136,6 @@ func DialOptions(target string, cfg wire.SenderConfig, opts Options) (*Transport
 	}, nil
 }
 
-// countingConn counts failed probe writes as they happen, so the daemon's
-// /metrics see write failures live rather than at session end.
-type countingConn struct {
-	*net.UDPConn
-	fails *atomic.Int64
-	bw    wire.BatchWriter
-}
-
-func (c countingConn) Write(b []byte) (int, error) {
-	n, err := c.UDPConn.Write(b)
-	if err != nil {
-		c.fails.Add(1)
-	}
-	return n, err
-}
-
-// WriteBatch exposes the socket's sendmmsg fast path to the sender.
-// Batch shortfalls need no counting here: the sender retries the
-// remainder through Write, which counts per packet.
-func (c countingConn) WriteBatch(ms []wire.Message) (int, error) {
-	if c.bw == nil {
-		return 0, wire.ErrBatchUnsupported
-	}
-	return c.bw.WriteBatch(ms)
-}
-
 // Launch proves the far end alive (unless opted out), then starts the
 // collector loop and the pacing goroutine. The launch instant becomes
 // session time zero. A failed handshake returns an error wrapping both
@@ -195,13 +165,10 @@ func (t *Transport) Launch(ctx context.Context, slots []int64) error {
 	go t.col.Run()
 	go func() {
 		defer close(t.done)
-		sendConn := countingConn{UDPConn: t.conn, fails: &t.writeFails}
-		if !t.cfg.DisableBatch {
-			sendConn.bw = wire.NewBatchWriter(t.conn)
-		}
-		st, err := wire.SendSlots(ctx, sendConn, t.cfg, slots, t.start, func(i int, slot int64) {
+		st, err := wire.SendSlots(ctx, t.conn, t.cfg, slots, t.start, func(i int, running wire.SendStats) {
 			t.mu.Lock()
 			t.sent = i + 1
+			t.stats = running
 			t.mu.Unlock()
 		})
 		t.mu.Lock()
@@ -251,12 +218,7 @@ func (t *Transport) AdvanceTo(ctx context.Context, tt time.Duration) error {
 		}
 		return fmt.Errorf("wiretransport: sender: %w", err)
 	}
-	if !t.opts.Watchdog.Disable {
-		if err := t.watchdog(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
+	return t.watchdog(ctx)
 }
 
 // markDead records the session time the path died (first call wins).
@@ -336,7 +298,7 @@ func (t *Transport) recheckAlive(ctx context.Context) bool {
 			// Poll for the pong for the attempt's timeout.
 			deadline := time.Now().Add(re.Timeout)
 			for time.Now().Before(deadline) {
-				if _, at, ok := t.col.LastPong(); ok && at.After(started) {
+				if t.col.LastPong().After(started) {
 					return true
 				}
 				select {
@@ -354,8 +316,7 @@ func (t *Transport) recheckAlive(ctx context.Context) bool {
 			}
 		}
 	}
-	_, at, ok := t.col.LastPong()
-	return ok && at.After(started)
+	return t.col.LastPong().After(started)
 }
 
 // Observations assembles per-probe outcomes for every probe emitted so
@@ -420,10 +381,12 @@ func (t *Transport) ExpID() uint64 { return t.cfg.ExpID }
 func (t *Transport) LocalAddr() net.Addr { return t.conn.LocalAddr() }
 
 // WriteFailures returns how many probe writes the socket has rejected so
-// far. Live — the daemon surfaces it in /metrics while sessions run.
-func (t *Transport) WriteFailures() int64 { return t.writeFails.Load() }
+// far, as the pacer counted them. The session engine reads it at every
+// harvest step, so the daemon shows write failures while sessions run.
+func (t *Transport) WriteFailures() int64 { return int64(t.SendStats().WriteFailures) }
 
-// SendStats returns the pacer's summary; valid once the session is done.
+// SendStats returns the pacer's stats: running while the session paces,
+// final once it is done.
 func (t *Transport) SendStats() wire.SendStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -63,11 +63,6 @@ type BatchConn interface {
 	WriteBatch(ms []Message) (int, error)
 }
 
-// ErrBatchUnsupported is returned by batch fast paths on platforms or
-// socket types without a true multi-message syscall; callers fall back
-// to the single-packet path.
-var ErrBatchUnsupported = errors.New("wire: batched I/O unsupported on this conn")
-
 // BatchWriter is the sender-side half of the batch interface: SendSlots
 // probes for it on its conn and, when present, emits each probe's packet
 // bunch with a single call. Implementations must tolerate a nil Message

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -45,7 +46,7 @@ func TestSendSlotsCancelMidRun(t *testing.T) {
 	var sendErr error
 	go func() {
 		defer close(done)
-		st, sendErr = SendSlots(ctx, conn, cfg, slots, time.Now(), func(i int, slot int64) {
+		st, sendErr = SendSlots(ctx, conn, cfg, slots, time.Now(), func(i int, _ SendStats) {
 			emitted++
 		})
 	}()
@@ -74,5 +75,59 @@ func TestSendSlotsCancelMidRun(t *testing.T) {
 	}
 	if st.WriteFailures != 0 {
 		t.Fatalf("clean loopback recorded %d write failures", st.WriteFailures)
+	}
+}
+
+// rejectConn is a connected socket whose every fourth write is refused.
+type rejectConn struct {
+	nopConn
+	writes int
+}
+
+func (c *rejectConn) Read([]byte) (int, error) { return 0, net.ErrClosed }
+func (c *rejectConn) RemoteAddr() net.Addr     { return &net.UDPAddr{} }
+func (c *rejectConn) Write(b []byte) (int, error) {
+	c.writes++
+	if c.writes%4 == 0 {
+		return 0, syscall.ECONNREFUSED
+	}
+	return len(b), nil
+}
+
+// TestSendSlotsCountsWriteFailures: every probe's callback sees the
+// pacer's running write-failure count rise, and the last count it sees is
+// the one SendSlots returns.
+func TestSendSlotsCountsWriteFailures(t *testing.T) {
+	cfg := SenderConfig{ExpID: 3, P: 0.5, N: 100, Slot: time.Millisecond, Seed: 3}
+	if err := cfg.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	slots := make([]int64, 40)
+	for i := range slots {
+		slots[i] = int64(i)
+	}
+	var seen []int
+	st, err := SendSlots(context.Background(), &rejectConn{}, cfg, slots, time.Now(), func(i int, running SendStats) {
+		seen = append(seen, running.WriteFailures)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(slots) * cfg.PacketsPerProbe / 4; st.WriteFailures != want {
+		t.Fatalf("SendSlots counted %d write failures, want %d", st.WriteFailures, want)
+	}
+	if len(seen) != len(slots) {
+		t.Fatalf("callback ran %d times for %d probes", len(seen), len(slots))
+	}
+	for i := 1; i < len(seen); i++ {
+		if seen[i] < seen[i-1] {
+			t.Fatalf("probe %d: running write failures fell from %d to %d", i, seen[i-1], seen[i])
+		}
+	}
+	if seen[0] >= seen[len(seen)-1] {
+		t.Errorf("running write failures never rose: %v", seen)
+	}
+	if last := seen[len(seen)-1]; last != st.WriteFailures {
+		t.Errorf("last callback saw %d write failures, SendSlots returned %d", last, st.WriteFailures)
 	}
 }

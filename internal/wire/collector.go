@@ -74,9 +74,7 @@ type Collector struct {
 	sessions    map[uint64]*colSession
 	queryMarker badabing.MarkerConfig
 	closed      bool
-
-	lastPongNonce uint64
-	lastPongAt    time.Time
+	lastPongAt  time.Time
 }
 
 // NewCollector wraps an open packet socket. Call Run to start receiving.
@@ -144,7 +142,7 @@ func (c *Collector) handlePacket(buf []byte, addr net.Addr) {
 			// A watchdog's mid-run re-check routes its pong through
 			// us, since we own the socket's read side.
 			c.mu.Lock()
-			c.lastPongNonce, c.lastPongAt = nonce, now
+			c.lastPongAt = now
 			c.mu.Unlock()
 		}
 		return
@@ -198,12 +196,12 @@ func (c *Collector) record(h *Header, now time.Time) {
 	}
 }
 
-// LastPong reports the most recently received liveness pong (nonce and
-// arrival time). ok is false until any pong has arrived.
-func (c *Collector) LastPong() (nonce uint64, at time.Time, ok bool) {
+// LastPong returns the arrival time of the most recently received
+// liveness pong, zero until any pong has arrived.
+func (c *Collector) LastPong() time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lastPongNonce, c.lastPongAt, !c.lastPongAt.IsZero()
+	return c.lastPongAt
 }
 
 // Received returns how many packets of the session's probe at slot have

@@ -259,3 +259,61 @@ func FuzzCollectorPacket(f *testing.F) {
 		}
 	})
 }
+
+// FuzzZingCollector drives the ZING collector's packet path. The input is
+// a sequence of datagrams, each preceded by its one-byte length; every
+// one that decodes is recorded. Each session is then reported with the
+// inferred probe count and with a fuzzed total, and everything is
+// expired. Nothing may panic or hang, a report's lost probes never exceed
+// its probes, its frequency lies in [0, 1], and Expire(0) leaves no
+// session behind.
+func FuzzZingCollector(f *testing.F) {
+	probe := func(seq uint64) []byte {
+		buf := make([]byte, ZingHeaderSize)
+		h := ZingHeader{ExpID: 1, Seq: seq, SendTime: int64(seq) * int64(time.Millisecond)}
+		if _, err := h.Marshal(buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf
+	}
+	frames := func(seqs ...uint64) []byte {
+		var out []byte
+		for _, s := range seqs {
+			out = append(append(out, ZingHeaderSize), probe(s)...)
+		}
+		return out
+	}
+	f.Add(frames(0, 1, 2, 3), uint64(4))        // clean stream
+	f.Add(frames(0, 1, 1, 2), uint64(3))        // duplicate
+	f.Add(frames(0, 2, 1, 3), uint64(0))        // reordered pair
+	f.Add(frames(0, 1, 1<<63+5), uint64(1<<63)) // sequence number near 2^63
+	f.Fuzz(func(t *testing.T, data []byte, total uint64) {
+		c := NewZingCollector()
+		for len(data) > 0 {
+			n := min(int(data[0]), len(data)-1)
+			var h ZingHeader
+			if h.Unmarshal(data[1:1+n]) == nil {
+				c.Record(&h)
+			}
+			data = data[1+n:]
+		}
+		for _, id := range c.Sessions() {
+			for _, sent := range []uint64{0, total} {
+				rep, err := c.Report(id, sent)
+				if err != nil {
+					t.Fatalf("session %d: %v", id, err)
+				}
+				if rep.Lost > rep.Probes {
+					t.Fatalf("session %d: %d lost of %d probes", id, rep.Lost, rep.Probes)
+				}
+				if !(rep.Frequency >= 0 && rep.Frequency <= 1) {
+					t.Fatalf("session %d: frequency %v outside [0, 1]", id, rep.Frequency)
+				}
+			}
+		}
+		c.Expire(0)
+		if ids := c.Sessions(); len(ids) != 0 {
+			t.Fatalf("Expire(0) left sessions %v", ids)
+		}
+	})
+}

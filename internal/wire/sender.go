@@ -2,7 +2,6 @@ package wire
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -124,10 +123,11 @@ func Send(ctx context.Context, conn net.Conn, cfg SenderConfig) (SendStats, erro
 // deduplicated slots from badabing.ProbeSlots) onto their deadlines
 // relative to start, which also stamps the wire header so the receiver can
 // reconstruct the timeline. onProbe, if non-nil, is called after each
-// probe's packets have been written — the session engine uses it to track
-// emission progress. cfg must already be defaulted and carry a valid Seed;
+// probe's packets have been written, with the probe's index and the
+// running stats — the wire transport tracks emission progress and write
+// failures from it. cfg must already be defaulted and carry a valid Seed;
 // Send wraps this with schedule generation for standalone use.
-func SendSlots(ctx context.Context, conn net.Conn, cfg SenderConfig, slots []int64, start time.Time, onProbe func(i int, slot int64)) (SendStats, error) {
+func SendSlots(ctx context.Context, conn net.Conn, cfg SenderConfig, slots []int64, start time.Time, onProbe func(i int, st SendStats)) (SendStats, error) {
 	st := SendStats{DeadSlot: -1}
 	if err := cfg.applyDefaults(); err != nil {
 		return st, err
@@ -201,24 +201,10 @@ func SendSlots(ctx context.Context, conn net.Conn, cfg SenderConfig, slots []int
 		<-timer.C
 	}
 
-	// Pace with a coarse timer, then busy-wait the final stretch: OS
-	// timers routinely overshoot by a millisecond or more, which is
-	// material at millisecond slot widths.
-	const spin = 2 * time.Millisecond
 	for i, slot := range slots {
 		deadline := start.Add(time.Duration(slot) * cfg.Slot)
-		if wait := time.Until(deadline) - spin; wait > 0 {
-			timer.Reset(wait)
-			select {
-			case <-ctx.Done():
-				return st, ctx.Err()
-			case <-timer.C:
-			}
-		}
-		for time.Until(deadline) > 0 {
-			if err := ctx.Err(); err != nil {
-				return st, err
-			}
+		if err := waitUntil(ctx, timer, deadline); err != nil {
+			return st, err
 		}
 		if lag := time.Since(deadline); lag > st.MaxLag {
 			st.MaxLag = lag
@@ -240,9 +226,6 @@ func SendSlots(ctx context.Context, conn net.Conn, cfg SenderConfig, slots []int
 				consecFails = 0
 			}
 			if n != len(batch) || err != nil {
-				if errors.Is(err, ErrBatchUnsupported) {
-					bw = nil // stop probing a conn that cannot batch
-				}
 				for i := n; i < len(batch); i++ {
 					if werr := writeOne(batch[i].Buf, slot); werr != nil {
 						return st, werr
@@ -264,8 +247,31 @@ func SendSlots(ctx context.Context, conn net.Conn, cfg SenderConfig, slots []int
 			}
 		}
 		if onProbe != nil {
-			onProbe(i, slot)
+			onProbe(i, st)
 		}
 	}
 	return st, nil
+}
+
+// waitUntil paces one send onto its deadline: a coarse timer to within
+// 2 ms of it, then a busy-wait, because OS timers routinely overshoot by
+// a millisecond or more, which is material at millisecond slot widths.
+// timer must be stopped and drained; it is again when waitUntil returns
+// nil. A deadline already past returns at once.
+func waitUntil(ctx context.Context, timer *time.Timer, deadline time.Time) error {
+	const spin = 2 * time.Millisecond
+	if wait := time.Until(deadline) - spin; wait > 0 {
+		timer.Reset(wait)
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-timer.C:
+		}
+	}
+	for time.Until(deadline) > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -99,31 +99,31 @@ func (c *ZingSenderConfig) applyDefaults() error {
 }
 
 // ZingSend emits sequence-numbered, timestamped probes over conn at
-// Poisson-modulated intervals until the configured duration elapses or ctx
+// Poisson-modulated epochs until the configured duration elapses or ctx
 // is cancelled (in which case it returns the probes sent so far alongside
-// ctx's error). The returned count is the exact total a collector needs
-// for trailing-loss accounting.
+// ctx's error). Each epoch is the running sum of exponential gaps from the
+// start, the draw the simulated ZING prober makes, and each probe is paced
+// onto its epoch the way SendSlots paces a slot deadline, so a late write
+// does not delay the probes after it. The first epoch at or after the
+// duration ends the session. The returned count is the exact total a
+// collector needs for trailing-loss accounting.
 func ZingSend(ctx context.Context, conn net.Conn, cfg ZingSenderConfig) (uint64, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return 0, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	mean := time.Duration(float64(time.Second) / cfg.Rate)
-	end := time.Now().Add(cfg.Duration)
 	buf := make([]byte, cfg.Size)
 	timer := time.NewTimer(0)
 	defer timer.Stop()
 	if !timer.Stop() {
 		<-timer.C
 	}
+	start := time.Now()
 	var seq uint64
-	for time.Now().Before(end) {
-		gap := time.Duration(rng.ExpFloat64() * float64(mean))
-		timer.Reset(gap)
-		select {
-		case <-ctx.Done():
-			return seq, ctx.Err()
-		case <-timer.C:
+	for epoch := stats.Exp(rng, mean); epoch < cfg.Duration; epoch += stats.Exp(rng, mean) {
+		if err := waitUntil(ctx, timer, start.Add(epoch)); err != nil {
+			return seq, err
 		}
 		h := ZingHeader{ExpID: cfg.ExpID, Seq: seq, SendTime: time.Now().UnixNano()}
 		if _, err := h.Marshal(buf); err != nil {
@@ -139,8 +139,9 @@ func ZingSend(ctx context.Context, conn net.Conn, cfg ZingSenderConfig) (uint64,
 
 // zingSession holds received sequence numbers and send times.
 type zingSession struct {
-	seqs   map[uint64]int64 // seq → send time
-	maxSeq uint64
+	seqs     map[uint64]int64 // seq → send time
+	maxSeq   uint64
+	lastSeen time.Time // arrival of the newest packet, for Expire
 }
 
 // ZingCollector receives ZING probes and reports loss characteristics the
@@ -170,6 +171,24 @@ func (c *ZingCollector) Record(h *ZingHeader) {
 	if h.Seq > s.maxSeq {
 		s.maxSeq = h.Seq
 	}
+	s.lastSeen = time.Now()
+}
+
+// Expire drops sessions that have received no packet for at least
+// maxIdle, returning how many were removed. A long-running collector
+// calls it after each report so finished sessions do not accumulate.
+func (c *ZingCollector) Expire(maxIdle time.Duration) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cutoff := time.Now().Add(-maxIdle)
+	removed := 0
+	for id, s := range c.sessions {
+		if !s.lastSeen.After(cutoff) {
+			delete(c.sessions, id)
+			removed++
+		}
+	}
+	return removed
 }
 
 // ZingWireReport is the per-session analysis.

@@ -1,8 +1,13 @@
 package wire
 
 import (
+	"context"
+	"math/rand"
+	"net"
 	"testing"
 	"time"
+
+	"badabing/internal/stats"
 )
 
 func TestZingHeaderRoundTrip(t *testing.T) {
@@ -140,4 +145,85 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
+}
+
+// TestZingSendPacesDrawnEpochs: at 200 Hz for 1 s over loopback the
+// sender emits exactly the drawn epochs before 1 s, and none of them
+// leaves ahead of its epoch.
+func TestZingSendPacesDrawnEpochs(t *testing.T) {
+	const rate, seed, dur = 200.0, 7, time.Second
+	rng := rand.New(rand.NewSource(seed))
+	mean := time.Duration(float64(time.Second) / rate)
+	var epochs []time.Duration
+	for at := stats.Exp(rng, mean); at < dur; at += stats.Exp(rng, mean) {
+		epochs = append(epochs, at)
+	}
+
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	conn, err := net.Dial("udp", pc.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var got []ZingHeader
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		buf := make([]byte, 512)
+		for {
+			n, _, err := pc.ReadFrom(buf)
+			if err != nil {
+				return
+			}
+			var h ZingHeader
+			if h.Unmarshal(buf[:n]) == nil {
+				got = append(got, h)
+			}
+		}
+	}()
+
+	before := time.Now()
+	sent, err := ZingSend(context.Background(), conn, ZingSenderConfig{ExpID: 1, Rate: rate, Duration: dur, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond) // let the last probes land
+	pc.Close()
+	<-done
+	if sent != uint64(len(epochs)) {
+		t.Fatalf("sent %d probes, the schedule draws %d before %v", sent, len(epochs), dur)
+	}
+	if len(got) == 0 {
+		t.Fatal("no probe arrived")
+	}
+	for _, h := range got {
+		if h.Seq >= uint64(len(epochs)) {
+			t.Fatalf("probe %d beyond the %d drawn epochs", h.Seq, len(epochs))
+		}
+		if epoch := before.Add(epochs[h.Seq]).UnixNano(); h.SendTime < epoch {
+			t.Errorf("probe %d left %v ahead of its epoch", h.Seq, time.Duration(epoch-h.SendTime))
+		}
+	}
+}
+
+// TestZingCollectorExpire: Expire drops the sessions idle for at least
+// maxIdle and keeps the rest.
+func TestZingCollectorExpire(t *testing.T) {
+	c := NewZingCollector()
+	feed(c, 1, 5, nil)
+	time.Sleep(200 * time.Millisecond)
+	feed(c, 2, 5, nil)
+	if n := c.Expire(100 * time.Millisecond); n != 1 {
+		t.Fatalf("Expire removed %d sessions, want 1", n)
+	}
+	if ids := c.Sessions(); len(ids) != 1 || ids[0] != 2 {
+		t.Fatalf("sessions = %v, want [2]", ids)
+	}
+	if _, err := c.Report(1, 0); err != ErrUnknownSession {
+		t.Fatalf("expired session reports err %v, want ErrUnknownSession", err)
+	}
 }
