@@ -60,14 +60,20 @@ func goldenCells() []goldenRow {
 }
 
 // pathCells pins the lab paths the sweep cells above never reach, at the
-// same 45 s horizon: hand-built Poisson-pair schedules, the §5.5
-// extended pairs on the improved design, a RED bottleneck and a
-// two-hop chain.
+// same 45 s horizon: the ZING prober of Tables 1 and 2, hand-built
+// Poisson-pair schedules, the §5.5 extended pairs on the improved
+// design, a RED bottleneck and a two-hop chain.
 func pathCells() []goldenRow {
 	cfg := RunConfig{Horizon: 45 * time.Second, Seed: 1}
 	var rows []goldenRow
 	add := func(key string, trueF, estF, trueD, estD float64) {
 		rows = append(rows, goldenRow{Key: "golden/" + key, TrueF: trueF, EstF: estF, TrueD: trueD, EstD: estD})
+	}
+	for _, t := range []LossTable{Table1(cfg), Table2(cfg)} {
+		truth := t.Rows[0]
+		for _, r := range t.Rows[1:] {
+			add(t.Title+"/"+r.Name, truth.Frequency, r.Frequency, truth.DurMean, r.DurMean)
+		}
 	}
 	for _, res := range []AblationResult{AblationPlacement(cfg), AblationExtendedPairs(cfg)} {
 		for _, r := range res.Rows {
