@@ -1,10 +1,11 @@
 // Command zing is a ZING-style Poisson-modulated loss prober over UDP —
-// the baseline tool of the paper's §4. The sender emits timestamped,
-// sequence-numbered probes at exponentially distributed intervals; the
-// collector infers loss from sequence gaps and reports loss frequency and
-// the durations of runs of consecutive lost probes. The sender paces its
-// drawn Poisson epochs; the collector drops a session one report after
-// its last packet.
+// the baseline tool of the paper's §4. The sender paces timestamped,
+// sequence-numbered probes onto drawn Poisson epochs, and every probe
+// carries the draw. The collector redraws the epochs, counts a probe lost
+// once it is due and has not arrived, and reports loss frequency and the
+// durations of runs of consecutive lost probes with the same analysis as
+// the simulated prober. It drops a session one report after its last
+// packet.
 //
 // Usage:
 //
@@ -85,7 +86,7 @@ func runSend(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("sent %d probes; pass -total %d to the collector for exact trailing-loss accounting\n", sent, sent)
+	fmt.Printf("sent %d probes\n", sent)
 	return nil
 }
 
@@ -93,7 +94,6 @@ func runCollect(args []string) error {
 	fs := flag.NewFlagSet("collect", flag.ExitOnError)
 	listen := fs.String("listen", ":8791", "UDP address to listen on")
 	every := fs.Duration("every", 10*time.Second, "report interval; after each report, sessions idle for longer are dropped")
-	total := fs.Uint64("total", 0, "probes the sender reports having sent (0 = infer)")
 	fs.Parse(args)
 
 	conn, err := net.ListenPacket("udp", *listen)
@@ -111,7 +111,7 @@ func runCollect(args []string) error {
 			}
 			var h wire.ZingHeader
 			if err := h.Unmarshal(buf[:n]); err == nil {
-				col.Record(&h)
+				col.Record(&h, time.Now())
 			}
 		}
 	}()
@@ -121,7 +121,7 @@ func runCollect(args []string) error {
 	defer stop()
 	tick := time.NewTicker(*every)
 	defer tick.Stop()
-	serveReports(ctx, col, tick.C, *every, func() { report(col, *total) })
+	serveReports(ctx, col, tick.C, *every, func() { report(col) })
 	return nil
 }
 
@@ -142,19 +142,20 @@ func serveReports(ctx context.Context, col *wire.ZingCollector, tick <-chan time
 	}
 }
 
-func report(col *wire.ZingCollector, total uint64) {
+func report(col *wire.ZingCollector) {
 	ids := col.Sessions()
 	if len(ids) == 0 {
 		fmt.Println("no sessions yet")
 		return
 	}
 	for _, id := range ids {
-		rep, err := col.Report(id, total)
+		rep, err := col.Report(id)
 		if err != nil {
+			fmt.Printf("session %d: %v\n", id, err)
 			continue
 		}
 		fmt.Printf("session %d: %d/%d probes received, frequency %.5f, loss runs %d, duration µ %.4fs (σ %.4f)\n",
-			id, rep.Received, rep.Probes, rep.Frequency,
+			id, rep.Probes-rep.Lost, rep.Probes, rep.Frequency,
 			rep.Duration.N(), rep.Duration.Mean(), rep.Duration.StdDev())
 	}
 }

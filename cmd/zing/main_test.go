@@ -14,7 +14,7 @@ import (
 // long-running collector does not keep every session forever.
 func TestCollectForgetsIdleSessions(t *testing.T) {
 	col := wire.NewZingCollector()
-	col.Record(&wire.ZingHeader{ExpID: 7, SendTime: time.Now().UnixNano()})
+	col.Record(&wire.ZingHeader{ExpID: 7, SendTime: time.Now().UnixNano()}, time.Now())
 
 	const every = 20 * time.Millisecond
 	time.Sleep(2 * every) // the session is now idle for longer than every

@@ -13,7 +13,7 @@ import (
 func TestProberArrivalAllocs(t *testing.T) {
 	s := simnet.New()
 	d := simnet.NewDumbbell(s, simnet.DumbbellConfig{})
-	p := NewProber(s, d.Bottleneck, 9, 600, 0)
+	p := NewProber(s, d.Bottleneck, 9, 600)
 	for k := int64(0); k < 1000; k++ {
 		p.SendProbe(3*k, 3)
 	}

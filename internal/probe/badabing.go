@@ -19,8 +19,6 @@ type BadabingConfig struct {
 	PacketsPerProbe int
 	// PacketSize: default 600 bytes (§6.1).
 	PacketSize int
-	// PktGap spaces packets within a probe. Default 30 µs.
-	PktGap time.Duration
 }
 
 func (c *BadabingConfig) applyDefaults() {
@@ -32,9 +30,6 @@ func (c *BadabingConfig) applyDefaults() {
 	}
 	if c.PacketSize == 0 {
 		c.PacketSize = 600
-	}
-	if c.PktGap == 0 {
-		c.PktGap = 30 * time.Microsecond
 	}
 }
 
@@ -54,7 +49,7 @@ type Badabing struct {
 func StartBadabing(sim *simnet.Sim, entry *simnet.Link, demux *simnet.Demux, flow uint64, cfg BadabingConfig, slots []int64) *Badabing {
 	cfg.applyDefaults()
 	b := &Badabing{
-		prober: NewProber(sim, entry, flow, cfg.PacketSize, cfg.PktGap),
+		prober: NewProber(sim, entry, flow, cfg.PacketSize),
 		slots:  slots,
 		obs:    make([]badabing.ProbeObs, 0, len(slots)),
 	}

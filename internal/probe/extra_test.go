@@ -11,7 +11,7 @@ import (
 func TestProberOWDTracksQueueDelay(t *testing.T) {
 	s := simnet.New()
 	d := simnet.NewDumbbell(s, simnet.DumbbellConfig{})
-	p := NewProber(s, d.Bottleneck, 9, 600, time.Microsecond)
+	p := NewProber(s, d.Bottleneck, 9, 600)
 	d.FwdDemux.Register(9, p.Receiver())
 	// Pre-load the queue with ~50 ms of traffic, then probe.
 	s.Schedule(0, func() {
@@ -63,32 +63,33 @@ func TestBadabingObservationsInheritLastOWD(t *testing.T) {
 	}
 }
 
+// TestZingFlightCounts: a ZING probe is one packet, sent at its drawn
+// epoch.
 func TestZingFlightCounts(t *testing.T) {
 	s := simnet.New()
 	d := simnet.NewDumbbell(s, simnet.DumbbellConfig{})
-	z := StartZing(s, d, 9, ZingConfig{
-		Mean:    50 * time.Millisecond,
-		Flight:  3,
-		Horizon: 10 * time.Second,
-		Seed:    4,
-	})
+	cfg := ZingConfig{Mean: 50 * time.Millisecond, Horizon: 10 * time.Second, Seed: 4}
+	z := StartZing(s, d, 9, cfg)
 	s.Run(11 * time.Second)
-	rep := z.Report()
-	if rep.Probes == 0 {
-		t.Fatal("no probes sent")
+	epochs, err := ZingEpochs(cfg.Seed, cfg.Mean, cfg.Horizon)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, o := range z.Results() {
-		if o.Sent != 3 {
-			t.Fatalf("flight size %d, want 3", o.Sent)
+	res := z.Results()
+	if len(res) == 0 || len(res) != len(epochs) {
+		t.Fatalf("%d probes sent, the draw holds %d", len(res), len(epochs))
+	}
+	for i, o := range res {
+		if o.Sent != 1 || o.T != epochs[i] {
+			t.Fatalf("probe %d: %d packets at %v, want 1 at %v", i, o.Sent, o.T, epochs[i])
 		}
 	}
-	_ = rep
 }
 
 func TestZingConfigDefaults(t *testing.T) {
 	var c ZingConfig
 	c.applyDefaults()
-	if c.Mean != 100*time.Millisecond || c.PacketSize != 256 || c.Flight != 1 {
+	if c.Mean != 100*time.Millisecond || c.PacketSize != 256 || c.Seed != 1 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 }
@@ -99,8 +100,8 @@ func TestBadabingConfigDefaults(t *testing.T) {
 	if c.Slot != badabing.DefaultSlot || c.PacketsPerProbe != 3 || c.PacketSize != 600 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
-	if c.PktGap != 30*time.Microsecond {
-		t.Fatalf("pkt gap %v, want 30µs (paper's host capability)", c.PktGap)
+	if PktGap != 30*time.Microsecond {
+		t.Fatalf("pkt gap %v, want 30µs (paper's host capability)", PktGap)
 	}
 }
 
@@ -131,5 +132,26 @@ func TestBadabingReportEmptySchedule(t *testing.T) {
 	rep := estimates(t, bb, nil, badabing.MarkerConfig{})
 	if rep.M != 0 || rep.HasDuration || rep.Frequency != 0 {
 		t.Fatalf("empty schedule produced estimates: %+v", rep)
+	}
+}
+
+// TestZingEpochsBounds: a draw that would exceed badabing.MaxSlots
+// epochs is refused, whether its mean gap already says so or only the
+// draw does (one-nanosecond gaps round down to zero).
+func TestZingEpochsBounds(t *testing.T) {
+	if _, err := ZingEpochs(1, time.Nanosecond, badabing.MaxSlots+1); err == nil {
+		t.Error("a horizon of MaxSlots+1 mean gaps was accepted")
+	}
+	if _, err := ZingEpochs(1, 0, time.Second); err == nil {
+		t.Error("a zero mean gap was accepted")
+	}
+	if _, err := ZingEpochs(1, time.Second, 0); err == nil {
+		t.Error("a zero horizon was accepted")
+	}
+	if testing.Short() {
+		t.Skip("drawing MaxSlots epochs takes 64 MiB")
+	}
+	if _, err := ZingEpochs(1, time.Nanosecond, badabing.MaxSlots); err == nil {
+		t.Error("a draw of more than MaxSlots epochs was accepted")
 	}
 }

@@ -16,8 +16,6 @@ type FixedConfig struct {
 	PacketsPerProbe int
 	// PacketSize: default 600.
 	PacketSize int
-	// PktGap within a probe: default 30 µs.
-	PktGap time.Duration
 	// Horizon stops probing at this virtual time.
 	Horizon time.Duration
 }
@@ -32,30 +30,18 @@ func (c *FixedConfig) applyDefaults() {
 	if c.PacketSize == 0 {
 		c.PacketSize = 600
 	}
-	if c.PktGap == 0 {
-		c.PktGap = 30 * time.Microsecond
-	}
 }
 
 // Fixed drives fixed-interval probing on a simulated path.
 type Fixed struct {
-	cfg    FixedConfig
 	prober *Prober
 }
 
 // StartFixed begins probing immediately.
 func StartFixed(sim *simnet.Sim, d *simnet.Dumbbell, flow uint64, cfg FixedConfig) *Fixed {
-	return StartFixedAt(sim, d.Bottleneck, d.FwdDemux, flow, cfg)
-}
-
-// StartFixedAt is the topology-agnostic form.
-func StartFixedAt(sim *simnet.Sim, entry *simnet.Link, demux *simnet.Demux, flow uint64, cfg FixedConfig) *Fixed {
 	cfg.applyDefaults()
-	f := &Fixed{
-		cfg:    cfg,
-		prober: NewProber(sim, entry, flow, cfg.PacketSize, cfg.PktGap),
-	}
-	demux.Register(flow, f.prober.Receiver())
+	f := &Fixed{prober: NewProber(sim, d.Bottleneck, flow, cfg.PacketSize)}
+	d.FwdDemux.Register(flow, f.prober.Receiver())
 	var key int64
 	var tick *simnet.Timer
 	tick = sim.NewTimer(func() {

@@ -16,7 +16,7 @@ import (
 func TestProberCleanPath(t *testing.T) {
 	s := simnet.New()
 	d := simnet.NewDumbbell(s, simnet.DumbbellConfig{})
-	p := NewProber(s, d.Bottleneck, 9, 600, 30*time.Microsecond)
+	p := NewProber(s, d.Bottleneck, 9, 600)
 	d.FwdDemux.Register(9, p.Receiver())
 	s.Schedule(0, func() { p.SendProbe(0, 3) })
 	s.Schedule(5*time.Millisecond, func() { p.SendProbe(1, 3) })
@@ -47,7 +47,7 @@ func TestProberDetectsLoss(t *testing.T) {
 	dmx := simnet.NewDemux()
 	l := simnet.NewLink(s, simnet.Rate(1_000_000), 0, 1200, dmx)
 	_ = sink
-	p := NewProber(s, l, 9, 600, time.Microsecond)
+	p := NewProber(s, l, 9, 600)
 	dmx.Register(9, p.Receiver())
 	s.Schedule(0, func() { p.SendProbe(0, 5) }) // 5 packets into a 2-packet queue
 	s.Run(time.Second)
@@ -63,7 +63,7 @@ func TestProberDetectsLoss(t *testing.T) {
 func TestProberDuplicateKeyPanics(t *testing.T) {
 	s := simnet.New()
 	d := simnet.NewDumbbell(s, simnet.DumbbellConfig{})
-	p := NewProber(s, d.Bottleneck, 9, 600, 0)
+	p := NewProber(s, d.Bottleneck, 9, 600)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate key did not panic")
@@ -118,7 +118,7 @@ func TestZingRunDetection(t *testing.T) {
 	s := simnet.New()
 	dmx := simnet.NewDemux()
 	l := simnet.NewLink(s, simnet.Rate(100_000_000), 0, 600*2, dmx)
-	p := NewProber(s, l, 9, 600, 0)
+	p := NewProber(s, l, 9, 600)
 	dmx.Register(9, p.Receiver())
 	// Saturate the queue continuously from t=95ms to t=135ms so probes
 	// at 100,110,120,130 ms all drop.

@@ -26,11 +26,10 @@ type record struct {
 // The Prober must be registered (via Receiver) on the demux that
 // terminates the forward path.
 type Prober struct {
-	sim    *simnet.Sim
-	link   *simnet.Link
-	flow   uint64
-	size   int
-	pktGap time.Duration
+	sim  *simnet.Sim
+	link *simnet.Link
+	flow uint64
+	size int
 
 	// probes holds one record per probe in send order. Keys are
 	// strictly ascending, so an arrival finds its record by binary
@@ -40,17 +39,14 @@ type Prober struct {
 
 const pktsPerKey = 64
 
+// PktGap spaces the packets of one probe: the paper's hosts managed
+// ≈30 µs back to back.
+const PktGap = 30 * time.Microsecond
+
 // NewProber creates a prober sending size-byte probe packets into link
-// under the given flow id, spacing packets within a probe by pktGap
-// (the paper's hosts managed ≈30 µs back-to-back).
-func NewProber(sim *simnet.Sim, link *simnet.Link, flow uint64, size int, pktGap time.Duration) *Prober {
-	return &Prober{
-		sim:    sim,
-		link:   link,
-		flow:   flow,
-		size:   size,
-		pktGap: pktGap,
-	}
+// under the given flow id.
+func NewProber(sim *simnet.Sim, link *simnet.Link, flow uint64, size int) *Prober {
+	return &Prober{sim: sim, link: link, flow: flow, size: size}
 }
 
 // Receiver returns the receiver to register for the probe flow.
@@ -80,7 +76,7 @@ func (p *Prober) SendProbe(key int64, n int) {
 	start := p.sim.Now()
 	p.probes = append(p.probes, record{key: key, at: start, sent: n})
 	p.sim.ScheduleEach(n, func(i int) time.Duration {
-		return start + time.Duration(i)*p.pktGap
+		return start + time.Duration(i)*PktGap
 	}, func(i int) {
 		p.link.Send(&simnet.Packet{
 			ID:   p.sim.NextPacketID(),

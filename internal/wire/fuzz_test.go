@@ -7,6 +7,7 @@ import (
 
 	"badabing/internal/badabing"
 	"badabing/internal/estimate"
+	"badabing/internal/probe"
 )
 
 // FuzzHeaderUnmarshal ensures arbitrary bytes never panic the decoder and
@@ -262,53 +263,71 @@ func FuzzCollectorPacket(f *testing.F) {
 
 // FuzzZingCollector drives the ZING collector's packet path. The input is
 // a sequence of datagrams, each preceded by its one-byte length; every
-// one that decodes is recorded. Each session is then reported with the
-// inferred probe count and with a fuzzed total, and everything is
-// expired. Nothing may panic or hang, a report's lost probes never exceed
-// its probes, its frequency lies in [0, 1], and Expire(0) leaves no
-// session behind.
+// one that decodes is recorded, having arrived as long ago as its send
+// time's low 42 bits say (up to 73 minutes, so trailing probes are due in
+// some inputs and not in others). Each session is then reported, and
+// everything is expired. Nothing may panic or hang; a session is
+// reportable exactly when probe.ZingEpochs accepts its draw; a report's
+// lost probes never exceed its probes, nor its probes the draw; its
+// frequency lies in [0, 1]; and Expire(0) leaves no session behind.
+// Valid draws longer than 1<<16 probes are skipped: drawing them is only
+// slow.
 func FuzzZingCollector(f *testing.F) {
-	probe := func(seq uint64) []byte {
+	draw := ZingHeader{ExpID: 1, Seed: 1, Mean: time.Millisecond, Duration: 100 * time.Millisecond}
+	packet := func(seq uint64, draw ZingHeader) []byte {
 		buf := make([]byte, ZingHeaderSize)
-		h := ZingHeader{ExpID: 1, Seq: seq, SendTime: int64(seq) * int64(time.Millisecond)}
+		h := draw
+		h.Seq, h.SendTime = seq, int64(seq)*int64(time.Millisecond)
 		if _, err := h.Marshal(buf); err != nil {
 			f.Fatal(err)
 		}
 		return buf
 	}
-	frames := func(seqs ...uint64) []byte {
+	frames := func(draw ZingHeader, seqs ...uint64) []byte {
 		var out []byte
 		for _, s := range seqs {
-			out = append(append(out, ZingHeaderSize), probe(s)...)
+			out = append(append(out, ZingHeaderSize), packet(s, draw)...)
 		}
 		return out
 	}
-	f.Add(frames(0, 1, 2, 3), uint64(4))        // clean stream
-	f.Add(frames(0, 1, 1, 2), uint64(3))        // duplicate
-	f.Add(frames(0, 2, 1, 3), uint64(0))        // reordered pair
-	f.Add(frames(0, 1, 1<<63+5), uint64(1<<63)) // sequence number near 2^63
-	f.Fuzz(func(t *testing.T, data []byte, total uint64) {
+	with := func(mean, dur time.Duration) ZingHeader {
+		d := draw
+		d.Mean, d.Duration = mean, dur
+		return d
+	}
+	f.Add(frames(draw, 0, 1, 2, 3))                       // clean stream
+	f.Add(frames(draw, 0, 1, 1, 2))                       // duplicate
+	f.Add(frames(draw, 0, 2, 1, 3))                       // reordered pair
+	f.Add(frames(draw, 0, 1, 1<<63+5))                    // sequence number near 2^63
+	f.Add(frames(with(time.Nanosecond, time.Hour), 0, 1)) // oversized draw
+	f.Add(frames(with(0, time.Second), 0, 1))             // zero mean
+	f.Add(frames(with(time.Millisecond, 0), 0, 1))        // zero duration
+	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewZingCollector()
+		now := time.Now()
 		for len(data) > 0 {
 			n := min(int(data[0]), len(data)-1)
 			var h ZingHeader
 			if h.Unmarshal(data[1:1+n]) == nil {
-				c.Record(&h)
+				if h.Mean > 0 && h.Duration/h.Mean > 1<<16 && h.Duration/h.Mean <= badabing.MaxSlots {
+					t.Skip("valid draw too long to draw per input")
+				}
+				c.Record(&h, now.Add(-time.Duration(h.SendTime&(1<<42-1))))
 			}
 			data = data[1+n:]
 		}
 		for _, id := range c.Sessions() {
-			for _, sent := range []uint64{0, total} {
-				rep, err := c.Report(id, sent)
-				if err != nil {
-					t.Fatalf("session %d: %v", id, err)
-				}
-				if rep.Lost > rep.Probes {
-					t.Fatalf("session %d: %d lost of %d probes", id, rep.Lost, rep.Probes)
-				}
-				if !(rep.Frequency >= 0 && rep.Frequency <= 1) {
-					t.Fatalf("session %d: frequency %v outside [0, 1]", id, rep.Frequency)
-				}
+			d := c.sessions[id].draw
+			epochs, drawErr := probe.ZingEpochs(d.Seed, d.Mean, d.Duration)
+			rep, err := c.Report(id)
+			if (err != nil) != (drawErr != nil) {
+				t.Fatalf("session %d: draw %+v refused with %v, report with %v", id, d, drawErr, err)
+			}
+			if rep.Lost > rep.Probes || rep.Probes > len(epochs) {
+				t.Fatalf("session %d: %d lost of %d probes, %d drawn", id, rep.Lost, rep.Probes, len(epochs))
+			}
+			if !(rep.Frequency >= 0 && rep.Frequency <= 1) {
+				t.Fatalf("session %d: frequency %v outside [0, 1]", id, rep.Frequency)
 			}
 		}
 		c.Expire(0)

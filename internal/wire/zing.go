@@ -1,17 +1,19 @@
 package wire
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
-	"badabing/internal/stats"
+	"badabing/internal/badabing"
+	"badabing/internal/probe"
 )
 
 // ZingMagic identifies ZING-style Poisson probe packets.
@@ -20,8 +22,9 @@ const ZingMagic uint32 = 0x5a494e47 // "ZING"
 // ZingHeaderSize is the encoded size of a ZingHeader.
 //
 // Layout (big-endian): magic uint32, version uint8, pad uint8,
-// expID uint64, seq uint64, sendTime int64.
-const ZingHeaderSize = 30
+// expID uint64, seq uint64, sendTime int64, then the sender's epoch
+// draw: seed int64, mean int64 (ns), duration int64 (ns).
+const ZingHeaderSize = 54
 
 // ZingHeader is the wire header of the Poisson prober: sequence-numbered,
 // timestamped UDP probes (§2: "ZING sends UDP packets at Poisson-modulated
@@ -31,6 +34,11 @@ type ZingHeader struct {
 	ExpID    uint64
 	Seq      uint64
 	SendTime int64 // Unix nanos
+	// Seed, Mean and Duration are the sender's draw (probe.ZingEpochs):
+	// from them the collector redraws every probe's send epoch.
+	Seed     int64
+	Mean     time.Duration
+	Duration time.Duration
 }
 
 // Marshal encodes h into buf.
@@ -44,6 +52,9 @@ func (h *ZingHeader) Marshal(buf []byte) (int, error) {
 	binary.BigEndian.PutUint64(buf[6:], h.ExpID)
 	binary.BigEndian.PutUint64(buf[14:], h.Seq)
 	binary.BigEndian.PutUint64(buf[22:], uint64(h.SendTime))
+	binary.BigEndian.PutUint64(buf[30:], uint64(h.Seed))
+	binary.BigEndian.PutUint64(buf[38:], uint64(h.Mean))
+	binary.BigEndian.PutUint64(buf[46:], uint64(h.Duration))
 	return ZingHeaderSize, nil
 }
 
@@ -61,6 +72,9 @@ func (h *ZingHeader) Unmarshal(buf []byte) error {
 	h.ExpID = binary.BigEndian.Uint64(buf[6:])
 	h.Seq = binary.BigEndian.Uint64(buf[14:])
 	h.SendTime = int64(binary.BigEndian.Uint64(buf[22:]))
+	h.Seed = int64(binary.BigEndian.Uint64(buf[30:]))
+	h.Mean = time.Duration(binary.BigEndian.Uint64(buf[38:]))
+	h.Duration = time.Duration(binary.BigEndian.Uint64(buf[46:]))
 	return nil
 }
 
@@ -89,30 +103,29 @@ func (c *ZingSenderConfig) applyDefaults() error {
 	if c.Rate <= 0 {
 		return fmt.Errorf("wire: zing rate %v must be positive", c.Rate)
 	}
-	if c.Duration <= 0 {
-		return fmt.Errorf("wire: zing duration %v must be positive", c.Duration)
-	}
 	if c.Seed == 0 {
 		c.Seed = nowNano()
 	}
 	return nil
 }
 
-// ZingSend emits sequence-numbered, timestamped probes over conn at
-// Poisson-modulated epochs until the configured duration elapses or ctx
-// is cancelled (in which case it returns the probes sent so far alongside
-// ctx's error). Each epoch is the running sum of exponential gaps from the
-// start, the draw the simulated ZING prober makes, and each probe is paced
-// onto its epoch the way SendSlots paces a slot deadline, so a late write
-// does not delay the probes after it. The first epoch at or after the
-// duration ends the session. The returned count is the exact total a
-// collector needs for trailing-loss accounting.
+// ZingSend emits sequence-numbered, timestamped probes over conn at the
+// epochs probe.ZingEpochs draws before the configured duration, the
+// simulated ZING prober's draw, until the last is sent or ctx is cancelled
+// (in which case it returns the probes sent so far alongside ctx's error).
+// Each probe is paced onto its epoch the way SendSlots paces a slot
+// deadline, so a late write does not delay the probes after it. Every
+// header carries the draw, so the collector knows the whole session.
 func ZingSend(ctx context.Context, conn net.Conn, cfg ZingSenderConfig) (uint64, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return 0, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	mean := time.Duration(float64(time.Second) / cfg.Rate)
+	epochs, err := probe.ZingEpochs(cfg.Seed, mean, cfg.Duration)
+	if err != nil {
+		return 0, err
+	}
+	h := ZingHeader{ExpID: cfg.ExpID, Seed: cfg.Seed, Mean: mean, Duration: cfg.Duration}
 	buf := make([]byte, cfg.Size)
 	timer := time.NewTimer(0)
 	defer timer.Stop()
@@ -120,58 +133,68 @@ func ZingSend(ctx context.Context, conn net.Conn, cfg ZingSenderConfig) (uint64,
 		<-timer.C
 	}
 	start := time.Now()
-	var seq uint64
-	for epoch := stats.Exp(rng, mean); epoch < cfg.Duration; epoch += stats.Exp(rng, mean) {
+	for i, epoch := range epochs {
 		if err := waitUntil(ctx, timer, start.Add(epoch)); err != nil {
-			return seq, err
+			return uint64(i), err
 		}
-		h := ZingHeader{ExpID: cfg.ExpID, Seq: seq, SendTime: time.Now().UnixNano()}
+		h.Seq, h.SendTime = uint64(i), time.Now().UnixNano()
 		if _, err := h.Marshal(buf); err != nil {
-			return seq, err
+			return uint64(i), err
 		}
 		if _, err := conn.Write(buf); err != nil {
-			return seq, err
+			return uint64(i), err
 		}
-		seq++
 	}
-	return seq, nil
+	return uint64(len(epochs)), nil
 }
 
-// zingSession holds received sequence numbers and send times.
+// zingRec is one received probe.
+type zingRec struct {
+	seq     uint64
+	arrival time.Time
+}
+
+func cmpSeq(r zingRec, seq uint64) int { return cmp.Compare(r.seq, seq) }
+
+// zingSession is the collector's state for one ExpID.
 type zingSession struct {
-	seqs     map[uint64]int64 // seq → send time
-	maxSeq   uint64
+	draw ZingHeader // the epoch draw from the first packet seen
+	// recs holds one record per probe heard from, in strictly ascending
+	// sequence order; a duplicate keeps its first arrival.
+	recs     []zingRec
 	lastSeen time.Time // arrival of the newest packet, for Expire
 }
 
 // ZingCollector receives ZING probes and reports loss characteristics the
 // way §4.2 analyzes them: loss frequency as the fraction of lost probes
-// and loss episodes as runs of consecutive lost sequence numbers.
+// and loss episodes as runs of consecutive lost probes.
 type ZingCollector struct {
 	mu       sync.Mutex
 	sessions map[uint64]*zingSession
 }
 
-// NewZingCollector returns an empty collector; feed it with Record or via
-// Serve.
+// NewZingCollector returns an empty collector; feed it with Record.
 func NewZingCollector() *ZingCollector {
 	return &ZingCollector{sessions: make(map[uint64]*zingSession)}
 }
 
-// Record registers one received probe.
-func (c *ZingCollector) Record(h *ZingHeader) {
+// Record registers one probe that arrived at arrival. A sequence number no
+// draw reaches (badabing.MaxSlots or more) names no probe and is dropped.
+func (c *ZingCollector) Record(h *ZingHeader, arrival time.Time) {
+	if h.Seq >= badabing.MaxSlots {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.sessions[h.ExpID]
 	if s == nil {
-		s = &zingSession{seqs: make(map[uint64]int64)}
+		s = &zingSession{draw: *h}
 		c.sessions[h.ExpID] = s
 	}
-	s.seqs[h.Seq] = h.SendTime
-	if h.Seq > s.maxSeq {
-		s.maxSeq = h.Seq
+	s.lastSeen = arrival
+	if i, ok := slices.BinarySearchFunc(s.recs, h.Seq, cmpSeq); !ok {
+		s.recs = slices.Insert(s.recs, i, zingRec{seq: h.Seq, arrival: arrival})
 	}
-	s.lastSeen = time.Now()
 }
 
 // Expire drops sessions that have received no packet for at least
@@ -191,70 +214,39 @@ func (c *ZingCollector) Expire(maxIdle time.Duration) int {
 	return removed
 }
 
-// ZingWireReport is the per-session analysis.
-type ZingWireReport struct {
-	Probes    uint64
-	Received  uint64
-	Lost      uint64
-	Frequency float64
-	// Duration summarizes loss-run durations in seconds, where a run's
-	// duration is the send-time span of its consecutive lost probes.
-	Duration stats.Summary
-}
-
-// Report analyzes a session. totalSent > 0 overrides the probe count
-// inferred from the highest sequence seen (which misses trailing losses).
-func (c *ZingCollector) Report(expID uint64, totalSent uint64) (ZingWireReport, error) {
+// Report analyzes a session with probe.AnalyzeZing, the analysis behind
+// the simulated prober's report. It redraws the session's epochs from its
+// header and scores the probes that are due: those whose epoch is at or
+// before the newest received probe's epoch plus the time since that probe
+// arrived. A due probe that never arrived is lost, so trailing losses
+// count once the sender has had time to send them. Sequence numbers
+// beyond the draw are ignored.
+func (c *ZingCollector) Report(expID uint64) (probe.ZingReport, error) {
 	c.mu.Lock()
 	s := c.sessions[expID]
-	if s == nil {
-		c.mu.Unlock()
-		return ZingWireReport{}, ErrUnknownSession
-	}
-	seqs := make(map[uint64]int64, len(s.seqs))
-	for k, v := range s.seqs {
-		seqs[k] = v
-	}
-	maxSeq := s.maxSeq
 	c.mu.Unlock()
-
-	total := maxSeq + 1
-	if totalSent > 0 {
-		total = totalSent
+	if s == nil {
+		return probe.ZingReport{}, ErrUnknownSession
 	}
-	rep := ZingWireReport{Probes: total, Received: uint64(len(seqs))}
-	if total < rep.Received {
-		total = rep.Received
-		rep.Probes = total
+	epochs, err := probe.ZingEpochs(s.draw.Seed, s.draw.Mean, s.draw.Duration)
+	if err != nil {
+		return probe.ZingReport{}, fmt.Errorf("wire: zing session %d: %w", expID, err)
 	}
-	rep.Lost = total - rep.Received
-
-	// Reconstruct loss runs. Send times of lost probes are unknown, so
-	// a run's span is measured between the send times of its bracketing
-	// received probes, interpolated one inter-probe gap inward — for an
-	// isolated loss this yields zero, matching the §4.2 analysis where
-	// a single lost probe carries no duration information.
-	received := make([]uint64, 0, len(seqs))
-	for seq := range seqs {
-		received = append(received, seq)
+	now := time.Now()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n, _ := slices.BinarySearchFunc(s.recs, uint64(len(epochs)), cmpSeq)
+	if n == 0 {
+		return probe.ZingReport{}, nil
 	}
-	sort.Slice(received, func(i, j int) bool { return received[i] < received[j] })
-	for i := 1; i < len(received); i++ {
-		gap := received[i] - received[i-1]
-		if gap <= 1 {
-			continue
-		}
-		lostCount := gap - 1
-		span := time.Duration(seqs[received[i]] - seqs[received[i-1]])
-		// The span covers lostCount+1 inter-probe intervals; the
-		// lost run itself covers lostCount-1 of them.
-		runDur := span * time.Duration(lostCount-1) / time.Duration(lostCount+1)
-		rep.Duration.AddDuration(runDur)
-	}
-	if total > 0 {
-		rep.Frequency = float64(rep.Lost) / float64(total)
-	}
-	return rep, nil
+	recs := s.recs[:n]
+	newest := recs[n-1]
+	base, since := epochs[newest.seq], max(now.Sub(newest.arrival), 0)
+	due := sort.Search(len(epochs), func(k int) bool { return epochs[k]-base > since })
+	return probe.AnalyzeZing(due, func(k int) (time.Duration, bool) {
+		_, got := slices.BinarySearchFunc(recs, uint64(k), cmpSeq)
+		return epochs[k], !got
+	}), nil
 }
 
 // Sessions lists known session ids.

@@ -2,16 +2,21 @@ package wire
 
 import (
 	"context"
-	"math/rand"
+	"errors"
+	"fmt"
+	"math"
 	"net"
 	"testing"
 	"time"
 
-	"badabing/internal/stats"
+	"badabing/internal/badabing"
+	"badabing/internal/lab"
+	"badabing/internal/probe"
 )
 
 func TestZingHeaderRoundTrip(t *testing.T) {
-	h := ZingHeader{ExpID: 7, Seq: 12345, SendTime: time.Now().UnixNano()}
+	h := ZingHeader{ExpID: 7, Seq: 12345, SendTime: time.Now().UnixNano(),
+		Seed: -9, Mean: 50 * time.Millisecond, Duration: 900 * time.Second}
 	buf := make([]byte, ZingHeaderSize)
 	if _, err := h.Marshal(buf); err != nil {
 		t.Fatal(err)
@@ -38,125 +43,244 @@ func TestZingHeaderRejects(t *testing.T) {
 	}
 }
 
-// feed records seqs 0..n-1 except those in lost, spaced 100 ms apart.
-func feed(c *ZingCollector, expID uint64, n int, lost map[int]bool) {
-	for i := 0; i < n; i++ {
-		if lost[i] {
-			continue
-		}
-		c.Record(&ZingHeader{
-			ExpID:    expID,
-			Seq:      uint64(i),
-			SendTime: int64(i) * int64(100*time.Millisecond),
-		})
-	}
-}
+// testDraw is the epoch draw the collector tests send: about 120 probes
+// at a 100 ms mean gap.
+var testDraw = ZingHeader{Seed: 3, Mean: 100 * time.Millisecond, Duration: 12 * time.Second}
 
-func TestZingCollectorNoLoss(t *testing.T) {
-	c := NewZingCollector()
-	feed(c, 1, 100, nil)
-	rep, err := c.Report(1, 100)
+func testEpochs(t *testing.T) []time.Duration {
+	t.Helper()
+	epochs, err := probe.ZingEpochs(testDraw.Seed, testDraw.Mean, testDraw.Duration)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Lost != 0 || rep.Frequency != 0 || rep.Duration.N() != 0 {
-		t.Fatalf("loss reported on clean stream: %+v", rep)
+	if len(epochs) < 91 {
+		t.Fatalf("test draw holds %d probes, the tests lose probe 90", len(epochs))
+	}
+	return epochs
+}
+
+// feed records every drawn probe of session expID except those in lost,
+// as if the session started at start and each probe spent 10 ms in
+// flight.
+func feed(c *ZingCollector, expID uint64, epochs []time.Duration, start time.Time, lost map[int]bool) {
+	for i, e := range epochs {
+		if lost[i] {
+			continue
+		}
+		h := testDraw
+		h.ExpID, h.Seq, h.SendTime = expID, uint64(i), start.Add(e).UnixNano()
+		c.Record(&h, start.Add(e+10*time.Millisecond))
+	}
+}
+
+// past is a session start long enough ago that every probe is due.
+func past() time.Time { return time.Now().Add(-time.Hour) }
+
+func TestZingCollectorNoLoss(t *testing.T) {
+	epochs := testEpochs(t)
+	c := NewZingCollector()
+	feed(c, 1, epochs, past(), nil)
+	rep, err := c.Report(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Probes != len(epochs) || rep.Lost != 0 || rep.Frequency != 0 || rep.Duration.N() != 0 {
+		t.Fatalf("clean stream of %d probes reported %+v", len(epochs), rep)
 	}
 }
 
 func TestZingCollectorIsolatedLosses(t *testing.T) {
+	epochs := testEpochs(t)
 	c := NewZingCollector()
-	feed(c, 1, 100, map[int]bool{10: true, 50: true, 90: true})
-	rep, err := c.Report(1, 100)
+	feed(c, 1, epochs, past(), map[int]bool{10: true, 50: true, 90: true})
+	rep, err := c.Report(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Lost != 3 {
 		t.Fatalf("lost = %d, want 3", rep.Lost)
 	}
-	if rep.Frequency != 0.03 {
-		t.Fatalf("frequency = %v, want 0.03", rep.Frequency)
+	if want := 3 / float64(len(epochs)); rep.Frequency != want {
+		t.Fatalf("frequency = %v, want %v", rep.Frequency, want)
 	}
-	// Isolated losses have zero duration (no consecutive losses).
-	if rep.Duration.Mean() != 0 {
-		t.Fatalf("duration mean = %v, want 0 for isolated losses", rep.Duration.Mean())
-	}
-	if rep.Duration.N() != 3 {
-		t.Fatalf("runs = %d, want 3", rep.Duration.N())
+	// An isolated loss is a run spanning no time (§4.2).
+	if rep.Duration.N() != 3 || rep.Duration.Mean() != 0 {
+		t.Fatalf("%d runs of mean %v s, want 3 of 0", rep.Duration.N(), rep.Duration.Mean())
 	}
 }
 
+// TestZingCollectorConsecutiveRun: a run's duration is the span of its
+// lost probes' drawn epochs.
 func TestZingCollectorConsecutiveRun(t *testing.T) {
+	epochs := testEpochs(t)
 	c := NewZingCollector()
-	// Probes 20..24 lost: a 5-probe run. Bracketing received probes are
-	// 19 (at 1.9s) and 25 (at 2.5s): span 600 ms over 6 intervals, run
-	// duration = 600ms × 4/6 = 400 ms.
-	lost := map[int]bool{20: true, 21: true, 22: true, 23: true, 24: true}
-	feed(c, 1, 100, lost)
-	rep, err := c.Report(1, 100)
+	feed(c, 1, epochs, past(), map[int]bool{20: true, 21: true, 22: true, 23: true, 24: true})
+	rep, err := c.Report(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Lost != 5 {
-		t.Fatalf("lost = %d, want 5", rep.Lost)
+	if rep.Lost != 5 || rep.Duration.N() != 1 {
+		t.Fatalf("lost %d in %d runs, want 5 in 1", rep.Lost, rep.Duration.N())
 	}
-	if rep.Duration.N() != 1 {
-		t.Fatalf("runs = %d, want 1", rep.Duration.N())
-	}
-	if got, want := rep.Duration.Mean(), 0.4; abs(got-want) > 1e-9 {
+	if got, want := rep.Duration.Mean(), (epochs[24] - epochs[20]).Seconds(); got != want {
 		t.Fatalf("run duration = %v, want %v", got, want)
 	}
 }
 
+// TestZingCollectorTrailingLoss: the last two probes are lost. While the
+// sender could still be sending them they are not due; once their
+// epochs have passed they count.
 func TestZingCollectorTrailingLoss(t *testing.T) {
+	epochs := testEpochs(t)
+	n := len(epochs)
+	lost := map[int]bool{n - 2: true, n - 1: true}
+
 	c := NewZingCollector()
-	feed(c, 1, 100, map[int]bool{98: true, 99: true})
-	// Without totalSent the collector can only infer 98 probes
-	// (seq 0..97); with it, the trailing losses are counted.
-	repInferred, _ := c.Report(1, 0)
-	if repInferred.Lost != 0 {
-		t.Fatalf("inferred lost = %d, want 0 (trailing losses invisible)", repInferred.Lost)
+	// Probe n-3 arrives now: the sender is only now reaching its epoch.
+	feed(c, 1, epochs, time.Now().Add(-epochs[n-3]-10*time.Millisecond), lost)
+	if rep, _ := c.Report(1); rep.Probes != n-2 || rep.Lost != 0 {
+		t.Fatalf("before the last epochs: %d probes, %d lost; want %d, 0", rep.Probes, rep.Lost, n-2)
 	}
-	rep, _ := c.Report(1, 100)
-	if rep.Lost != 2 {
-		t.Fatalf("lost = %d, want 2 with totalSent", rep.Lost)
+	c = NewZingCollector()
+	feed(c, 1, epochs, past(), lost)
+	if rep, _ := c.Report(1); rep.Probes != n || rep.Lost != 2 {
+		t.Fatalf("after the last epochs: %d probes, %d lost; want %d, 2", rep.Probes, rep.Lost, n)
+	}
+}
+
+// TestZingCollectorStraySequence: one packet with a sequence number far
+// beyond the draw does not buy probes.
+func TestZingCollectorStraySequence(t *testing.T) {
+	long, err := probe.ZingEpochs(testDraw.Seed, testDraw.Mean, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	draw := testDraw
+	draw.Duration = long[99] + 1 // exactly 100 probes
+	epochs, err := probe.ZingEpochs(draw.Seed, draw.Mean, draw.Duration)
+	if err != nil || len(epochs) != 100 {
+		t.Fatalf("draw holds %d probes (%v), want 100", len(epochs), err)
+	}
+	c := NewZingCollector()
+	start := past()
+	for i, e := range epochs {
+		h := draw
+		h.ExpID, h.Seq = 1, uint64(i)
+		c.Record(&h, start.Add(e))
+	}
+	stray := draw
+	stray.ExpID, stray.Seq = 1, 1<<63+5
+	c.Record(&stray, time.Now())
+	rep, err := c.Report(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Probes != 100 || rep.Lost != 0 || rep.Frequency != 0 {
+		t.Fatalf("100 clean probes and a stray reported %d probes, %d lost, F = %v", rep.Probes, rep.Lost, rep.Frequency)
+	}
+}
+
+// TestZingCollectorRejectsBadDraws: a header whose draw ZingEpochs
+// refuses makes its session unreportable instead of costing an unbounded
+// draw.
+func TestZingCollectorRejectsBadDraws(t *testing.T) {
+	for _, draw := range []ZingHeader{
+		{Seed: 1, Mean: 0, Duration: time.Second},
+		{Seed: 1, Mean: time.Millisecond, Duration: 0},
+		{Seed: 1, Mean: time.Nanosecond, Duration: badabing.MaxSlots + 1},
+	} {
+		c := NewZingCollector()
+		h := draw
+		h.ExpID = 1
+		c.Record(&h, time.Now())
+		if rep, err := c.Report(1); err == nil {
+			t.Errorf("draw %+v reported %+v, want an error", draw, rep)
+		}
 	}
 }
 
 func TestZingCollectorUnknownSession(t *testing.T) {
 	c := NewZingCollector()
-	if _, err := c.Report(5, 0); err != ErrUnknownSession {
+	if _, err := c.Report(5); err != ErrUnknownSession {
 		t.Fatalf("err = %v, want ErrUnknownSession", err)
 	}
 }
 
 func TestZingCollectorSessions(t *testing.T) {
+	epochs := testEpochs(t)[:5]
 	c := NewZingCollector()
-	feed(c, 3, 5, nil)
-	feed(c, 1, 5, nil)
+	feed(c, 3, epochs, past(), nil)
+	feed(c, 1, epochs, past(), nil)
 	ids := c.Sessions()
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 3 {
 		t.Fatalf("sessions = %v, want [1 3]", ids)
 	}
 }
 
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
+// TestZingSimLiveParity: the live collector, fed one header per probe the
+// simulated prober delivered, reports exactly what the simulated prober
+// does, once every probe is due.
+func TestZingSimLiveParity(t *testing.T) {
+	const horizon = 60 * time.Second
+	runs := 0 // cells whose simulated prober saw a loss run
+	for _, sc := range []lab.Scenario{lab.CBRUniform, lab.Web} {
+		for _, spec := range []struct {
+			mean time.Duration
+			size int
+		}{{100 * time.Millisecond, 256}, {50 * time.Millisecond, 64}} {
+			for _, seed := range []int64{1, 2} {
+				t.Run(fmt.Sprintf("%v/%v/seed=%d", sc, spec.mean, seed), func(t *testing.T) {
+					p := lab.NewPath(sc, lab.RunConfig{Horizon: horizon, Seed: seed})
+					z := probe.StartZing(p.Sim, p.D, 7, probe.ZingConfig{
+						Mean: spec.mean, PacketSize: spec.size, Horizon: horizon, Seed: seed,
+					})
+					p.Run(horizon)
+					sim := z.Report()
+
+					c := NewZingCollector()
+					start := past()
+					for i, o := range z.Results() {
+						if o.Lost > 0 {
+							continue
+						}
+						h := ZingHeader{ExpID: 1, Seq: uint64(i), SendTime: start.Add(o.T).UnixNano(),
+							Seed: seed, Mean: spec.mean, Duration: horizon}
+						c.Record(&h, start.Add(o.T+o.OWD))
+					}
+					live, err := c.Report(1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if sim.Duration.N() > 0 {
+						runs++
+					}
+					if live.Probes != sim.Probes || live.Lost != sim.Lost ||
+						math.Float64bits(live.Frequency) != math.Float64bits(sim.Frequency) ||
+						live.Duration.N() != sim.Duration.N() ||
+						math.Float64bits(live.Duration.Mean()) != math.Float64bits(sim.Duration.Mean()) ||
+						math.Float64bits(live.Duration.StdDev()) != math.Float64bits(sim.Duration.StdDev()) {
+						t.Fatalf("live report diverges from the simulated prober's:\nlive %d probes, %d lost, F %v, %d runs, µ %v, σ %v\n sim %d probes, %d lost, F %v, %d runs, µ %v, σ %v",
+							live.Probes, live.Lost, live.Frequency, live.Duration.N(), live.Duration.Mean(), live.Duration.StdDev(),
+							sim.Probes, sim.Lost, sim.Frequency, sim.Duration.N(), sim.Duration.Mean(), sim.Duration.StdDev())
+					}
+				})
+			}
+		}
 	}
-	return x
+	if runs < 4 {
+		t.Errorf("only %d of 8 cells saw a loss run: parity barely exercised", runs)
+	}
 }
 
 // TestZingSendPacesDrawnEpochs: at 200 Hz for 1 s over loopback the
-// sender emits exactly the drawn epochs before 1 s, and none of them
-// leaves ahead of its epoch.
+// sender emits exactly the drawn epochs, each header carries the draw,
+// and no probe leaves ahead of its epoch.
 func TestZingSendPacesDrawnEpochs(t *testing.T) {
 	const rate, seed, dur = 200.0, 7, time.Second
-	rng := rand.New(rand.NewSource(seed))
 	mean := time.Duration(float64(time.Second) / rate)
-	var epochs []time.Duration
-	for at := stats.Exp(rng, mean); at < dur; at += stats.Exp(rng, mean) {
-		epochs = append(epochs, at)
+	epochs, err := probe.ZingEpochs(seed, mean, dur)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
@@ -201,6 +325,9 @@ func TestZingSendPacesDrawnEpochs(t *testing.T) {
 		t.Fatal("no probe arrived")
 	}
 	for _, h := range got {
+		if h.Seed != seed || h.Mean != mean || h.Duration != dur {
+			t.Fatalf("probe %d carries draw (%d, %v, %v), want (%d, %v, %v)", h.Seq, h.Seed, h.Mean, h.Duration, seed, mean, dur)
+		}
 		if h.Seq >= uint64(len(epochs)) {
 			t.Fatalf("probe %d beyond the %d drawn epochs", h.Seq, len(epochs))
 		}
@@ -210,20 +337,29 @@ func TestZingSendPacesDrawnEpochs(t *testing.T) {
 	}
 }
 
+// TestZingSendRejectsLongDraw: the sender refuses a draw the collector
+// would refuse, before sending anything.
+func TestZingSendRejectsLongDraw(t *testing.T) {
+	_, err := ZingSend(context.Background(), nil, ZingSenderConfig{Rate: 1e9, Duration: time.Hour, Seed: 1})
+	if err == nil || errors.Is(err, context.Canceled) {
+		t.Fatalf("a draw of 3.6e12 probes returned %v, want a refusal", err)
+	}
+}
+
 // TestZingCollectorExpire: Expire drops the sessions idle for at least
 // maxIdle and keeps the rest.
 func TestZingCollectorExpire(t *testing.T) {
+	epochs := testEpochs(t)[:5]
 	c := NewZingCollector()
-	feed(c, 1, 5, nil)
-	time.Sleep(200 * time.Millisecond)
-	feed(c, 2, 5, nil)
+	feed(c, 1, epochs, past(), nil)
+	feed(c, 2, epochs, time.Now().Add(-epochs[4]-10*time.Millisecond), nil)
 	if n := c.Expire(100 * time.Millisecond); n != 1 {
 		t.Fatalf("Expire removed %d sessions, want 1", n)
 	}
 	if ids := c.Sessions(); len(ids) != 1 || ids[0] != 2 {
 		t.Fatalf("sessions = %v, want [2]", ids)
 	}
-	if _, err := c.Report(1, 0); err != ErrUnknownSession {
+	if _, err := c.Report(1); err != ErrUnknownSession {
 		t.Fatalf("expired session reports err %v, want ErrUnknownSession", err)
 	}
 }
