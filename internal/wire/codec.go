@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -21,7 +22,7 @@ import (
 const Magic uint32 = 0x42444247 // "BDBG"
 
 // Version of the wire format.
-const Version = 1
+const Version = 2
 
 // HeaderSize is the fixed encoded size of a Header in bytes.
 //
@@ -34,20 +35,18 @@ const Version = 1
 //	14  slot         int64
 //	22  pktIdx       uint8
 //	23  pktsPerProbe uint8
-//	24  p            uint32 (fixed point, /2^20)
-//	28  n            int64
-//	36  slotWidth    int64  (ns)
-//	44  seed         int64
-//	52  start        int64  (Unix ns of slot 0)
-//	60  sendTime     int64  (Unix ns)
-//	68  seq          uint64
-const HeaderSize = 76
+//	24  p            float64 (IEEE 754 bits, so the collector redraws
+//	                 the schedule from the sender's exact value)
+//	32  n            int64
+//	40  slotWidth    int64  (ns)
+//	48  seed         int64
+//	56  start        int64  (Unix ns of slot 0)
+//	64  sendTime     int64  (Unix ns)
+//	72  seq          uint64
+const HeaderSize = 80
 
 // MinPacketSize is the smallest legal probe packet.
 const MinPacketSize = HeaderSize
-
-// pScale converts the probe probability to a fixed-point wire field.
-const pScale = 1 << 20
 
 // Header is the on-the-wire probe packet header.
 type Header struct {
@@ -84,7 +83,7 @@ func (h *Header) Marshal(buf []byte) (int, error) {
 	if len(buf) < HeaderSize {
 		return 0, fmt.Errorf("wire: buffer %d bytes, need %d", len(buf), HeaderSize)
 	}
-	if h.P <= 0 || h.P > 1 {
+	if !(h.P > 0 && h.P <= 1) {
 		return 0, fmt.Errorf("wire: probability %v out of (0,1]", h.P)
 	}
 	binary.BigEndian.PutUint32(buf[0:], Magic)
@@ -98,13 +97,13 @@ func (h *Header) Marshal(buf []byte) (int, error) {
 	binary.BigEndian.PutUint64(buf[14:], uint64(h.Slot))
 	buf[22] = h.PktIdx
 	buf[23] = h.PktsPerProbe
-	binary.BigEndian.PutUint32(buf[24:], uint32(h.P*pScale+0.5))
-	binary.BigEndian.PutUint64(buf[28:], uint64(h.N))
-	binary.BigEndian.PutUint64(buf[36:], uint64(h.SlotWidth))
-	binary.BigEndian.PutUint64(buf[44:], uint64(h.Seed))
-	binary.BigEndian.PutUint64(buf[52:], uint64(h.Start))
-	binary.BigEndian.PutUint64(buf[60:], uint64(h.SendTime))
-	binary.BigEndian.PutUint64(buf[68:], h.Seq)
+	binary.BigEndian.PutUint64(buf[24:], math.Float64bits(h.P))
+	binary.BigEndian.PutUint64(buf[32:], uint64(h.N))
+	binary.BigEndian.PutUint64(buf[40:], uint64(h.SlotWidth))
+	binary.BigEndian.PutUint64(buf[48:], uint64(h.Seed))
+	binary.BigEndian.PutUint64(buf[56:], uint64(h.Start))
+	binary.BigEndian.PutUint64(buf[64:], uint64(h.SendTime))
+	binary.BigEndian.PutUint64(buf[72:], h.Seq)
 	return HeaderSize, nil
 }
 
@@ -124,12 +123,12 @@ func (h *Header) Unmarshal(buf []byte) error {
 	h.Slot = int64(binary.BigEndian.Uint64(buf[14:]))
 	h.PktIdx = buf[22]
 	h.PktsPerProbe = buf[23]
-	h.P = float64(binary.BigEndian.Uint32(buf[24:])) / pScale
-	h.N = int64(binary.BigEndian.Uint64(buf[28:]))
-	h.SlotWidth = time.Duration(binary.BigEndian.Uint64(buf[36:]))
-	h.Seed = int64(binary.BigEndian.Uint64(buf[44:]))
-	h.Start = int64(binary.BigEndian.Uint64(buf[52:]))
-	h.SendTime = int64(binary.BigEndian.Uint64(buf[60:]))
-	h.Seq = binary.BigEndian.Uint64(buf[68:])
+	h.P = math.Float64frombits(binary.BigEndian.Uint64(buf[24:]))
+	h.N = int64(binary.BigEndian.Uint64(buf[32:]))
+	h.SlotWidth = time.Duration(binary.BigEndian.Uint64(buf[40:]))
+	h.Seed = int64(binary.BigEndian.Uint64(buf[48:]))
+	h.Start = int64(binary.BigEndian.Uint64(buf[56:]))
+	h.SendTime = int64(binary.BigEndian.Uint64(buf[64:]))
+	h.Seq = binary.BigEndian.Uint64(buf[72:])
 	return nil
 }

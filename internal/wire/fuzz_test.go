@@ -24,8 +24,9 @@ func FuzzHeaderUnmarshal(f *testing.F) {
 		if err := h.Unmarshal(data); err != nil {
 			return
 		}
-		// Accepted: P must be re-marshalable unless out of range.
-		if h.P <= 0 || h.P > 1 {
+		// Accepted: the header must re-encode exactly unless P is out
+		// of range (NaN included), which Marshal refuses.
+		if !(h.P > 0 && h.P <= 1) {
 			return
 		}
 		buf := make([]byte, HeaderSize)
@@ -36,7 +37,7 @@ func FuzzHeaderUnmarshal(f *testing.F) {
 		if err := h2.Unmarshal(buf); err != nil {
 			t.Fatalf("re-marshaled header failed to decode: %v", err)
 		}
-		if h2.ExpID != h.ExpID || h2.Slot != h.Slot || h2.Seq != h.Seq {
+		if h2 != h {
 			t.Fatalf("round trip diverged: %+v vs %+v", h2, h)
 		}
 	})
