@@ -538,8 +538,24 @@ func TestHungReflectorAbortsPartial(t *testing.T) {
 	if f := res.Final.Snapshot.Total.Frequency; f != 0 {
 		t.Errorf("outage reported as loss frequency %v", f)
 	}
+	checkNoOutageSkips(t, res, tr)
 	if tr.DeadFrom() < 0 {
 		t.Error("transport did not record the death point")
+	}
+}
+
+// checkNoOutageSkips: the path was clean while alive, so an aborted
+// session skips no experiment. The experiments after the death point
+// were never measured and must not count as skipped; only a probe the
+// host paced late (§7) may excuse a skip.
+func checkNoOutageSkips(t *testing.T, res *session.Result, tr *wiretransport.Transport) {
+	t.Helper()
+	if c := res.Final.Counters; c.Skipped != 0 {
+		if _, invalid := tr.Observations(); len(invalid) == 0 {
+			t.Errorf("outage reported as %d skipped experiments", c.Skipped)
+		} else {
+			t.Logf("%d experiments skipped; the host paced %d probes late", c.Skipped, len(invalid))
+		}
 	}
 }
 
@@ -624,6 +640,7 @@ func TestKilledReflectorAbortsPartial(t *testing.T) {
 		t.Errorf("partial result measured %d probes (%d lost), want the %d answered before the kill and no loss",
 			c.ProbesSent, c.ProbesLost, answered)
 	}
+	checkNoOutageSkips(t, res, tr)
 }
 
 // TestHandshakeDeadTargetFailsFast: a session against a target that was

@@ -53,7 +53,7 @@ func midRunStepAllocs(t *testing.T, slots int64) uint64 {
 		if err := tr.AdvanceTo(ctx, now); err != nil {
 			t.Fatal(err)
 		}
-		h.harvest(tr, now, false)
+		h.harvest(tr, now, midRun)
 	}
 	if err := tr.AdvanceTo(ctx, now); err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func midRunStepAllocs(t *testing.T, slots int64) uint64 {
 	fed := h.fed
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	h.harvest(tr, now, false)
+	h.harvest(tr, now, midRun)
 	runtime.ReadMemStats(&after)
 	if h.fed == fed {
 		t.Fatalf("%d-slot session: the measured step fed no experiment", slots)

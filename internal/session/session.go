@@ -233,7 +233,7 @@ func Run(ctx context.Context, tr Transport, cfg Config, publish func(Update)) (*
 				// while the path was alive (the transport truncates its
 				// observations at the death point) and surface a
 				// partial, flagged result alongside the error.
-				h.harvest(tr, tr.Now(), true)
+				h.harvest(tr, tr.Now(), aborted)
 				res.Final = h.last
 				res.Marked = h.marked
 				res.Aborted = true
@@ -241,12 +241,13 @@ func Run(ctx context.Context, tr Transport, cfg Config, publish func(Update)) (*
 			}
 			return nil, err
 		}
-		h.harvest(tr, t, end)
 		if end {
+			h.harvest(tr, t, final)
 			res.Final = h.last
 			res.Marked = h.marked
 			return res, nil
 		}
+		h.harvest(tr, t, midRun)
 		if cfg.StepDelay > 0 {
 			timer := time.NewTimer(cfg.StepDelay)
 			select {
@@ -286,11 +287,24 @@ func newHarvester(cfg *Config, plans []badabing.Plan, probes int, est estimate.E
 	}
 }
 
+// pass is the kind of a harvest step.
+type pass int
+
+const (
+	midRun  pass = iota // feed the experiments settled since the last step
+	final               // the horizon has passed: re-mark and refeed everything
+	aborted             // a final pass over a dead path's truncated observations
+)
+
 // harvest feeds the experiments that became due. A mid-run step marks
 // only their probes, against the §6.1 references of every settled
 // observation; the final step re-marks everything and rebuilds the
-// stream so the published result matches batch estimation.
-func (h *harvester) harvest(tr Transport, now time.Duration, end bool) {
+// stream so the published result matches batch estimation. After an
+// abort it feeds only the experiments whose probes all lie at or before
+// the last observation the transport kept: the later ones were never
+// measured, so they are neither fed nor counted as skipped.
+func (h *harvester) harvest(tr Transport, now time.Duration, p pass) {
+	end := p != midRun
 	obs, invalid := tr.Observations()
 	cutoff := now - h.cfg.Settle
 	if end {
@@ -318,7 +332,12 @@ func (h *harvester) harvest(tr Transport, now time.Duration, end bool) {
 	// guard keeps a loss arriving just after the cutoff from changing a
 	// mark we already froze.
 	feedCutoff := cutoff - h.cfg.Marker.Tau - h.cfg.Slot
-	if end {
+	switch {
+	case p == aborted && len(settled) == 0:
+		feedCutoff = -1
+	case p == aborted:
+		feedCutoff = settled[len(settled)-1].T
+	case end:
 		feedCutoff = cutoff
 	}
 	due := h.fed

@@ -2,8 +2,11 @@ package session_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -249,5 +252,76 @@ func TestRunCarriesWriteFailures(t *testing.T) {
 	}
 	if wf := res.Final.Counters.WriteFailures; wf != int64(len(got)) {
 		t.Errorf("final update carries %d write failures, want %d", wf, len(got))
+	}
+}
+
+// deadAfter is a simulated path whose far end dies at cut. The first
+// advance past it still moves the clock, as a watchdog notices a death
+// only later, and then fails with ErrPathDead; Observations keeps only
+// the probes sent before the cut, as the wire transport truncates a dead
+// path's. Every 50th of those probes is flagged invalid, so some
+// experiments before the cut are skipped.
+type deadAfter struct {
+	session.Transport
+	cut time.Duration
+}
+
+func (d *deadAfter) AdvanceTo(ctx context.Context, t time.Duration) error {
+	if err := d.Transport.AdvanceTo(ctx, t); err != nil || t <= d.cut {
+		return err
+	}
+	return fmt.Errorf("far end gone: %w", session.ErrPathDead)
+}
+
+func (d *deadAfter) Observations() ([]badabing.ProbeObs, map[int64]bool) {
+	obs, _ := d.Transport.Observations()
+	obs = obs[:sort.Search(len(obs), func(i int) bool { return obs[i].T >= d.cut })]
+	invalid := make(map[int64]bool)
+	for i := 0; i < len(obs); i += 50 {
+		invalid[obs[i].Slot] = true
+	}
+	return obs, invalid
+}
+
+// TestAbortFeedsOnlyMeasuredExperiments: when the far end dies, the
+// final pass feeds the experiments whose probes all precede the last
+// observation the transport kept, and nothing after it. Skipped counts
+// only the invalid experiments before the cut, and the final snapshot is
+// batch estimation over those experiments.
+func TestAbortFeedsOnlyMeasuredExperiments(t *testing.T) {
+	cfg := session.Config{P: 0.3, Slots: 30000, Improved: true, Seed: 11}
+	p := lab.NewPath(lab.CBRUniform, lab.RunConfig{Seed: 12})
+	tr := &deadAfter{Transport: simtransport.New(p.Sim, p.D, 7, probe.BadabingConfig{}), cut: 61300 * time.Millisecond}
+	defer tr.Close()
+
+	res, err := session.Run(context.Background(), tr, cfg, nil)
+	if !errors.Is(err, session.ErrPathDead) || res == nil || !res.Aborted {
+		t.Fatalf("Run returned %+v, %v; want an aborted result and ErrPathDead", res, err)
+	}
+	obs, invalid := tr.Observations()
+	last := obs[len(obs)-1].Slot
+	var measured []badabing.Plan
+	for _, pl := range res.Plans {
+		if pl.Slot+int64(pl.Probes)-1 <= last {
+			measured = append(measured, pl)
+		}
+	}
+	if len(measured) == len(res.Plans) {
+		t.Fatal("the cut left every experiment measured")
+	}
+	marked := session.MarkSlots(obs, invalid, badabing.RecommendedMarker(cfg.P, badabing.DefaultSlot))
+	want, skipped, err := estimate.Batch(estimate.Config{}, badabing.StreamConfig{}, measured, marked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := res.Final.Counters
+	if skipped == 0 || c.Skipped != int64(skipped) {
+		t.Errorf("skipped %d experiments, want the %d invalid ones before the cut", c.Skipped, skipped)
+	}
+	if c.Experiments+c.Skipped != int64(len(measured)) {
+		t.Errorf("fed %d and skipped %d experiments, want %d in all", c.Experiments, c.Skipped, len(measured))
+	}
+	if !reflect.DeepEqual(res.Final.Snapshot, want) {
+		t.Errorf("final snapshot diverges from batch estimation over the measured experiments:\n got %+v\nwant %+v", res.Final.Snapshot, want)
 	}
 }
