@@ -13,7 +13,7 @@ import (
 
 // Budgets are the resource ceilings the watchdog enforces. A zero field
 // disables that dimension. Crossing a budget degrades the daemon;
-// crossing FailingMultiple times a budget marks it failing (new work is
+// crossing failingMultiple times a budget marks it failing (new work is
 // shed until usage falls back under).
 type Budgets struct {
 	// MaxGoroutines bounds runtime.NumGoroutine().
@@ -23,16 +23,11 @@ type Budgets struct {
 	MaxFDs int
 	// MaxHeapBytes bounds the live heap (runtime MemStats HeapAlloc).
 	MaxHeapBytes uint64
-	// FailingMultiple is the hard-stop factor over a budget that
-	// escalates degraded to failing. Default 2.
-	FailingMultiple float64
 }
 
-func (b *Budgets) applyDefaults() {
-	if b.FailingMultiple <= 1 {
-		b.FailingMultiple = 2
-	}
-}
+// failingMultiple is the hard-stop factor over a budget that escalates
+// degraded to failing.
+const failingMultiple = 2
 
 // Enabled reports whether any dimension has a budget.
 func (b Budgets) Enabled() bool {
@@ -72,7 +67,6 @@ const Component = "resources"
 // NewWatchdog builds a watchdog feeding mon. interval <= 0 defaults to
 // 10s. Start begins sampling; Check runs one pass synchronously.
 func NewWatchdog(mon *Monitor, budgets Budgets, interval time.Duration) *Watchdog {
-	budgets.applyDefaults()
 	if interval <= 0 {
 		interval = 10 * time.Second
 	}
@@ -142,9 +136,9 @@ func (w *Watchdog) judge(u Usage) (State, string) {
 			return
 		}
 		switch {
-		case used >= budget*w.budgets.FailingMultiple:
+		case used >= budget*failingMultiple:
 			state = worse(state, Failing)
-			reasons = append(reasons, fmt.Sprintf("%s %.0f%s >= %.1fx budget %.0f%s", dim, used, unit, w.budgets.FailingMultiple, budget, unit))
+			reasons = append(reasons, fmt.Sprintf("%s %.0f%s >= %.1fx budget %.0f%s", dim, used, unit, float64(failingMultiple), budget, unit))
 		case used > budget:
 			state = worse(state, Degraded)
 			reasons = append(reasons, fmt.Sprintf("%s %.0f%s over budget %.0f%s", dim, used, unit, budget, unit))

@@ -13,34 +13,26 @@ import (
 	"badabing/internal/simnet"
 )
 
-// Transport drives a BADABING session over a simulated path. Construct it
-// with New (dumbbell) or NewAt (arbitrary entry/demux), then hand it to
-// session.Run.
+// Transport drives a BADABING session over a simulated dumbbell path.
+// Construct it with New, then hand it to session.Run.
 type Transport struct {
-	sim   *simnet.Sim
-	entry *simnet.Link
-	demux *simnet.Demux
-	flow  uint64
-	cfg   probe.BadabingConfig
-	bb    *probe.Badabing
+	sim  *simnet.Sim
+	d    *simnet.Dumbbell
+	flow uint64
+	cfg  probe.BadabingConfig
+	bb   *probe.Badabing
 }
 
 // New wraps a dumbbell path. cfg.Slot must match the session Config's slot
 // width (both default to badabing.DefaultSlot); the session engine
 // supplies the flattened slot list at Launch.
 func New(sim *simnet.Sim, d *simnet.Dumbbell, flow uint64, cfg probe.BadabingConfig) *Transport {
-	return NewAt(sim, d.Bottleneck, d.FwdDemux, flow, cfg)
-}
-
-// NewAt is the topology-agnostic form: probes enter at entry and are
-// collected from demux (e.g. a multi-hop chain).
-func NewAt(sim *simnet.Sim, entry *simnet.Link, demux *simnet.Demux, flow uint64, cfg probe.BadabingConfig) *Transport {
-	return &Transport{sim: sim, entry: entry, demux: demux, flow: flow, cfg: cfg}
+	return &Transport{sim: sim, d: d, flow: flow, cfg: cfg}
 }
 
 // Launch pre-schedules one probe per slot on the simulator's event heap.
 func (t *Transport) Launch(ctx context.Context, slots []int64) error {
-	t.bb = probe.StartBadabing(t.sim, t.entry, t.demux, t.flow, t.cfg, slots)
+	t.bb = probe.StartBadabing(t.sim, t.d.Bottleneck, t.d.FwdDemux, t.flow, t.cfg, slots)
 	return nil
 }
 

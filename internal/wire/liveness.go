@@ -100,9 +100,6 @@ type LivenessConfig struct {
 	Backoff time.Duration
 	// MaxBackoff caps the exponential growth. Default 2s.
 	MaxBackoff time.Duration
-	// Jitter is the random fraction of each backoff added or removed
-	// (0.5 = ±50%). Default 0.5.
-	Jitter float64
 	// Seed fixes the jitter RNG and the ping nonces; 0 derives one from
 	// the clock. Pin it in tests.
 	Seed int64
@@ -120,9 +117,6 @@ func (c *LivenessConfig) applyDefaults() {
 	}
 	if c.MaxBackoff == 0 {
 		c.MaxBackoff = 2 * time.Second
-	}
-	if c.Jitter == 0 {
-		c.Jitter = 0.5
 	}
 	if c.Seed == 0 {
 		c.Seed = nowNano()
@@ -145,14 +139,17 @@ func (c LivenessConfig) BackoffSchedule() []time.Duration {
 	rng := rand.New(rand.NewSource(c.Seed))
 	out := make([]time.Duration, 0, c.Attempts)
 	for i := 0; i < c.Attempts; i++ {
-		out = append(out, JitteredBackoff(rng, c.Backoff, c.MaxBackoff, c.Jitter, i))
+		out = append(out, jitteredBackoff(rng, c.Backoff, c.MaxBackoff, i))
 	}
 	return out
 }
 
-// JitteredBackoff computes attempt's capped exponential backoff delay:
-// base·2^attempt clamped to cap, then ±jitter fraction drawn from rng.
-func JitteredBackoff(rng *rand.Rand, base, cap time.Duration, jitter float64, attempt int) time.Duration {
+// backoffJitter is the random fraction of each backoff added or removed.
+const backoffJitter = 0.5
+
+// jitteredBackoff computes attempt's capped exponential backoff delay:
+// base·2^attempt clamped to cap, then ±backoffJitter of it drawn from rng.
+func jitteredBackoff(rng *rand.Rand, base, cap time.Duration, attempt int) time.Duration {
 	d := base
 	for i := 0; i < attempt && d < cap; i++ {
 		d *= 2
@@ -160,14 +157,7 @@ func JitteredBackoff(rng *rand.Rand, base, cap time.Duration, jitter float64, at
 	if d > cap {
 		d = cap
 	}
-	if jitter > 0 {
-		f := 1 + jitter*(2*rng.Float64()-1)
-		d = time.Duration(float64(d) * f)
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
+	return max(time.Duration(float64(d)*(1+backoffJitter*(2*rng.Float64()-1))), 0)
 }
 
 // transientReadError reports whether a PacketConn read error is
@@ -212,7 +202,7 @@ func Handshake(ctx context.Context, conn net.Conn, cfg LivenessConfig) (time.Dur
 	defer conn.SetReadDeadline(time.Time{})
 	for attempt := 0; attempt < cfg.Attempts; attempt++ {
 		if attempt > 0 {
-			wait := JitteredBackoff(rng, cfg.Backoff, cfg.MaxBackoff, cfg.Jitter, attempt-1)
+			wait := jitteredBackoff(rng, cfg.Backoff, cfg.MaxBackoff, attempt-1)
 			timer := time.NewTimer(wait)
 			select {
 			case <-ctx.Done():
