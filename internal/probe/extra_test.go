@@ -148,6 +148,16 @@ func TestZingEpochsBounds(t *testing.T) {
 	if _, err := ZingEpochs(1, time.Second, 0); err == nil {
 		t.Error("a zero horizon was accepted")
 	}
+	// Gaps near 2^62 ns overflow the running sum: the draw ends there.
+	huge, err := ZingEpochs(1, 1<<62, 1<<63-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, at := range huge {
+		if at < 0 || i > 0 && at < huge[i-1] {
+			t.Fatalf("overflowing draw gave epochs %v", huge)
+		}
+	}
 	if testing.Short() {
 		t.Skip("drawing MaxSlots epochs takes 64 MiB")
 	}

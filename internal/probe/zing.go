@@ -56,17 +56,14 @@ func ZingEpochs(seed int64, mean, horizon time.Duration) ([]time.Duration, error
 	}
 	rng := rand.New(rand.NewSource(seed))
 	var epochs []time.Duration
-	for at := time.Duration(0); ; {
-		next := at + stats.Exp(rng, mean)
-		if next < at || next >= horizon { // an overflowed sum lies past any horizon
-			return epochs, nil
-		}
+	// A sum that overflows goes negative: it lies past any horizon.
+	for at := stats.Exp(rng, mean); 0 <= at && at < horizon; at += stats.Exp(rng, mean) {
 		if len(epochs) == badabing.MaxSlots {
 			return nil, errLongDraw
 		}
-		at = next
 		epochs = append(epochs, at)
 	}
+	return epochs, nil
 }
 
 // Zing drives Poisson-modulated probing on a simulated path.
