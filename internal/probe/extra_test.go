@@ -135,19 +135,11 @@ func TestBadabingReportEmptySchedule(t *testing.T) {
 	}
 }
 
-// TestZingEpochsBounds: a draw that would exceed badabing.MaxSlots
-// epochs is refused, whether its mean gap already says so or only the
-// draw does (one-nanosecond gaps round down to zero).
+// TestZingEpochsBounds: a running sum that overflows ends the draw, and a
+// draw of more than badabing.MaxSlots epochs is refused even when its
+// mean gap does not say so (one-nanosecond gaps round down to zero). The
+// wire collector's tests cover the other refusals.
 func TestZingEpochsBounds(t *testing.T) {
-	if _, err := ZingEpochs(1, time.Nanosecond, badabing.MaxSlots+1); err == nil {
-		t.Error("a horizon of MaxSlots+1 mean gaps was accepted")
-	}
-	if _, err := ZingEpochs(1, 0, time.Second); err == nil {
-		t.Error("a zero mean gap was accepted")
-	}
-	if _, err := ZingEpochs(1, time.Second, 0); err == nil {
-		t.Error("a zero horizon was accepted")
-	}
 	// Gaps near 2^62 ns overflow the running sum: the draw ends there.
 	huge, err := ZingEpochs(1, 1<<62, 1<<63-1)
 	if err != nil {
