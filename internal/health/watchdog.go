@@ -27,7 +27,7 @@ type Budgets struct {
 
 // failingMultiple is the hard-stop factor over a budget that escalates
 // degraded to failing.
-const failingMultiple = 2
+const failingMultiple = 2.0
 
 // Enabled reports whether any dimension has a budget.
 func (b Budgets) Enabled() bool {
@@ -138,7 +138,7 @@ func (w *Watchdog) judge(u Usage) (State, string) {
 		switch {
 		case used >= budget*failingMultiple:
 			state = worse(state, Failing)
-			reasons = append(reasons, fmt.Sprintf("%s %.0f%s >= %.1fx budget %.0f%s", dim, used, unit, float64(failingMultiple), budget, unit))
+			reasons = append(reasons, fmt.Sprintf("%s %.0f%s >= %.1fx budget %.0f%s", dim, used, unit, failingMultiple, budget, unit))
 		case used > budget:
 			state = worse(state, Degraded)
 			reasons = append(reasons, fmt.Sprintf("%s %.0f%s over budget %.0f%s", dim, used, unit, budget, unit))

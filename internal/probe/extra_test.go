@@ -86,6 +86,17 @@ func TestZingFlightCounts(t *testing.T) {
 	}
 }
 
+// TestZingPastHorizonSendsNothing: a horizon already reached, as a bad
+// command-line horizon gives, draws no epochs and sends no probe.
+func TestZingPastHorizonSendsNothing(t *testing.T) {
+	s := simnet.New()
+	z := StartZing(s, simnet.NewDumbbell(s, simnet.DumbbellConfig{}), 9, ZingConfig{Horizon: -time.Second})
+	s.Run(time.Second)
+	if rep := z.Report(); rep.Probes != 0 {
+		t.Fatalf("%d probes sent past the horizon", rep.Probes)
+	}
+}
+
 func TestZingConfigDefaults(t *testing.T) {
 	var c ZingConfig
 	c.applyDefaults()

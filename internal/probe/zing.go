@@ -72,18 +72,21 @@ type Zing struct {
 }
 
 // StartZing begins probing at the current virtual time, one probe at each
-// epoch ZingEpochs draws before cfg.Horizon. A config whose draw
-// ZingEpochs refuses is a bug in the caller, and panics.
+// epoch ZingEpochs draws before cfg.Horizon; a horizon already reached
+// sends nothing. A draw longer than ZingEpochs allows panics, as
+// badabing.MustSchedule does.
 func StartZing(sim *simnet.Sim, d *simnet.Dumbbell, flow uint64, cfg ZingConfig) *Zing {
 	cfg.applyDefaults()
+	z := &Zing{prober: NewProber(sim, d.Bottleneck, flow, cfg.PacketSize)}
+	d.FwdDemux.Register(flow, z.prober.Receiver())
 	start := sim.Now()
+	if cfg.Horizon <= start {
+		return z
+	}
 	epochs, err := ZingEpochs(cfg.Seed, cfg.Mean, cfg.Horizon-start)
 	if err != nil {
 		panic(err)
 	}
-	z := &Zing{prober: NewProber(sim, d.Bottleneck, flow, cfg.PacketSize)}
-	z.prober.probes = make([]record, 0, len(epochs))
-	d.FwdDemux.Register(flow, z.prober.Receiver())
 	next := 0
 	var tick *simnet.Timer
 	tick = sim.NewTimer(func() {
