@@ -92,7 +92,7 @@ func pathological() {
 			// is full (dropping) for ≈5 ms, then drains clear.
 			n := 2 * qBytes / 1500
 			for i := 0; i < n; i++ {
-				d.Bottleneck.Send(&simnet.Packet{
+				d.Bottleneck.Send(simnet.Packet{
 					ID: sim.NextPacketID(), Flow: 999,
 					Kind: simnet.Data, Size: 1500, Sent: at,
 				})

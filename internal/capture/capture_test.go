@@ -10,7 +10,7 @@ import (
 // sink discards packets.
 type sink struct{}
 
-func (sink) Deliver(*simnet.Packet) {}
+func (sink) Deliver(simnet.Packet) {}
 
 // overload sends a burst into link at twice its drain rate for dur.
 func overload(s *simnet.Sim, l *simnet.Link, at, dur time.Duration, size int) {
@@ -19,7 +19,7 @@ func overload(s *simnet.Sim, l *simnet.Link, at, dur time.Duration, size int) {
 	for i := 0; i < n; i++ {
 		t := at + time.Duration(i)*ival
 		s.ScheduleAt(t, func() {
-			l.Send(&simnet.Packet{ID: s.NextPacketID(), Kind: simnet.Data, Size: size, Sent: s.Now()})
+			l.Send(simnet.Packet{ID: s.NextPacketID(), Kind: simnet.Data, Size: size, Sent: s.Now()})
 		})
 	}
 }
@@ -77,9 +77,9 @@ func TestMonitorCountsByKind(t *testing.T) {
 	m := Attach(s, l, Config{})
 	s.Schedule(0, func() {
 		for i := 0; i < 4; i++ {
-			l.Send(&simnet.Packet{ID: s.NextPacketID(), Kind: simnet.Data, Size: 1000})
+			l.Send(simnet.Packet{ID: s.NextPacketID(), Kind: simnet.Data, Size: 1000})
 		}
-		l.Send(&simnet.Packet{ID: s.NextPacketID(), Kind: simnet.Probe, Size: 1000})
+		l.Send(simnet.Packet{ID: s.NextPacketID(), Kind: simnet.Probe, Size: 1000})
 	})
 	s.Run(time.Second)
 	arrivals, drops := m.Tally()

@@ -24,7 +24,7 @@ func TestMonitorHighWaterMerging(t *testing.T) {
 	for i := 0; i < int(60*time.Millisecond/ival); i++ {
 		at := 40*time.Millisecond + time.Duration(i)*ival
 		s.ScheduleAt(at, func() {
-			l.Send(&simnet.Packet{ID: s.NextPacketID(), Kind: simnet.Data, Size: 1000})
+			l.Send(simnet.Packet{ID: s.NextPacketID(), Kind: simnet.Data, Size: 1000})
 		})
 	}
 	// Phase 2: overload again.

@@ -151,6 +151,6 @@ type hopLocalIDs struct {
 // Next implements the injector's id source.
 func (h *hopLocalIDs) Next() uint64 {
 	id := h.inner.Next()
-	h.demux.Register(id, simnet.ReceiverFunc(func(*simnet.Packet) {}))
+	h.demux.Register(id, simnet.ReceiverFunc(func(simnet.Packet) {}))
 	return id
 }

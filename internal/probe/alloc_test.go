@@ -17,7 +17,7 @@ func TestProberArrivalAllocs(t *testing.T) {
 	for k := int64(0); k < 1000; k++ {
 		p.SendProbe(3*k, 3)
 	}
-	pkt := &simnet.Packet{Flow: 9, Kind: simnet.Probe, Seq: 1500*pktsPerKey + 1}
+	pkt := simnet.Packet{Flow: 9, Kind: simnet.Probe, Seq: 1500*pktsPerKey + 1}
 	if allocs := testing.AllocsPerRun(100, func() { p.deliver(pkt) }); allocs != 0 {
 		t.Errorf("a probe arrival allocates %v times, want 0", allocs)
 	}

@@ -17,7 +17,7 @@ func TestProberOWDTracksQueueDelay(t *testing.T) {
 	s.Schedule(0, func() {
 		bytes := d.Bottleneck.Rate().Bytes(50 * time.Millisecond)
 		for sent := 0; sent < bytes; sent += 1500 {
-			d.Bottleneck.Send(&simnet.Packet{
+			d.Bottleneck.Send(simnet.Packet{
 				ID: s.NextPacketID(), Flow: 1, Kind: simnet.Data, Size: 1500,
 			})
 		}
@@ -42,7 +42,7 @@ func TestBadabingObservationsInheritLastOWD(t *testing.T) {
 	s.Schedule(4*time.Millisecond, func() {
 		over := d.Bottleneck.QueueCap() * 2
 		for sent := 0; sent < over; sent += 1500 {
-			d.Bottleneck.Send(&simnet.Packet{
+			d.Bottleneck.Send(simnet.Packet{
 				ID: s.NextPacketID(), Flow: 1, Kind: simnet.Data, Size: 1500,
 			})
 		}

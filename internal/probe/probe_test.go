@@ -43,7 +43,7 @@ func TestProberCleanPath(t *testing.T) {
 func TestProberDetectsLoss(t *testing.T) {
 	s := simnet.New()
 	// Tiny queue: 2 × 600 B.
-	sink := simnet.ReceiverFunc(func(*simnet.Packet) {})
+	sink := simnet.ReceiverFunc(func(simnet.Packet) {})
 	dmx := simnet.NewDemux()
 	l := simnet.NewLink(s, simnet.Rate(1_000_000), 0, 1200, dmx)
 	_ = sink
@@ -126,7 +126,7 @@ func TestZingRunDetection(t *testing.T) {
 		for i := 0; i < 900; i++ {
 			i := i
 			s.ScheduleAt(95*time.Millisecond+time.Duration(i)*48*time.Microsecond, func() {
-				l.Send(&simnet.Packet{ID: s.NextPacketID(), Flow: 1, Kind: simnet.Data, Size: 600})
+				l.Send(simnet.Packet{ID: s.NextPacketID(), Flow: 1, Kind: simnet.Data, Size: 600})
 			})
 		}
 	}

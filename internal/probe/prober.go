@@ -54,7 +54,7 @@ func (p *Prober) Receiver() simnet.Receiver {
 	return simnet.ReceiverFunc(p.deliver)
 }
 
-func (p *Prober) deliver(pkt *simnet.Packet) {
+func (p *Prober) deliver(pkt simnet.Packet) {
 	key := pkt.Seq / pktsPerKey
 	i := sort.Search(len(p.probes), func(i int) bool { return p.probes[i].key >= key })
 	if i == len(p.probes) || p.probes[i].key != key {
@@ -78,7 +78,7 @@ func (p *Prober) SendProbe(key int64, n int) {
 	p.sim.ScheduleEach(n, func(i int) time.Duration {
 		return start + time.Duration(i)*PktGap
 	}, func(i int) {
-		p.link.Send(&simnet.Packet{
+		p.link.Send(simnet.Packet{
 			ID:   p.sim.NextPacketID(),
 			Flow: p.flow,
 			Kind: simnet.Probe,

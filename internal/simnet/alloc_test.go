@@ -1,10 +1,9 @@
 //go:build !race
 
 // Zero-allocation pins for the event core. Every table and figure runs
-// through these paths once per packet or per timer re-arm; the only
-// allocation a traffic source should pay per packet is the Packet
-// itself. Gated from -race because the race runtime adds its own
-// allocations.
+// through these paths once per packet or per timer re-arm, and packets
+// travel by value, so none of them may allocate. Gated from -race
+// because the race runtime adds its own allocations.
 package simnet
 
 import (
@@ -26,8 +25,8 @@ func assertZeroAllocs(t *testing.T, name string, f func()) {
 func TestLinkTransmitDeliverZeroAlloc(t *testing.T) {
 	s := New()
 	var delivered int
-	l := NewLink(s, Rate(8_000_000), time.Millisecond, 1<<20, ReceiverFunc(func(*Packet) { delivered++ }))
-	pkts := []*Packet{{Size: 1000}, {Size: 500}, {Size: 100}}
+	l := NewLink(s, Rate(8_000_000), time.Millisecond, 1<<20, ReceiverFunc(func(Packet) { delivered++ }))
+	pkts := []Packet{{Size: 1000}, {Size: 500}, {Size: 100}}
 	assertZeroAllocs(t, "Link.Send+transmit+deliver", func() {
 		for _, p := range pkts {
 			l.Send(p)
@@ -40,6 +39,25 @@ func TestLinkTransmitDeliverZeroAlloc(t *testing.T) {
 	})
 	if delivered == 0 {
 		t.Fatal("nothing delivered")
+	}
+}
+
+// TestChainHopPerPacketZeroAlloc pins a packet's forward from one hop to
+// the next: delivery into the first hop's demux, its fallback and the
+// second hop's Send copy the packet and allocate nothing.
+func TestChainHopPerPacketZeroAlloc(t *testing.T) {
+	s := New()
+	c := NewChain(s, ChainConfig{Hops: 2})
+	var delivered int
+	c.FwdDemux.Register(42, ReceiverFunc(func(Packet) { delivered++ }))
+	assertZeroAllocs(t, "Chain hop forward", func() {
+		for k := 0; k < 4; k++ {
+			c.Entry().Send(Packet{ID: s.NextPacketID(), Flow: 42, Size: 1500, Sent: s.Now()})
+		}
+		s.Run(s.Now() + 100*time.Millisecond)
+	})
+	if arrived, _, _ := c.Hops[1].Stats(); delivered == 0 || arrived != uint64(delivered) {
+		t.Fatalf("hop 1 saw %d packets and %d were delivered", arrived, delivered)
 	}
 }
 

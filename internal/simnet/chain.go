@@ -69,7 +69,7 @@ func NewChain(sim *Sim, cfg ChainConfig) *Chain {
 		links[i] = NewLink(sim, cfg.RatePerHop, perHopDelay, qcap, demuxes[i])
 		if i < cfg.Hops-1 {
 			next := links[i+1]
-			demuxes[i].SetFallback(ReceiverFunc(func(p *Packet) { next.Send(p) }))
+			demuxes[i].SetFallback(ReceiverFunc(func(p Packet) { next.Send(p) }))
 		}
 	}
 	ch.Hops = links

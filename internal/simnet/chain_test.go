@@ -11,7 +11,7 @@ func TestChainEndToEndDelivery(t *testing.T) {
 	sink := &collect{sim: s}
 	c.FwdDemux.Register(42, sink)
 	s.Schedule(0, func() {
-		c.Entry().Send(&Packet{ID: s.NextPacketID(), Flow: 42, Size: 1500})
+		c.Entry().Send(Packet{ID: s.NextPacketID(), Flow: 42, Size: 1500})
 	})
 	s.Run(time.Second)
 	if len(sink.pkts) != 1 {
@@ -39,8 +39,8 @@ func TestChainLocalCrossTrafficExitsAtHop(t *testing.T) {
 	c.HopDemux[0].Register(7, localSink) // local to hop 0
 	c.FwdDemux.Register(8, endSink)      // end to end
 	s.Schedule(0, func() {
-		c.Entry().Send(&Packet{ID: s.NextPacketID(), Flow: 7, Size: 1500})
-		c.Entry().Send(&Packet{ID: s.NextPacketID(), Flow: 8, Size: 1500})
+		c.Entry().Send(Packet{ID: s.NextPacketID(), Flow: 7, Size: 1500})
+		c.Entry().Send(Packet{ID: s.NextPacketID(), Flow: 8, Size: 1500})
 	})
 	s.Run(time.Second)
 	if len(localSink.pkts) != 1 {
@@ -66,7 +66,7 @@ func TestChainIndependentCongestion(t *testing.T) {
 	// local to hop 1 means injected directly into Hops[1]).
 	s.Schedule(0, func() {
 		for i := 0; i < 40; i++ {
-			c.Hops[1].Send(&Packet{ID: s.NextPacketID(), Flow: 9, Size: 1000})
+			c.Hops[1].Send(Packet{ID: s.NextPacketID(), Flow: 9, Size: 1000})
 		}
 	})
 	s.Run(time.Second)
@@ -75,5 +75,27 @@ func TestChainIndependentCongestion(t *testing.T) {
 	}
 	if _, drops, _ := c.Hops[1].Stats(); drops == 0 {
 		t.Fatal("hop 1 did not drop under overload")
+	}
+}
+
+// A packet crossing two hops is forwarded by value through the first
+// hop's demux fallback and arrives with the fields it was sent with.
+func TestChainDeliversOwnPacket(t *testing.T) {
+	s := New()
+	c := NewChain(s, ChainConfig{Hops: 2, RatePerHop: Rate(8_000_000)})
+	sink := &collect{sim: s}
+	c.FwdDemux.Register(42, sink)
+	var sent []Packet
+	for k := 0; k < 4; k++ {
+		s.Schedule(time.Duration(k)*300*time.Microsecond, func() {
+			p := Packet{ID: s.NextPacketID(), Flow: 42, Kind: Probe, Size: 600 + 100*k, Seq: int64(1000 + k), Sent: s.Now()}
+			sent = append(sent, p)
+			c.Entry().Send(p)
+		})
+	}
+	s.Run(time.Second)
+	checkPackets(t, "delivered", sink.pkts, sent)
+	if arrived, _, _ := c.Hops[1].Stats(); arrived != 4 {
+		t.Fatalf("hop 1 saw %d packets, want 4", arrived)
 	}
 }

@@ -33,7 +33,7 @@ func (d *Demux) SetFallback(r Receiver) { d.fallback = r }
 func (d *Demux) Orphans() uint64 { return d.orphans }
 
 // Deliver implements Receiver.
-func (d *Demux) Deliver(p *Packet) {
+func (d *Demux) Deliver(p Packet) {
 	if r, ok := d.byFlow[p.Flow]; ok {
 		r.Deliver(p)
 		return

@@ -27,8 +27,8 @@ type eventTimer interface {
 }
 
 type eventLink interface {
-	Send(p *Packet)
-	SendAt(at time.Duration, p *Packet)
+	Send(p Packet)
+	SendAt(at time.Duration, p Packet)
 	AddTap(t Tap)
 	Stats() (arrived, dropped, delivered uint64)
 }
@@ -82,13 +82,13 @@ func newOrderProgram(e eventEngine, seed int64, budget int) *orderProgram {
 	p.rev = e.NewLink(Rate(8_000_000), 700*time.Microsecond, 100_000, revDemux)
 	p.fwd.AddTap(orderTap{p})
 	for f := uint64(1); f <= orderFlows; f++ {
-		fwdDemux.Register(f, ReceiverFunc(func(pkt *Packet) {
+		fwdDemux.Register(f, ReceiverFunc(func(pkt Packet) {
 			p.log("deliver f%d #%d id%d", pkt.Flow, pkt.Seq, pkt.ID)
 			if p.rng.Intn(2) == 0 {
-				p.rev.Send(&Packet{ID: p.e.NextPacketID(), Flow: pkt.Flow, Kind: Ack, Size: 100, Seq: pkt.Seq, Sent: p.e.Now()})
+				p.rev.Send(Packet{ID: p.e.NextPacketID(), Flow: pkt.Flow, Kind: Ack, Size: 100, Seq: pkt.Seq, Sent: p.e.Now()})
 			}
 		}))
-		revDemux.Register(f, ReceiverFunc(func(pkt *Packet) {
+		revDemux.Register(f, ReceiverFunc(func(pkt Packet) {
 			p.log("ack f%d #%d", pkt.Flow, pkt.Seq)
 			p.act()
 		}))
@@ -147,10 +147,10 @@ func (p *orderProgram) reset(k int) {
 	p.timers[k].Reset(d)
 }
 
-func (p *orderProgram) packet() *Packet {
+func (p *orderProgram) packet() Packet {
 	sizes := [...]int{100, 500, 1000}
 	p.seq++
-	return &Packet{
+	return Packet{
 		ID:   p.e.NextPacketID(),
 		Flow: uint64(1 + p.rng.Intn(orderFlows)),
 		Size: sizes[p.rng.Intn(len(sizes))],

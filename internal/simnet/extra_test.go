@@ -49,7 +49,7 @@ func TestLinkConservationProperty(t *testing.T) {
 		s := New()
 		dst := &collect{sim: s}
 		l := NewLink(s, Rate(8_000_000), time.Millisecond, 5_000, dst)
-		tap := &tapRec{}
+		tap := &packetLog{}
 		l.AddTap(tap)
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < n; i++ {
@@ -67,7 +67,7 @@ func TestLinkConservationProperty(t *testing.T) {
 		if len(dst.pkts) != int(delivered) {
 			return false
 		}
-		if tap.drops != int(dropped) || tap.departs != int(delivered) {
+		if len(tap.dropped) != int(dropped) || len(tap.departed) != int(delivered) {
 			return false
 		}
 		return l.QueueBytes() == 0
@@ -116,8 +116,8 @@ func TestKindString(t *testing.T) {
 
 func TestReceiverFunc(t *testing.T) {
 	called := 0
-	r := ReceiverFunc(func(*Packet) { called++ })
-	r.Deliver(&Packet{})
+	r := ReceiverFunc(func(Packet) { called++ })
+	r.Deliver(Packet{})
 	if called != 1 {
 		t.Fatal("ReceiverFunc did not invoke the function")
 	}

@@ -41,8 +41,9 @@ type Link struct {
 
 	busy   bool
 	qbytes int // queued bytes, including packet in service
-	q      ring[*Packet]
-	cur    *Packet // packet in service while busy
+	q      ring[Packet]
+	cur    Packet // packet in service while busy
+	in     Packet // the arriving packet, for taps and the AQM
 
 	// The propagation delay line: departed packets in flight, in
 	// departure order. Only its head has a heap entry (lineID).
@@ -98,16 +99,18 @@ func (l *Link) Stats() (arrived, dropped, delivered uint64) {
 }
 
 // Send places p on the link. If the buffer cannot hold it, p is dropped.
-func (l *Link) Send(p *Packet) {
+func (l *Link) Send(p Packet) {
 	now := l.sim.Now()
 	l.arrived++
+	// Taps and the AQM see the link's copy: &p would escape to the heap.
+	l.in = p
 	for _, t := range l.taps {
-		t.Arrive(now, p, l.qbytes)
+		t.Arrive(now, &l.in, l.qbytes)
 	}
-	if (l.busy && l.qbytes+p.Size > l.queueCap) || !l.redAdmit(p) {
+	if (l.busy && l.qbytes+p.Size > l.queueCap) || (l.aqm != nil && !l.aqm.Admit(&l.in, l.qbytes)) {
 		l.dropped++
 		for _, t := range l.taps {
-			t.Dropped(now, p, DropQueueFull)
+			t.Dropped(now, &l.in, DropQueueFull)
 		}
 		return
 	}
@@ -121,18 +124,22 @@ func (l *Link) Send(p *Packet) {
 }
 
 // SendAt calls Send(p) at virtual time at, which must not be in the
-// past. The pending send is a typed event, not a closure: it allocates
-// nothing in steady state.
-func (l *Link) SendAt(at time.Duration, p *Packet) {
+// past. The pending send is a typed event, not a closure, and p waits in
+// Sim.sends: it allocates nothing in steady state.
+func (l *Link) SendAt(at time.Duration, p Packet) {
 	s := l.sim
 	s.checkAt(at)
 	id := s.enqueue(at, evSend)
-	s.recs[id].l, s.recs[id].pkt = l, p
+	s.recs[id].l = l
+	if n := int(id) + 1; n > len(s.sends) {
+		s.sends = append(s.sends, make([]Packet, n-len(s.sends))...)
+	}
+	s.sends[id] = p
 }
 
 // transmit starts serializing p; the transmitter's single event fires
 // when the last bit is out.
-func (l *Link) transmit(p *Packet) {
+func (l *Link) transmit(p Packet) {
 	l.cur = p
 	l.sim.recs[l.sim.enqueue(l.sim.now+l.rate.TxTime(p.Size), evTx)].l = l
 }
@@ -140,21 +147,19 @@ func (l *Link) transmit(p *Packet) {
 // txDone completes the packet in service: it leaves the queue, enters the
 // delay line, and the next queued packet starts transmitting.
 func (l *Link) txDone() {
-	p := l.cur
-	l.cur = nil
-	l.qbytes -= p.Size
+	l.qbytes -= l.cur.Size
 	l.delivered++
 	s := l.sim
 	now := s.now
 	for _, t := range l.taps {
-		t.Depart(now, p, l.qbytes)
+		t.Depart(now, &l.cur, l.qbytes)
 	}
 	// Departures are serial and the delay is fixed, so the line stays
 	// sorted by key; its sequence number is taken here, as a delivery
 	// callback scheduled now would take it.
 	s.seq++
 	s.pending++
-	e := inflight{at: now + l.delay, seq: s.seq, p: p}
+	e := inflight{at: now + l.delay, seq: s.seq, p: l.cur}
 	if l.line.len() == 0 {
 		l.lineID = s.alloc(evDeliver)
 		s.recs[l.lineID].l = l
@@ -188,11 +193,11 @@ func (l *Link) deliverHead(id int32) {
 type inflight struct {
 	at  time.Duration
 	seq uint64
-	p   *Packet
+	p   Packet
 }
 
-// ring is a growable FIFO ring buffer; steady-state push and pop
-// allocate nothing.
+// ring is a growable FIFO ring buffer of pointer-free values: steady-state
+// push and pop allocate nothing, and pop need not clear the vacated slot.
 type ring[T any] struct {
 	buf  []T // len is zero or a power of two
 	head int
@@ -217,8 +222,6 @@ func (r *ring[T]) front() T { return r.buf[r.head] }
 
 func (r *ring[T]) pop() T {
 	v := r.buf[r.head]
-	var zero T
-	r.buf[r.head] = zero
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return v

@@ -8,30 +8,26 @@ import (
 // collect is a Receiver that records deliveries with timestamps.
 type collect struct {
 	sim  *Sim
-	pkts []*Packet
+	pkts []Packet
 	at   []time.Duration
 }
 
-func (c *collect) Deliver(p *Packet) {
+func (c *collect) Deliver(p Packet) {
 	c.pkts = append(c.pkts, p)
 	c.at = append(c.at, c.sim.Now())
 }
 
-// tapRec records tap callbacks.
-type tapRec struct {
-	arrivals, drops, departs int
-	dropIDs                  []uint64
-}
+// packetLog is a Tap that copies every packet it is shown.
+type packetLog struct{ arrived, dropped, departed []Packet }
 
-func (t *tapRec) Arrive(_ time.Duration, _ *Packet, _ int) { t.arrivals++ }
-func (t *tapRec) Dropped(_ time.Duration, p *Packet, _ Drop) {
-	t.drops++
-	t.dropIDs = append(t.dropIDs, p.ID)
+func (l *packetLog) Arrive(_ time.Duration, p *Packet, _ int) { l.arrived = append(l.arrived, *p) }
+func (l *packetLog) Dropped(_ time.Duration, p *Packet, _ Drop) {
+	l.dropped = append(l.dropped, *p)
 }
-func (t *tapRec) Depart(_ time.Duration, _ *Packet, _ int) { t.departs++ }
+func (l *packetLog) Depart(_ time.Duration, p *Packet, _ int) { l.departed = append(l.departed, *p) }
 
-func mkpkt(s *Sim, size int) *Packet {
-	return &Packet{ID: s.NextPacketID(), Size: size, Sent: s.Now()}
+func mkpkt(s *Sim, size int) Packet {
+	return Packet{ID: s.NextPacketID(), Size: size, Sent: s.Now()}
 }
 
 func TestLinkDeliveryTiming(t *testing.T) {
@@ -81,7 +77,7 @@ func TestLinkDropTail(t *testing.T) {
 	// first starts transmitting (in-service byte accounting), so the
 	// buffer holds it plus two more; the rest drop.
 	l := NewLink(s, Rate(8_000_000), 0, 3000, dst)
-	tap := &tapRec{}
+	tap := &packetLog{}
 	l.AddTap(tap)
 	s.Schedule(0, func() {
 		for i := 0; i < 6; i++ {
@@ -92,8 +88,8 @@ func TestLinkDropTail(t *testing.T) {
 	if got := len(dst.pkts); got != 3 {
 		t.Fatalf("delivered %d, want 3", got)
 	}
-	if tap.drops != 3 {
-		t.Fatalf("dropped %d, want 3", tap.drops)
+	if len(tap.dropped) != 3 {
+		t.Fatalf("dropped %d, want 3", len(tap.dropped))
 	}
 	arrived, dropped, delivered := l.Stats()
 	if arrived != 6 || dropped != 3 || delivered != 3 {
@@ -143,7 +139,7 @@ func TestLinkTapSequence(t *testing.T) {
 	s := New()
 	dst := &collect{sim: s}
 	l := NewLink(s, Rate(8_000_000), time.Millisecond, 10_000, dst)
-	tap := &tapRec{}
+	tap := &packetLog{}
 	l.AddTap(tap)
 	s.Schedule(0, func() {
 		for i := 0; i < 4; i++ {
@@ -151,9 +147,9 @@ func TestLinkTapSequence(t *testing.T) {
 		}
 	})
 	s.Run(time.Second)
-	if tap.arrivals != 4 || tap.departs != 4 || tap.drops != 0 {
+	if len(tap.arrived) != 4 || len(tap.departed) != 4 || len(tap.dropped) != 0 {
 		t.Fatalf("tap saw (%d arrive, %d depart, %d drop), want (4,4,0)",
-			tap.arrivals, tap.departs, tap.drops)
+			len(tap.arrived), len(tap.departed), len(tap.dropped))
 	}
 }
 
@@ -187,10 +183,10 @@ func TestDemuxRouting(t *testing.T) {
 	d := NewDemux()
 	d.Register(1, a)
 	d.Register(2, b)
-	d.Deliver(&Packet{Flow: 1})
-	d.Deliver(&Packet{Flow: 2})
-	d.Deliver(&Packet{Flow: 2})
-	d.Deliver(&Packet{Flow: 99})
+	d.Deliver(Packet{Flow: 1})
+	d.Deliver(Packet{Flow: 2})
+	d.Deliver(Packet{Flow: 2})
+	d.Deliver(Packet{Flow: 99})
 	if len(a.pkts) != 1 || len(b.pkts) != 2 {
 		t.Fatalf("routed (%d,%d), want (1,2)", len(a.pkts), len(b.pkts))
 	}
@@ -198,7 +194,7 @@ func TestDemuxRouting(t *testing.T) {
 		t.Fatalf("orphans = %d, want 1", d.Orphans())
 	}
 	d.Unregister(2)
-	d.Deliver(&Packet{Flow: 2})
+	d.Deliver(Packet{Flow: 2})
 	if d.Orphans() != 2 {
 		t.Fatalf("orphans after unregister = %d, want 2", d.Orphans())
 	}
@@ -209,7 +205,7 @@ func TestDemuxFallback(t *testing.T) {
 	fb := &collect{sim: s}
 	d := NewDemux()
 	d.SetFallback(fb)
-	d.Deliver(&Packet{Flow: 7})
+	d.Deliver(Packet{Flow: 7})
 	if len(fb.pkts) != 1 || d.Orphans() != 0 {
 		t.Fatalf("fallback got %d pkts, orphans %d; want 1, 0", len(fb.pkts), d.Orphans())
 	}
@@ -237,7 +233,7 @@ func TestDumbbellEndToEnd(t *testing.T) {
 	sink := &collect{sim: s}
 	d.FwdDemux.Register(42, sink)
 	s.Schedule(0, func() {
-		d.Bottleneck.Send(&Packet{ID: s.NextPacketID(), Flow: 42, Size: 1500})
+		d.Bottleneck.Send(Packet{ID: s.NextPacketID(), Flow: 42, Size: 1500})
 	})
 	s.Run(time.Second)
 	if len(sink.pkts) != 1 {
@@ -247,4 +243,93 @@ func TestDumbbellEndToEnd(t *testing.T) {
 	if sink.at[0] < 50*time.Millisecond || sink.at[0] > 51*time.Millisecond {
 		t.Fatalf("delivery at %v, want ≈50ms", sink.at[0])
 	}
+}
+
+func checkPackets(t *testing.T, what string, got, want []Packet) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s %d packets, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("%s #%d is %+v, want %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// Taps see the link's own copy of each packet. Every Arrive, Dropped and
+// Depart must report the packet actually arriving, dropped or departing,
+// also while the link is busy and its queue overflows.
+func TestLinkTapsSeeOwnPacket(t *testing.T) {
+	s := New()
+	dst := &collect{sim: s}
+	// 1000-byte packets serialize in 1 ms; the buffer holds three.
+	l := NewLink(s, Rate(8_000_000), time.Millisecond, 3000, dst)
+	tap := &packetLog{}
+	l.AddTap(tap)
+	var sent []Packet
+	burst := func(n int) func() {
+		return func() {
+			for i := 0; i < n; i++ {
+				k := len(sent)
+				p := Packet{ID: s.NextPacketID(), Flow: uint64(10 + k), Kind: Kind(k % 3), Size: 1000, Seq: int64(100 + k), Sent: s.Now()}
+				sent = append(sent, p)
+				l.Send(p)
+			}
+		}
+	}
+	s.Schedule(0, burst(6))                     // 1 in service, 2 queued, 3 dropped
+	s.Schedule(1500*time.Microsecond, burst(3)) // after one departure: 1 queued, 2 dropped
+	s.Schedule(2500*time.Microsecond, burst(1)) // after two: queued
+	s.Run(time.Second)
+	checkPackets(t, "arrived", tap.arrived, sent)
+	checkPackets(t, "dropped", tap.dropped, []Packet{sent[3], sent[4], sent[5], sent[7], sent[8]})
+	kept := []Packet{sent[0], sent[1], sent[2], sent[6], sent[9]}
+	checkPackets(t, "departed", tap.departed, kept)
+	checkPackets(t, "delivered", dst.pkts, kept)
+}
+
+// aqmLog wraps an AQM and copies every packet it is asked to admit with
+// the verdict.
+type aqmLog struct {
+	inner   AQM
+	seen    []Packet
+	refused []Packet
+}
+
+func (a *aqmLog) Admit(p *Packet, queuedBytes int) bool {
+	a.seen = append(a.seen, *p)
+	ok := a.inner.Admit(p, queuedBytes)
+	if !ok {
+		a.refused = append(a.refused, *p)
+	}
+	return ok
+}
+
+// A packet the AQM refuses is shown to Admit with its own fields, and the
+// Dropped tap reports that same packet.
+func TestAQMSeesOwnPacket(t *testing.T) {
+	s := New()
+	dst := &collect{sim: s}
+	l := NewLink(s, Rate(8_000_000), 0, 100_000, dst)
+	// Wq 1 makes RED's average the instantaneous backlog: the first two
+	// packets are admitted (0 and 1000 bytes queued, no drop
+	// probability yet) and every later one meets MaxTh and is refused.
+	aqm := &aqmLog{inner: NewRED(REDConfig{MinTh: 1000, MaxTh: 2000, Wq: 1})}
+	l.SetAQM(aqm)
+	tap := &packetLog{}
+	l.AddTap(tap)
+	var sent []Packet
+	s.Schedule(0, func() {
+		for k := 0; k < 5; k++ {
+			p := Packet{ID: s.NextPacketID(), Flow: uint64(20 + k), Size: 1000, Seq: int64(7 * k), Sent: s.Now()}
+			sent = append(sent, p)
+			l.Send(p)
+		}
+	})
+	s.Run(time.Second)
+	checkPackets(t, "shown to Admit", aqm.seen, sent)
+	checkPackets(t, "refused", aqm.refused, sent[2:])
+	checkPackets(t, "dropped", tap.dropped, sent[2:])
+	checkPackets(t, "delivered", dst.pkts, sent[:2])
 }

@@ -26,7 +26,8 @@ func (k Kind) String() string {
 }
 
 // Packet is a simulated packet. Size is the on-the-wire size in bytes and
-// is what the link scheduler and queue account for.
+// is what the link scheduler and queue account for. A Packet has no
+// pointers and travels by value, so carrying one allocates nothing.
 type Packet struct {
 	ID   uint64
 	Flow uint64
@@ -36,16 +37,17 @@ type Packet struct {
 	Sent time.Duration // time the packet entered the network
 }
 
-// Receiver consumes delivered packets.
+// Receiver consumes delivered packets. A packet travels by value: the
+// receiver gets its own copy and may keep it or send it on.
 type Receiver interface {
-	Deliver(p *Packet)
+	Deliver(p Packet)
 }
 
 // ReceiverFunc adapts a function to the Receiver interface.
-type ReceiverFunc func(p *Packet)
+type ReceiverFunc func(p Packet)
 
 // Deliver implements Receiver.
-func (f ReceiverFunc) Deliver(p *Packet) { f(p) }
+func (f ReceiverFunc) Deliver(p Packet) { f(p) }
 
 // Drop is the reason a packet was discarded.
 type Drop uint8
@@ -57,8 +59,10 @@ const (
 
 // Tap observes packet events at a link. All callbacks run synchronously
 // inside the simulation event loop, at the virtual time reported by
-// Sim.Now. Implementations must not retain p past the callback unless they
-// copy it.
+// Sim.Now. p points at storage the link owns and reuses for the next
+// packet: it is valid only during the callback, so an implementation that
+// keeps the packet copies *p, and none may send on the link it observes
+// from inside a callback.
 type Tap interface {
 	// Arrive is called when a packet arrives at the link, before the
 	// enqueue-or-drop decision.

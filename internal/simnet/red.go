@@ -13,7 +13,8 @@ import "math/rand"
 // validation (see lab.RED).
 type AQM interface {
 	// Admit decides whether to accept a packet given the current
-	// occupancy in bytes (before the packet is added).
+	// occupancy in bytes (before the packet is added). p points at the
+	// link's copy of the packet, as a Tap's does.
 	Admit(p *Packet, queuedBytes int) bool
 }
 
@@ -110,13 +111,4 @@ func REDForLink(l *Link, lowFrac, highFrac, maxP float64, seed int64) *RED {
 		MaxP:  maxP,
 		Seed:  seed,
 	})
-}
-
-// redAdmit is called from Link.Send; kept here so all RED logic lives in
-// one file.
-func (l *Link) redAdmit(p *Packet) bool {
-	if l.aqm == nil {
-		return true
-	}
-	return l.aqm.Admit(p, l.qbytes)
 }

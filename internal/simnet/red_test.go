@@ -85,7 +85,7 @@ func TestREDOnLinkSpreadsDrops(t *testing.T) {
 	for i := 0; i < n; i++ {
 		at := time.Duration(i) * ival
 		s.ScheduleAt(at, func() {
-			l.Send(&Packet{ID: s.NextPacketID(), Kind: Data, Size: 1000})
+			l.Send(Packet{ID: s.NextPacketID(), Kind: Data, Size: 1000})
 			// Ignore the warm-up transient: the EWMA needs time to
 			// catch up with the instantaneous queue (classic RED).
 			if s.Now() > 500*time.Millisecond && l.QueueBytes() > maxQ {

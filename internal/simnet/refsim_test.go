@@ -133,7 +133,7 @@ type refLink struct {
 
 	busy   bool
 	qbytes int
-	q      []*Packet
+	q      []Packet
 	taps   []Tap
 
 	arrived, dropped, delivered uint64
@@ -149,16 +149,16 @@ func (l *refLink) Stats() (arrived, dropped, delivered uint64) {
 	return l.arrived, l.dropped, l.delivered
 }
 
-func (l *refLink) Send(p *Packet) {
+func (l *refLink) Send(p Packet) {
 	now := l.sim.Now()
 	l.arrived++
 	for _, t := range l.taps {
-		t.Arrive(now, p, l.qbytes)
+		t.Arrive(now, &p, l.qbytes)
 	}
 	if l.busy && l.qbytes+p.Size > l.queueCap {
 		l.dropped++
 		for _, t := range l.taps {
-			t.Dropped(now, p, DropQueueFull)
+			t.Dropped(now, &p, DropQueueFull)
 		}
 		return
 	}
@@ -170,23 +170,23 @@ func (l *refLink) Send(p *Packet) {
 	}
 }
 
-func (l *refLink) SendAt(at time.Duration, p *Packet) {
+func (l *refLink) SendAt(at time.Duration, p Packet) {
 	l.sim.Schedule(at-l.sim.Now(), func() { l.Send(p) })
 }
 
-func (l *refLink) pop() *Packet {
+func (l *refLink) pop() Packet {
 	p := l.q[0]
 	l.q = l.q[1:]
 	return p
 }
 
-func (l *refLink) transmit(p *Packet) {
+func (l *refLink) transmit(p Packet) {
 	l.sim.Schedule(l.rate.TxTime(p.Size), func() {
 		l.qbytes -= p.Size
 		l.delivered++
 		now := l.sim.Now()
 		for _, t := range l.taps {
-			t.Depart(now, p, l.qbytes)
+			t.Depart(now, &p, l.qbytes)
 		}
 		l.sim.Schedule(l.delay, func() { l.dst.Deliver(p) })
 		if len(l.q) > 0 {

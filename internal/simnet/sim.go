@@ -63,14 +63,14 @@ func (a entry) before(b entry) bool {
 }
 
 // record is the dispatch target of one queued entry. Records are recycled
-// through a free list, so a steady event load allocates none.
+// through a free list, so a steady event load allocates none. A pending
+// SendAt's packet waits in Sim.sends at the record's id, keeping it small.
 type record struct {
 	pos  int32 // index of the entry in Sim.heap
 	kind evKind
 	fn   func()  // evFunc
 	t    *Timer  // evTimer
 	l    *Link   // evTx, evDeliver, evSend
-	pkt  *Packet // evSend
 	st   *stream // evStream
 }
 
@@ -85,6 +85,7 @@ type Sim struct {
 	free    []int32 // recycled record ids
 	pending int
 	nextID  uint64
+	sends   []Packet // packets of pending SendAt events, by record id
 }
 
 // New returns an empty simulator positioned at time zero.
@@ -188,7 +189,7 @@ func (s *Sim) Run(until time.Duration) {
 		case evDeliver:
 			r.l.deliverHead(top.id)
 		case evSend:
-			l, p := r.l, r.pkt
+			l, p := r.l, s.sends[top.id]
 			s.popTop(top.id)
 			l.Send(p)
 		case evStream:

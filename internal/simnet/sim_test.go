@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestSimRunsEventsInOrder(t *testing.T) {
@@ -177,5 +178,14 @@ func TestSimManyEventsRandomOrder(t *testing.T) {
 	s.Run(2 * time.Second)
 	if count != n {
 		t.Fatalf("ran %d events, want %d", count, n)
+	}
+}
+
+// A pending SendAt keeps its packet in Sim.sends rather than in its
+// record, so the per-event record stays 40 bytes: a wider one grows every
+// path's setup.
+func TestRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(record{}); n > 40 {
+		t.Errorf("an event record is %d bytes, want at most 40", n)
 	}
 }

@@ -212,7 +212,7 @@ func (f *Flow) sendSeg(seq int64, isRetrans bool) {
 		}
 		f.lastSend = sendAt
 	}
-	p := &simnet.Packet{
+	p := simnet.Packet{
 		ID:   f.sim.NextPacketID(),
 		Flow: f.id,
 		Kind: simnet.Data,
@@ -268,7 +268,7 @@ func (f *Flow) onRTO() {
 
 // onAck handles an ACK arriving at the sender. The packet's Seq carries
 // the receiver's next expected segment (a cumulative ACK).
-func (f *Flow) onAck(p *simnet.Packet) {
+func (f *Flow) onAck(p simnet.Packet) {
 	if f.done {
 		return
 	}
@@ -374,7 +374,7 @@ func (f *Flow) finish() {
 
 // onData handles a data segment arriving at the receiver and returns a
 // cumulative ACK (possibly delayed, per Config.DelayedAck).
-func (f *Flow) onData(p *simnet.Packet) {
+func (f *Flow) onData(p simnet.Packet) {
 	seq := p.Seq
 	inOrder := false
 	switch {
@@ -409,7 +409,7 @@ func (f *Flow) sendAck() {
 		f.ackHeld = false
 		f.delackT.Stop()
 	}
-	f.rev.Send(&simnet.Packet{
+	f.rev.Send(simnet.Packet{
 		ID:   f.sim.NextPacketID(),
 		Flow: f.id,
 		Kind: simnet.Ack,

@@ -230,7 +230,7 @@ func truthBits(tr capture.Truth) string {
 func TestDropResetsLowWaterToArrivalOccupancy(t *testing.T) {
 	sim := simnet.New()
 	// 8 Mb/s: a 1000 B packet leaves every millisecond.
-	l := simnet.NewLink(sim, simnet.Rate(8_000_000), 0, 10_000, simnet.ReceiverFunc(func(*simnet.Packet) {}))
+	l := simnet.NewLink(sim, simnet.Rate(8_000_000), 0, 10_000, simnet.ReceiverFunc(func(simnet.Packet) {}))
 	mon := capture.Attach(sim, l, capture.Config{})
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, Header{BitsPerSec: 8_000_000, QueueCap: 10_000})
@@ -239,7 +239,7 @@ func TestDropResetsLowWaterToArrivalOccupancy(t *testing.T) {
 	}
 	tap := AttachTap(l, w)
 	send := func(at time.Duration, size int) {
-		sim.ScheduleAt(at, func() { l.Send(&simnet.Packet{ID: sim.NextPacketID(), Size: size}) })
+		sim.ScheduleAt(at, func() { l.Send(simnet.Packet{ID: sim.NextPacketID(), Size: size}) })
 	}
 	for i := 0; i < 5; i++ {
 		send(0, 1000) // 5000 B queued

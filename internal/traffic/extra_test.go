@@ -10,7 +10,7 @@ import (
 
 func TestCBRStop(t *testing.T) {
 	s := simnet.New()
-	l := simnet.NewLink(s, simnet.GigE, 0, 1_000_000, simnet.ReceiverFunc(func(*simnet.Packet) {}))
+	l := simnet.NewLink(s, simnet.GigE, 0, 1_000_000, simnet.ReceiverFunc(func(simnet.Packet) {}))
 	c := NewCBR(s, l, 1, simnet.Rate(12_000_000), 1500)
 	s.Run(100 * time.Millisecond)
 	c.Stop()

@@ -63,7 +63,7 @@ func NewCBR(sim *simnet.Sim, link *simnet.Link, flow uint64, rate simnet.Rate, s
 }
 
 func (c *CBR) tick() {
-	c.link.Send(&simnet.Packet{
+	c.link.Send(simnet.Packet{
 		ID:   c.sim.NextPacketID(),
 		Flow: c.flow,
 		Kind: simnet.Data,
@@ -232,7 +232,7 @@ func (e *EpisodeInjector) burst() {
 	e.sim.ScheduleEach(int(on/ival), func(i int) time.Duration {
 		return start + time.Duration(i)*ival
 	}, func(i int) {
-		e.link.Send(&simnet.Packet{
+		e.link.Send(simnet.Packet{
 			ID:   e.sim.NextPacketID(),
 			Flow: flow,
 			Kind: simnet.Data,

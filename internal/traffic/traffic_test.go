@@ -11,7 +11,7 @@ import (
 func TestCBRRateAndSpacing(t *testing.T) {
 	s := simnet.New()
 	var times []time.Duration
-	sink := simnet.ReceiverFunc(func(p *simnet.Packet) { times = append(times, s.Now()) })
+	sink := simnet.ReceiverFunc(func(p simnet.Packet) { times = append(times, s.Now()) })
 	l := simnet.NewLink(s, simnet.GigE, 0, 10_000_000, sink)
 	c := NewCBR(s, l, 1, simnet.Rate(12_000_000), 1500) // 1000 pps
 	s.Run(time.Second)
