@@ -99,8 +99,8 @@ fuzz:
 	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzWALDecode -fuzztime 30s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzTraceAnalyze -fuzztime 30s
 
-# Reproduce every paper table and figure at full scale: 103 cells, 3 min
-# 25 s wall on a 2-vCPU Intel Xeon host (2 workers, 6 min 43 s of work).
+# Reproduce every paper table and figure at full scale: 103 cells, 1 min
+# 32–42 s wall on a 2-vCPU Intel Xeon host (2 workers, 3 min 0–20 s of work).
 experiments:
 	$(GO) run ./cmd/labsim -experiment all -horizon 900s
 
