@@ -4,6 +4,7 @@ package probe
 
 import (
 	"testing"
+	"time"
 
 	"badabing/internal/simnet"
 )
@@ -23,5 +24,29 @@ func TestProberArrivalAllocs(t *testing.T) {
 	}
 	if r := p.probes[500]; r.key != 1500 || r.got != 101 {
 		t.Errorf("probe 1500 counted %d arrivals (record key %d), want 101", r.got, r.key)
+	}
+}
+
+// TestSendProbePerProbeZeroAlloc pins a probe's whole life on a warm
+// prober (its record slice already sized): the packet train, every
+// packet's crossing of the bottleneck and its arrival allocate nothing.
+func TestSendProbePerProbeZeroAlloc(t *testing.T) {
+	s := simnet.New()
+	d := simnet.NewDumbbell(s, simnet.DumbbellConfig{})
+	p := NewProber(s, d.Bottleneck, 9, 600)
+	d.FwdDemux.Register(9, p.Receiver())
+	p.probes = make([]record, 0, 1000)
+	var key int64
+	probe := func() {
+		p.SendProbe(key, 3)
+		key++
+		s.Run(s.Now() + 100*time.Millisecond) // past the 50 ms path delay
+	}
+	probe()
+	if avg := testing.AllocsPerRun(200, probe); avg != 0 {
+		t.Errorf("a probe allocates %.2f times, want 0", avg)
+	}
+	if sent, lost := p.PacketCounts(); sent != 3*int(key) || lost != 0 {
+		t.Fatalf("%d probes sent %d packets and lost %d; want %d sent, none lost", key, sent, lost, 3*key)
 	}
 }

@@ -68,25 +68,19 @@ func (p *Prober) deliver(pkt simnet.Packet) {
 }
 
 // SendProbe emits a probe of n packets starting at the current virtual
-// time. Keys must be strictly ascending from one probe to the next.
+// time: one packet train, PktGap apart. Keys must be strictly ascending
+// from one probe to the next.
 func (p *Prober) SendProbe(key int64, n int) {
 	if k := len(p.probes); k > 0 && key <= p.probes[k-1].key {
 		panic("probe: probe key not above the previous one")
 	}
-	start := p.sim.Now()
-	p.probes = append(p.probes, record{key: key, at: start, sent: n})
-	p.sim.ScheduleEach(n, func(i int) time.Duration {
-		return start + time.Duration(i)*PktGap
-	}, func(i int) {
-		p.link.Send(simnet.Packet{
-			ID:   p.sim.NextPacketID(),
-			Flow: p.flow,
-			Kind: simnet.Probe,
-			Size: p.size,
-			Seq:  key*pktsPerKey + int64(i),
-			Sent: p.sim.Now(),
-		})
-	})
+	p.probes = append(p.probes, record{key: key, at: p.sim.Now(), sent: n})
+	p.link.SendTrain(simnet.Packet{
+		Flow: p.flow,
+		Kind: simnet.Probe,
+		Size: p.size,
+		Seq:  key * pktsPerKey,
+	}, n, PktGap)
 }
 
 // Obs is the outcome of one probe after the simulation has drained.

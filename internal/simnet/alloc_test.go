@@ -91,3 +91,19 @@ func TestStreamStepZeroAlloc(t *testing.T) {
 		t.Fatalf("stream ran %d steps", steps)
 	}
 }
+
+// TestTrainZeroAlloc pins a packet train: its one heap entry steps from
+// packet to packet, each stamped and sent into a busy link, and retires
+// without an allocation.
+func TestTrainZeroAlloc(t *testing.T) {
+	s := New()
+	var delivered int
+	l := NewLink(s, Rate(8_000_000), time.Millisecond, 1<<20, ReceiverFunc(func(Packet) { delivered++ }))
+	assertZeroAllocs(t, "Link.SendTrain", func() {
+		l.SendTrain(Packet{Flow: 7, Kind: Probe, Size: 600}, 5, 30*time.Microsecond)
+		s.Run(s.Now() + 10*time.Millisecond)
+	})
+	if delivered != 5*502 {
+		t.Fatalf("delivered %d packets, want %d", delivered, 5*502)
+	}
+}

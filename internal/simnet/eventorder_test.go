@@ -29,6 +29,7 @@ type eventTimer interface {
 type eventLink interface {
 	Send(p Packet)
 	SendAt(at time.Duration, p Packet)
+	SendTrain(p Packet, n int, gap time.Duration)
 	AddTap(t Tap)
 	Stats() (arrived, dropped, delivered uint64)
 }
@@ -48,13 +49,15 @@ type traceEv struct {
 
 // coverage counts the event-core paths a program exercised.
 type coverage struct {
-	earlier, later, stops, streams, sendAts, drops, ties int
+	earlier, later, stops, streams, sendAts, trains, backToBack, drops, ties int
 }
 
 // orderProgram is a seeded random program over a dumbbell: timers that
 // reset (earlier and later) and stop each other, one-off callbacks,
-// streams with equal-time steps, and packets sent now or later into a
-// drop-tail bottleneck whose deliveries trigger ACKs on the reverse link.
+// streams with equal-time steps, and packets sent now, later or in
+// trains into a drop-tail bottleneck whose deliveries trigger ACKs on the
+// reverse link. Bursts and trains keep the bottleneck busy, so its
+// transmitter often moves straight from one packet to the next.
 // Every callback draws its next actions from the program's RNG, so two
 // engines produce the same trace only if they run the same events in the
 // same order at the same times.
@@ -164,7 +167,7 @@ func (p *orderProgram) act() {
 	for n := 1 + p.rng.Intn(3); n > 0 && p.budget > 0; n-- {
 		p.budget--
 		now := p.e.Now()
-		switch p.rng.Intn(8) {
+		switch p.rng.Intn(10) {
 		case 0, 1:
 			p.reset(p.rng.Intn(len(p.timers)))
 		case 2:
@@ -189,8 +192,27 @@ func (p *orderProgram) act() {
 			for i := 0; i < 4; i++ { // a burst, to fill the queue
 				p.fwd.Send(p.packet())
 			}
+		case 8:
+			p.train(p.delay())
+		case 9:
+			// Back to back: each packet arrives as the one before
+			// it finishes serializing, tying with its transmit.
+			p.train(0)
 		}
 	}
+}
+
+// train sends 1–6 packets gap apart, or, for a zero gap, one packet's
+// serialization time apart.
+func (p *orderProgram) train(gap time.Duration) {
+	p.cov.trains++
+	pkt := p.packet()
+	if gap == 0 {
+		gap = Rate(8_000_000).TxTime(pkt.Size)
+	}
+	n := 1 + p.rng.Intn(6)
+	p.seq += int64(n - 1) // the train's packets take Seq pkt.Seq…p.seq
+	p.fwd.SendTrain(pkt, n, gap)
 }
 
 // stream schedules a batch whose times are nondecreasing with frequent
@@ -230,6 +252,9 @@ func (t orderTap) Dropped(_ time.Duration, pkt *Packet, _ Drop) {
 }
 
 func (t orderTap) Depart(_ time.Duration, pkt *Packet, q int) {
+	if q > 0 {
+		t.p.cov.backToBack++ // the next packet starts at once
+	}
 	t.p.log("depart id%d q%d", pkt.ID, q)
 }
 
@@ -269,13 +294,16 @@ func TestEventOrderMatchesReference(t *testing.T) {
 		cov.stops += c.stops
 		cov.streams += c.streams
 		cov.sendAts += c.sendAts
+		cov.trains += c.trains
+		cov.backToBack += c.backToBack
 		cov.drops += c.drops
 		cov.ties += c.ties
 	}
 	// The programs must actually exercise what they claim to.
 	for name, n := range map[string]int{
 		"resets to earlier": cov.earlier, "resets to later": cov.later, "stops": cov.stops,
-		"streams": cov.streams, "SendAt": cov.sendAts, "drops": cov.drops, "equal-time events": cov.ties,
+		"streams": cov.streams, "SendAt": cov.sendAts, "trains": cov.trains,
+		"back-to-back transmits": cov.backToBack, "drops": cov.drops, "equal-time events": cov.ties,
 	} {
 		if n < 50 {
 			t.Errorf("programs exercised only %d %s", n, name)
@@ -298,16 +326,19 @@ func TestEventOrderPendingDrains(t *testing.T) {
 	s.Schedule(0, func() {})
 	s.ScheduleEach(4, func(i int) time.Duration { return time.Duration(i) * time.Microsecond }, func(int) {})
 	l.SendAt(time.Microsecond, mkpkt(s, 1000))
-	if got, want := s.Pending(), 1+1+4+1; got != want {
+	l.SendTrain(mkpkt(s, 100), 3, 0)
+	if got, want := s.Pending(), 1+1+4+1+3; got != want {
 		t.Fatalf("pending = %d, want %d", got, want)
 	}
-	s.Run(1500 * time.Microsecond) // packet departed at 1.001 ms, in flight
-	if got := s.Pending(); got != 1 {
-		t.Fatalf("pending = %d with one packet on the delay line, want 1", got)
+	// The train's three packets leave by 0.3 ms and arrive by 1.3 ms;
+	// the SendAt packet queues behind them and departs at 1.3 ms.
+	s.Run(1500 * time.Microsecond)
+	if got := s.Pending(); got != 1 || len(dst.pkts) != 3 {
+		t.Fatalf("pending = %d, delivered %d with one packet on the delay line; want 1, 3", got, len(dst.pkts))
 	}
 	s.Run(time.Second)
-	if got := s.Pending(); got != 0 || len(dst.pkts) != 1 {
-		t.Fatalf("pending = %d, delivered %d after draining; want 0, 1", got, len(dst.pkts))
+	if got := s.Pending(); got != 0 || len(dst.pkts) != 4 {
+		t.Fatalf("pending = %d, delivered %d after draining; want 0, 4", got, len(dst.pkts))
 	}
 }
 

@@ -34,6 +34,7 @@ func (r Rate) Bytes(d time.Duration) int {
 // matching how router buffer occupancy is reported.
 type Link struct {
 	sim      *Sim
+	h        int32 // handle: index in sim.links
 	rate     Rate
 	delay    time.Duration
 	queueCap int // bytes
@@ -46,9 +47,8 @@ type Link struct {
 	in     Packet // the arriving packet, for taps and the AQM
 
 	// The propagation delay line: departed packets in flight, in
-	// departure order. Only its head has a heap entry (lineID).
-	line   ring[inflight]
-	lineID int32
+	// departure order. Only its head has a heap entry.
+	line ring[inflight]
 
 	taps []Tap
 	aqm  AQM
@@ -69,7 +69,9 @@ func NewLink(sim *Sim, rate Rate, delay time.Duration, queueCap int, dst Receive
 	if queueCap <= 0 {
 		panic(fmt.Sprintf("simnet: invalid queue capacity %d", queueCap))
 	}
-	return &Link{sim: sim, rate: rate, delay: delay, queueCap: queueCap, dst: dst, lineID: -1}
+	l := &Link{sim: sim, h: int32(len(sim.links)), rate: rate, delay: delay, queueCap: queueCap, dst: dst}
+	sim.links = append(sim.links, l)
+	return l
 }
 
 // AddTap registers t to observe this link's packet events.
@@ -117,7 +119,9 @@ func (l *Link) Send(p Packet) {
 	l.qbytes += p.Size
 	if !l.busy {
 		l.busy = true
-		l.transmit(p)
+		l.cur = p
+		s := l.sim
+		s.recs[s.enqueue(s.now+l.rate.TxTime(p.Size), evTx)].ref = l.h
 		return
 	}
 	l.q.push(p)
@@ -130,23 +134,67 @@ func (l *Link) SendAt(at time.Duration, p Packet) {
 	s := l.sim
 	s.checkAt(at)
 	id := s.enqueue(at, evSend)
-	s.recs[id].l = l
-	if n := int(id) + 1; n > len(s.sends) {
-		s.sends = append(s.sends, make([]Packet, n-len(s.sends))...)
-	}
+	s.recs[id].ref = l.h
+	s.sends = grow(s.sends, id)
 	s.sends[id] = p
 }
 
-// transmit starts serializing p; the transmitter's single event fires
-// when the last bit is out.
-func (l *Link) transmit(p Packet) {
-	l.cur = p
-	l.sim.recs[l.sim.enqueue(l.sim.now+l.rate.TxTime(p.Size), evTx)].l = l
+// train is a pending Link.SendTrain: packet i of n is p with Seq p.Seq+i,
+// sent at at0+i*gap under sequence number seq0+i.
+type train struct {
+	p       Packet
+	at0     time.Duration
+	gap     time.Duration
+	seq0    uint64
+	next, n int
 }
 
-// txDone completes the packet in service: it leaves the queue, enters the
-// delay line, and the next queued packet starts transmitting.
-func (l *Link) txDone() {
+// SendTrain sends n packets into the link, the i-th at Now()+i*gap: a
+// copy of p whose Seq is p.Seq+i, with a fresh NextPacketID and Sent
+// stamped as it leaves. It orders the packets exactly as n calls
+// SendAt(Now()+i*gap, ...) made now would — all n sequence numbers are
+// reserved by this call — but keeps one heap entry for the whole train
+// and allocates nothing in steady state. The first packet is sent by the
+// event loop, not by this call.
+func (l *Link) SendTrain(p Packet, n int, gap time.Duration) {
+	if gap < 0 {
+		panic(fmt.Sprintf("simnet: negative train gap %v", gap))
+	}
+	if n <= 0 {
+		return
+	}
+	s := l.sim
+	id := s.enqueue(s.now, evTrain)
+	s.recs[id].ref = l.h
+	s.trains = grow(s.trains, id)
+	s.trains[id] = train{p: p, at0: s.now, gap: gap, seq0: s.seq, n: n}
+	// enqueue took packet 0's number; reserve the rest.
+	s.seq += uint64(n - 1)
+	s.pending += n - 1
+}
+
+// trainStep sends the train's queued packet, first re-keying its heap
+// entry (at the top, key top) to the next packet or retiring the train.
+func (l *Link) trainStep(top entry) {
+	s := l.sim
+	tr := &s.trains[top.id]
+	p := tr.p
+	p.Seq += int64(tr.next)
+	tr.next++
+	if tr.next < tr.n {
+		s.rekeyTop(tr.at0+time.Duration(tr.next)*tr.gap, tr.seq0+uint64(tr.next))
+	} else {
+		s.popTop(top.id)
+	}
+	p.ID = s.NextPacketID()
+	p.Sent = s.now
+	l.Send(p)
+}
+
+// txDone completes the packet in service (record id, the transmitter's
+// entry at the top of the heap): it leaves the queue, enters the delay
+// line, and the next queued packet starts transmitting.
+func (l *Link) txDone(id int32) {
 	l.qbytes -= l.cur.Size
 	l.delivered++
 	s := l.sim
@@ -161,16 +209,22 @@ func (l *Link) txDone() {
 	s.pending++
 	e := inflight{at: now + l.delay, seq: s.seq, p: l.cur}
 	if l.line.len() == 0 {
-		l.lineID = s.alloc(evDeliver)
-		s.recs[l.lineID].l = l
-		s.push(entry{at: e.at, seq: e.seq, id: l.lineID})
+		head := s.alloc(evDeliver)
+		s.recs[head].ref = l.h
+		s.push(entry{at: e.at, seq: e.seq, id: head})
 	}
 	l.line.push(e)
-	if l.q.len() > 0 {
-		l.transmit(l.q.pop())
-	} else {
+	if l.q.len() == 0 {
 		l.busy = false
+		s.remove(id)
+		return
 	}
+	// The transmitter's entry moves on to the next packet, taking the
+	// sequence number a fresh enqueue would take here.
+	l.cur = l.q.pop()
+	s.seq++
+	s.pending++
+	s.rekey(id, now+l.rate.TxTime(l.cur.Size), s.seq)
 }
 
 // deliverHead hands the delay line's head to the receiver. Its heap entry
@@ -184,7 +238,6 @@ func (l *Link) deliverHead(id int32) {
 		s.rekeyTop(next.at, next.seq)
 	} else {
 		s.popTop(id)
-		l.lineID = -1
 	}
 	l.dst.Deliver(p)
 }

@@ -7,8 +7,9 @@ import (
 
 // This file keeps the original event engine as a test-only reference: a
 // container/heap of *event, each carrying a closure, with timers as
-// generation-checked closures, streams as one ScheduleAt per event and
-// links scheduling a closure per transmit and per delivery. The
+// generation-checked closures, streams and packet trains as one
+// ScheduleAt per event and links scheduling a closure per transmit and
+// per delivery. The
 // differential test (eventorder_test.go) drives it and the real engine
 // with the same random programs and requires identical traces.
 
@@ -172,6 +173,21 @@ func (l *refLink) Send(p Packet) {
 
 func (l *refLink) SendAt(at time.Duration, p Packet) {
 	l.sim.Schedule(at-l.sim.Now(), func() { l.Send(p) })
+}
+
+// SendTrain is n ScheduleAt calls made now, each sending one packet.
+func (l *refLink) SendTrain(p Packet, n int, gap time.Duration) {
+	start := l.sim.Now()
+	for i := 0; i < n; i++ {
+		i := i
+		l.sim.ScheduleAt(start+time.Duration(i)*gap, func() {
+			q := p
+			q.Seq += int64(i)
+			q.ID = l.sim.NextPacketID()
+			q.Sent = l.sim.Now()
+			l.Send(q)
+		})
+	}
 }
 
 func (l *refLink) pop() Packet {

@@ -16,15 +16,20 @@
 // in the order they were scheduled.
 //
 // The queue is a binary heap of pointer-free {at, seq, id} entries; id
-// names a record that says how to dispatch the event (its kind) and on
-// what. Recurring event sources keep at most one entry on the heap each:
+// names a pointer-free record that says how to dispatch the event (its
+// kind) and on what: a link handle, or a slot in a Sim table indexed by
+// the record id. Recurring event sources keep at most one entry on the
+// heap each:
 //
 //   - a Timer (NewTimer) is one entry, re-keyed in place by Reset;
-//   - a Link's transmitter is one transmit-complete entry, and its
-//     propagation delay line — departed packets in flight, delivered in
-//     departure order after a fixed delay — keeps only its head queued;
-//   - a stream (ScheduleEach) reserves the sequence numbers of all its
-//     events when created and keeps only its next event queued.
+//   - a Link's transmitter is one transmit-complete entry, re-keyed in
+//     place from each packet to the next while the link stays busy, and
+//     its propagation delay line — departed packets in flight, delivered
+//     in departure order after a fixed delay — keeps only its head
+//     queued;
+//   - a train (Link.SendTrain) and a stream (ScheduleEach) reserve the
+//     sequence numbers of all their events when created and keep only
+//     their next event queued.
 //
 // Each source's pending events are already sorted by key, and a source's
 // next event is queued when its previous one runs, before any later key
@@ -48,6 +53,7 @@ const (
 	evDeliver               // the head of a link's delay line
 	evSend                  // a Link.SendAt packet
 	evStream                // the next event of a ScheduleEach stream
+	evTrain                 // the next packet of a Link.SendTrain train
 )
 
 // entry is one heap element. It holds no pointers, so heap moves need no
@@ -62,16 +68,17 @@ func (a entry) before(b entry) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// record is the dispatch target of one queued entry. Records are recycled
-// through a free list, so a steady event load allocates none. A pending
-// SendAt's packet waits in Sim.sends at the record's id, keeping it small.
+// record is the dispatch target of one queued entry. It holds no
+// pointers either, so recycling one needs no write barrier. A link event
+// names its link by handle (ref); a func, timer, stream, train or
+// pending SendAt packet waits in the Sim table of its kind at the
+// record's id, and leaves it when the event runs or is stopped. Records
+// are recycled through a free list, so a steady event load allocates
+// none.
 type record struct {
 	pos  int32 // index of the entry in Sim.heap
 	kind evKind
-	fn   func()  // evFunc
-	t    *Timer  // evTimer
-	l    *Link   // evTx, evDeliver, evSend
-	st   *stream // evStream
+	ref  int32 // index into Sim.links: evTx, evDeliver, evSend, evTrain
 }
 
 // Sim is a discrete-event simulator. The zero value is not usable; create
@@ -85,7 +92,15 @@ type Sim struct {
 	free    []int32 // recycled record ids
 	pending int
 	nextID  uint64
-	sends   []Packet // packets of pending SendAt events, by record id
+	links   []*Link // by handle (Link.h)
+
+	// Event targets by record id. Each grows only to the highest id an
+	// event of its kind has held.
+	funcs   []func()
+	timers  []*Timer
+	streams []*stream
+	trains  []train
+	sends   []Packet
 }
 
 // New returns an empty simulator positioned at time zero.
@@ -115,13 +130,23 @@ func (s *Sim) Schedule(delay time.Duration, fn func()) {
 // the past.
 func (s *Sim) ScheduleAt(at time.Duration, fn func()) {
 	s.checkAt(at)
-	s.recs[s.enqueue(at, evFunc)].fn = fn
+	id := s.enqueue(at, evFunc)
+	s.funcs = grow(s.funcs, id)
+	s.funcs[id] = fn
 }
 
 func (s *Sim) checkAt(at time.Duration) {
 	if at < s.now {
 		panic(fmt.Sprintf("simnet: schedule at %v before now %v", at, s.now))
 	}
+}
+
+// grow returns tab extended, if need be, to hold index id.
+func grow[T any](tab []T, id int32) []T {
+	if n := int(id) + 1; n > len(tab) {
+		tab = append(tab, make([]T, n-len(tab))...)
+	}
+	return tab
 }
 
 // enqueue takes the next sequence number and queues a fresh record of the
@@ -153,11 +178,6 @@ func (s *Sim) alloc(kind evKind) int32 {
 	return id
 }
 
-func (s *Sim) release(id int32) {
-	s.recs[id] = record{}
-	s.free = append(s.free, id)
-}
-
 // Run executes events in time order until the event queue is empty or the
 // next event is after the until horizon. The clock is left at the time of
 // the last executed event, or at until if it is later.
@@ -169,31 +189,33 @@ func (s *Sim) Run(until time.Duration) {
 		}
 		s.now = top.at
 		s.pending--
-		r := &s.recs[top.id]
+		id := top.id
 		// Copy the target out before dispatch: handlers schedule
-		// events, which may grow s.recs.
-		switch r.kind {
+		// events, which may grow the tables.
+		switch r := s.recs[id]; r.kind {
 		case evFunc:
-			fn := r.fn
-			s.popTop(top.id)
+			fn := s.funcs[id]
+			s.funcs[id] = nil
+			s.popTop(id)
 			fn()
 		case evTimer:
-			t := r.t
+			t := s.timers[id]
+			s.timers[id] = nil
 			t.id = -1
-			s.popTop(top.id)
+			s.popTop(id)
 			t.fn()
 		case evTx:
-			l := r.l
-			s.popTop(top.id)
-			l.txDone()
+			s.links[r.ref].txDone(id)
 		case evDeliver:
-			r.l.deliverHead(top.id)
+			s.links[r.ref].deliverHead(id)
 		case evSend:
-			l, p := r.l, s.sends[top.id]
-			s.popTop(top.id)
-			l.Send(p)
+			p := s.sends[id]
+			s.popTop(id)
+			s.links[r.ref].Send(p)
 		case evStream:
-			r.st.step(s, top)
+			s.streams[id].step(s, top)
+		case evTrain:
+			s.links[r.ref].trainStep(top)
 		}
 	}
 	if s.now < until {
@@ -203,8 +225,15 @@ func (s *Sim) Run(until time.Duration) {
 
 // popTop removes the heap's top entry and recycles its record.
 func (s *Sim) popTop(id int32) {
-	s.removeAt(0)
-	s.release(id)
+	n := len(s.heap) - 1
+	if n > 0 {
+		s.heap[0] = s.heap[n]
+		s.heap = s.heap[:n]
+		s.down(0)
+	} else {
+		s.heap = s.heap[:0]
+	}
+	s.free = append(s.free, id)
 }
 
 // rekeyTop gives the top entry a later key and restores heap order.
@@ -215,7 +244,7 @@ func (s *Sim) rekeyTop(at time.Duration, seq uint64) {
 
 // Pending reports the number of scheduled events not yet run: callbacks,
 // armed timers, packets in transmission, in flight on a delay line or
-// waiting for SendAt, and the remaining events of every stream.
+// waiting for SendAt, and the remaining events of every stream and train.
 func (s *Sim) Pending() int { return s.pending }
 
 func (s *Sim) up(i int) {
@@ -268,20 +297,33 @@ func (s *Sim) fix(i int) {
 	}
 }
 
-func (s *Sim) removeAt(i int) {
+// remove takes record id's entry off the heap, wherever it is, and
+// recycles the record.
+func (s *Sim) remove(id int32) {
+	i := int(s.recs[id].pos)
 	n := len(s.heap) - 1
 	if i != n {
 		s.heap[i] = s.heap[n]
 		s.heap = s.heap[:n]
 		s.fix(i)
-		return
+	} else {
+		s.heap = s.heap[:n]
 	}
-	s.heap = s.heap[:n]
+	s.free = append(s.free, id)
+}
+
+// rekey gives record id's entry the key (at, seq) and restores heap
+// order. The key may move earlier or later.
+func (s *Sim) rekey(id int32, at time.Duration, seq uint64) {
+	i := int(s.recs[id].pos)
+	s.heap[i].at, s.heap[i].seq = at, seq
+	s.fix(i)
 }
 
 // Timer is a re-armable one-shot event: at most one pending firing, kept
 // as a single heap entry that Reset moves in place. Create one with
-// NewTimer; the zero value is not usable.
+// NewTimer; the zero value is not usable. The Sim refers to a timer only
+// while it is armed.
 type Timer struct {
 	sim *Sim
 	fn  func()
@@ -295,7 +337,8 @@ func (s *Sim) NewTimer(fn func()) *Timer {
 
 // Reset arms the timer to fire after delay d, replacing any pending
 // firing. Like Schedule, it takes a fresh sequence number, so the firing
-// is ordered after every event already scheduled for the same time.
+// is ordered after every event already scheduled for the same time; on
+// an unarmed timer it takes exactly the key Schedule(d, ...) would.
 func (t *Timer) Reset(d time.Duration) {
 	s := t.sim
 	if d < 0 {
@@ -304,13 +347,12 @@ func (t *Timer) Reset(d time.Duration) {
 	at := s.now + d
 	if t.id < 0 {
 		t.id = s.enqueue(at, evTimer)
-		s.recs[t.id].t = t
+		s.timers = grow(s.timers, t.id)
+		s.timers[t.id] = t
 		return
 	}
 	s.seq++
-	i := int(s.recs[t.id].pos)
-	s.heap[i].at, s.heap[i].seq = at, s.seq
-	s.fix(i)
+	s.rekey(t.id, at, s.seq)
 }
 
 // Stop cancels the pending firing, if any, and reports whether there was
@@ -320,8 +362,8 @@ func (t *Timer) Stop() bool {
 		return false
 	}
 	s := t.sim
-	s.removeAt(int(s.recs[t.id].pos))
-	s.release(t.id)
+	s.timers[t.id] = nil
+	s.remove(t.id)
 	s.pending--
 	t.id = -1
 	return true
@@ -344,7 +386,8 @@ type stream struct {
 // made now for i = 0, 1, …, n-1 would — all n sequence numbers are
 // reserved by this call — but keeps one heap entry for the whole batch.
 // at must be a pure, nondecreasing function of i with at(0) >= Now(); it
-// is evaluated one event ahead, as the batch advances.
+// is evaluated one event ahead, as the batch advances. A run of packets
+// at a fixed spacing is cheaper as a Link.SendTrain.
 func (s *Sim) ScheduleEach(n int, at func(i int) time.Duration, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -352,7 +395,9 @@ func (s *Sim) ScheduleEach(n int, at func(i int) time.Duration, fn func(i int)) 
 	t0 := at(0)
 	s.checkAt(t0)
 	st := &stream{at: at, fn: fn, n: n, seq0: s.seq + 1}
-	s.recs[s.enqueue(t0, evStream)].st = st
+	id := s.enqueue(t0, evStream)
+	s.streams = grow(s.streams, id)
+	s.streams[id] = st
 	// enqueue took event 0's number; reserve the rest.
 	s.seq += uint64(n - 1)
 	s.pending += n - 1
@@ -370,6 +415,7 @@ func (st *stream) step(s *Sim, top entry) {
 		}
 		s.rekeyTop(at, st.seq0+uint64(st.next))
 	} else {
+		s.streams[top.id] = nil
 		s.popTop(top.id)
 	}
 	fn(i)

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -181,11 +182,21 @@ func TestSimManyEventsRandomOrder(t *testing.T) {
 	}
 }
 
-// A pending SendAt keeps its packet in Sim.sends rather than in its
-// record, so the per-event record stays 40 bytes: a wider one grows every
+// An event record names its target by link handle or by its own id in a
+// Sim table, so it is 12 bytes and holds nothing the GC must scan:
+// recycling one needs no write barrier, and a wider one grows every
 // path's setup.
 func TestRecordSize(t *testing.T) {
-	if n := unsafe.Sizeof(record{}); n > 40 {
-		t.Errorf("an event record is %d bytes, want at most 40", n)
+	if n := unsafe.Sizeof(record{}); n != 12 {
+		t.Errorf("an event record is %d bytes, want 12", n)
+	}
+	rt := reflect.TypeOf(record{})
+	for i := 0; i < rt.NumField(); i++ {
+		switch f := rt.Field(i); f.Type.Kind() {
+		case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("record field %s is a %v, which may hold a pointer", f.Name, f.Type)
+		}
 	}
 }

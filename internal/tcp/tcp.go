@@ -12,7 +12,9 @@
 package tcp
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -80,13 +82,17 @@ func (c *Config) applyDefaults() {
 
 // Flow is a one-directional TCP transfer: a sender pushing data segments
 // into a forward link and a receiver returning cumulative ACKs over a
-// reverse link. Create one with Start.
+// reverse link. Create one with Start; Restart runs a finished flow
+// again. A flow binds its timers and receivers once, so a restart
+// allocates nothing.
 type Flow struct {
-	sim *simnet.Sim
-	id  uint64
-	fwd *simnet.Link
-	rev *simnet.Link
-	cfg Config
+	sim      *simnet.Sim
+	id       uint64
+	fwd      *simnet.Link
+	rev      *simnet.Link
+	fwdDemux *simnet.Demux
+	revDemux *simnet.Demux
+	cfg      Config
 
 	// Sender state. Sequence numbers count whole segments.
 	cwnd     float64
@@ -114,7 +120,7 @@ type Flow struct {
 
 	// Receiver state.
 	rcvNxt  int64
-	ooo     map[int64]bool
+	ooo     window        // segments above rcvNxt received out of order
 	ackHeld bool          // one in-order segment awaiting a delayed ACK
 	delackT *simnet.Timer // nil unless Config.DelayedAck
 
@@ -130,34 +136,78 @@ type Flow struct {
 // fwdDemux and its sender (for ACKs) on revDemux, and begins transmitting
 // immediately.
 func Start(sim *simnet.Sim, id uint64, fwd, rev *simnet.Link, fwdDemux, revDemux *simnet.Demux, cfg Config) *Flow {
+	f := &Flow{sim: sim, fwd: fwd, rev: rev, fwdDemux: fwdDemux, revDemux: revDemux}
+	f.rtoT = sim.NewTimer(f.onRTO)
+	f.begin(id, cfg)
+	return f
+}
+
+// Restart starts a finished flow again as a fresh transfer under a new
+// id, on the same links and demuxes, exactly as Start(…, id, …, cfg)
+// would: the old id's routes are removed and the new id's registered.
+// It panics if the flow has not finished.
+func (f *Flow) Restart(id uint64, cfg Config) {
+	if !f.done {
+		panic("tcp: Restart of a flow that has not finished")
+	}
+	f.fwdDemux.Unregister(f.id)
+	f.revDemux.Unregister(f.id)
+	f.begin(id, cfg)
+}
+
+// begin resets every per-transfer field, keeping the flow's bindings
+// (links, demuxes, timers, jitter RNG and window storage), registers id
+// and starts sending.
+func (f *Flow) begin(id uint64, cfg Config) {
 	cfg.applyDefaults()
-	f := &Flow{
-		sim:      sim,
-		id:       id,
-		fwd:      fwd,
-		rev:      rev,
-		cfg:      cfg,
+	f.rtoT.Stop()
+	if f.delackT != nil {
+		f.delackT.Stop()
+	}
+	*f = Flow{
+		sim: f.sim, id: id, fwd: f.fwd, rev: f.rev,
+		fwdDemux: f.fwdDemux, revDemux: f.revDemux, cfg: cfg,
 		cwnd:     cfg.InitCwnd,
 		ssthresh: math.Inf(1),
 		rto:      cfg.MinRTO,
 		rttSeq:   -1,
-		ooo:      make(map[int64]bool),
+		rtoT:     f.rtoT,
+		jrng:     f.jrng,
+		ooo:      f.ooo,
+		delackT:  f.delackT,
 	}
-	f.rtoT = sim.NewTimer(f.onRTO)
-	if cfg.DelayedAck {
-		f.delackT = sim.NewTimer(f.sendAck)
+	f.ooo.reset(cfg.RcvWnd)
+	if cfg.DelayedAck && f.delackT == nil {
+		f.delackT = f.sim.NewTimer(f.sendAck)
 	}
 	if cfg.SendJitter > 0 {
-		f.jrng = rand.New(rand.NewSource(int64(id)*2654435761 + 1))
+		seed := int64(id)*2654435761 + 1
+		if f.jrng == nil {
+			f.jrng = rand.New(rand.NewSource(seed))
+		} else {
+			f.jrng.Seed(seed)
+		}
+	} else {
+		f.jrng = nil
 	}
 	if cfg.TotalBytes > 0 {
 		f.total = (cfg.TotalBytes + int64(cfg.SegmentSize) - 1) / int64(cfg.SegmentSize)
 	}
-	fwdDemux.Register(id, simnet.ReceiverFunc(f.onData))
-	revDemux.Register(id, simnet.ReceiverFunc(f.onAck))
+	f.fwdDemux.Register(id, (*dataReceiver)(f))
+	f.revDemux.Register(id, (*ackReceiver)(f))
 	f.trySend()
-	return f
 }
+
+// dataReceiver and ackReceiver are the flow's two ends as demux
+// receivers. Converting a *Flow to either stores a pointer in the
+// interface, so registering one allocates nothing.
+type (
+	dataReceiver Flow
+	ackReceiver  Flow
+)
+
+func (r *dataReceiver) Deliver(p simnet.Packet) { (*Flow)(r).onData(p) }
+func (r *ackReceiver) Deliver(p simnet.Packet)  { (*Flow)(r).onAck(p) }
 
 // ID returns the flow identifier.
 func (f *Flow) ID() uint64 { return f.id }
@@ -381,14 +431,18 @@ func (f *Flow) onData(p simnet.Packet) {
 	case seq == f.rcvNxt:
 		inOrder = true
 		f.rcvNxt++
-		for f.ooo[f.rcvNxt] {
-			delete(f.ooo, f.rcvNxt)
+		for f.ooo.n > 0 && f.ooo.take(f.rcvNxt) {
 			f.rcvNxt++
 		}
 	case seq > f.rcvNxt:
-		f.ooo[seq] = true
+		// The sender keeps less than a receive window outstanding
+		// beyond the last ACK, so a segment past the window is a bug.
+		if seq-f.rcvNxt >= int64(f.cfg.RcvWnd) {
+			panic(fmt.Sprintf("tcp: flow %d: segment %d beyond the receive window at %d+%d", f.id, seq, f.rcvNxt, f.cfg.RcvWnd))
+		}
+		f.ooo.add(seq)
 	}
-	if !f.cfg.DelayedAck || !inOrder || len(f.ooo) > 0 {
+	if !f.cfg.DelayedAck || !inOrder || f.ooo.n > 0 {
 		// Immediate ACK: delayed ACKs are only for clean in-order
 		// arrivals; anything else must generate duplicate/teaching
 		// ACKs at once.
@@ -417,4 +471,48 @@ func (f *Flow) sendAck() {
 		Seq:  f.rcvNxt,
 		Sent: f.sim.Now(),
 	})
+}
+
+// window is a set of segment numbers within one receive window of each
+// other, kept as a bitset indexed by segment number modulo its size (a
+// power of two, at least the window).
+type window struct {
+	words []uint64
+	n     int // members
+}
+
+// reset empties the set and sizes it for a window of wnd segments.
+func (w *window) reset(wnd int) {
+	size := max(64, 1<<bits.Len(uint(wnd-1)))
+	if len(w.words) != size/64 {
+		w.words = make([]uint64, size/64)
+	} else {
+		clear(w.words)
+	}
+	w.n = 0
+}
+
+func (w *window) bit(seq int64) (word int, mask uint64) {
+	i := uint64(seq) & uint64(64*len(w.words)-1)
+	return int(i / 64), 1 << (i % 64)
+}
+
+// add inserts seq; adding a member again changes nothing.
+func (w *window) add(seq int64) {
+	i, m := w.bit(seq)
+	if w.words[i]&m == 0 {
+		w.words[i] |= m
+		w.n++
+	}
+}
+
+// take removes seq and reports whether it was a member.
+func (w *window) take(seq int64) bool {
+	i, m := w.bit(seq)
+	if w.words[i]&m == 0 {
+		return false
+	}
+	w.words[i] &^= m
+	w.n--
+	return true
 }

@@ -27,3 +27,48 @@ func TestCBRPerPacketZeroAlloc(t *testing.T) {
 		t.Fatalf("the measured runs sent %d packets and delivered %d", c.Sent()-sent, delivered)
 	}
 }
+
+// TestEpisodeBurstZeroAlloc pins the episode injector once its link's
+// queue has filled: a burst's timer, its packet train and the base CBR
+// load beside it allocate nothing.
+func TestEpisodeBurstZeroAlloc(t *testing.T) {
+	s := simnet.New()
+	d := simnet.NewDumbbell(s, simnet.DumbbellConfig{})
+	inj := NewEpisodeInjector(s, d, NewIDSpace(0), EpisodeInjectorConfig{MeanSpacing: 2 * time.Second})
+	burst := func() {
+		for n := inj.Episodes(); inj.Episodes() == n; {
+			s.Run(s.Now() + 100*time.Millisecond)
+		}
+		s.Run(s.Now() + time.Second) // the burst's train and queue drain
+	}
+	burst() // warm up: the queue, delay line and heap grow once
+	_, drops, _ := d.Bottleneck.Stats()
+	if avg := testing.AllocsPerRun(10, burst); avg != 0 {
+		t.Errorf("an episode burst allocates %.2f times, want 0", avg)
+	}
+	if _, drops2, _ := d.Bottleneck.Stats(); inj.Episodes() != 12 || drops2 == drops {
+		t.Fatalf("%d bursts dropped %d packets", inj.Episodes(), drops2-drops)
+	}
+}
+
+// TestWebSteadyZeroAlloc pins the web workload once its session pool is
+// warm: a window in which many transfers start and complete, each on a
+// pooled session's restarted flow, allocates nothing. Surges are pushed
+// beyond the run; the simulation is deterministic, so the pool reached
+// in the warm-up covers the window.
+func TestWebSteadyZeroAlloc(t *testing.T) {
+	s := simnet.New()
+	d := simnet.NewDumbbell(s, simnet.DumbbellConfig{})
+	w := NewWeb(s, d, NewIDSpace(0), WebConfig{Seed: 3, SurgeSpacing: 1000 * time.Hour})
+	s.Run(120 * time.Second)
+	done, pooled := w.Transfers(), len(w.pool)
+	if avg := testing.AllocsPerRun(20, func() { s.Run(s.Now() + time.Second) }); avg != 0 {
+		t.Errorf("a second of web traffic allocates %.2f times, want 0", avg)
+	}
+	if n := w.Transfers() - done; n < 1000 {
+		t.Fatalf("the measured window completed only %d transfers", n)
+	}
+	if pooled == 0 {
+		t.Fatal("no session was pooled in the warm-up")
+	}
+}

@@ -152,14 +152,16 @@ func (c *EpisodeInjectorConfig) applyDefaults() {
 	}
 }
 
-// EpisodeInjector drives the CBR-with-episodes workload.
+// EpisodeInjector drives the CBR-with-episodes workload. Each burst is
+// one packet train on the link, started by a timer.
 type EpisodeInjector struct {
-	sim  *simnet.Sim
-	link *simnet.Link
-	cfg  EpisodeInjectorConfig
-	rng  *rand.Rand
-	ids  IDSource
-	base *CBR
+	sim   *simnet.Sim
+	link  *simnet.Link
+	cfg   EpisodeInjectorConfig
+	rng   *rand.Rand
+	ids   IDSource
+	base  *CBR
+	timer *simnet.Timer // fires the next burst
 
 	episodes int
 	stopped  bool
@@ -186,6 +188,7 @@ func NewEpisodeInjectorAt(sim *simnet.Sim, link *simnet.Link, ids IDSource, cfg 
 	bottleneck := link.Rate()
 	baseRate := simnet.Rate(float64(bottleneck) * cfg.BaseUtilization)
 	inj.base = NewCBR(sim, link, ids.Next(), baseRate, cfg.PacketSize)
+	inj.timer = sim.NewTimer(inj.burst)
 	inj.scheduleNext()
 	return inj
 }
@@ -206,7 +209,7 @@ func (e *EpisodeInjector) scheduleNext() {
 	if min := 2 * time.Second; gap < min {
 		gap = min
 	}
-	e.sim.Schedule(gap, e.burst)
+	e.timer.Reset(gap)
 }
 
 func (e *EpisodeInjector) burst() {
@@ -226,20 +229,11 @@ func (e *EpisodeInjector) burst() {
 	fill := time.Duration(float64(queueDur) / (e.cfg.Overload - 1))
 	on := fill + target
 
-	flow := e.ids.Next()
 	ival := time.Duration(int64(e.cfg.PacketSize) * 8 * int64(time.Second) / int64(extra))
-	start := e.sim.Now()
-	e.sim.ScheduleEach(int(on/ival), func(i int) time.Duration {
-		return start + time.Duration(i)*ival
-	}, func(i int) {
-		e.link.Send(simnet.Packet{
-			ID:   e.sim.NextPacketID(),
-			Flow: flow,
-			Kind: simnet.Data,
-			Size: e.cfg.PacketSize,
-			Seq:  int64(i),
-			Sent: e.sim.Now(),
-		})
-	})
+	e.link.SendTrain(simnet.Packet{
+		Flow: e.ids.Next(),
+		Kind: simnet.Data,
+		Size: e.cfg.PacketSize,
+	}, int(on/ival), ival)
 	e.scheduleNext()
 }

@@ -77,7 +77,9 @@ func (c *WebConfig) applyDefaults() {
 	}
 }
 
-// Web drives the web-like workload.
+// Web drives the web-like workload. Arrivals and surges fire on timers,
+// and a finished session returns to a pool with its TCP flow and think
+// timer, so once the pool is warm a session allocates nothing.
 type Web struct {
 	sim *simnet.Sim
 	d   *simnet.Dumbbell
@@ -85,10 +87,25 @@ type Web struct {
 	rng *rand.Rand
 	ids *IDSpace
 
+	arrival, surge *simnet.Timer
+	pool           []*webSession // finished sessions, ready for reuse
+
 	stopped   bool
 	sessions  uint64
 	transfers uint64
 	active    int
+}
+
+// webSession is one user session: its objects are fetched in turn over
+// one reused TCP flow, with a think time between them.
+type webSession struct {
+	w         *Web
+	flow      *tcp.Flow // nil until the first fetch
+	think     *simnet.Timer
+	done      func() // flow completion, bound once
+	id        uint64 // flow id of the current object
+	remaining int    // objects left, the current one included
+	minBytes  float64
 }
 
 // NewWeb starts the workload immediately.
@@ -101,6 +118,8 @@ func NewWeb(sim *simnet.Sim, d *simnet.Dumbbell, ids *IDSpace, cfg WebConfig) *W
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 		ids: ids,
 	}
+	w.arrival = sim.NewTimer(w.arrive)
+	w.surge = sim.NewTimer(w.surgeNow)
 	w.scheduleArrival()
 	w.scheduleSurge()
 	return w
@@ -120,34 +139,36 @@ func (w *Web) Active() int { return w.active }
 
 func (w *Web) scheduleArrival() {
 	mean := time.Duration(float64(time.Second) / w.cfg.SessionRate)
-	w.sim.Schedule(stats.Exp(w.rng, mean), func() {
-		if w.stopped {
-			return
-		}
-		w.startSession()
-		w.scheduleArrival()
-	})
+	w.arrival.Reset(stats.Exp(w.rng, mean))
+}
+
+func (w *Web) arrive() {
+	if w.stopped {
+		return
+	}
+	w.startSession()
+	w.scheduleArrival()
 }
 
 func (w *Web) scheduleSurge() {
-	w.sim.Schedule(stats.Exp(w.rng, w.cfg.SurgeSpacing), func() {
-		if w.stopped {
-			return
-		}
-		for i := 0; i < w.cfg.SurgeSessions; i++ {
-			// Surge sessions fetch a single substantial object each:
-			// a flash crowd pulse that overloads the queue briefly,
-			// rather than a sustained multi-object load increase.
-			w.sessions++
-			w.fetchObject(1, w.cfg.SurgeMinBytes)
-		}
-		w.scheduleSurge()
-	})
+	w.surge.Reset(stats.Exp(w.rng, w.cfg.SurgeSpacing))
 }
 
-func (w *Web) startSession() { w.startSessionMin(w.cfg.MinObjectBytes) }
+func (w *Web) surgeNow() {
+	if w.stopped {
+		return
+	}
+	for i := 0; i < w.cfg.SurgeSessions; i++ {
+		// Surge sessions fetch a single substantial object each:
+		// a flash crowd pulse that overloads the queue briefly,
+		// rather than a sustained multi-object load increase.
+		w.sessions++
+		w.session(1, w.cfg.SurgeMinBytes).fetch()
+	}
+	w.scheduleSurge()
+}
 
-func (w *Web) startSessionMin(minBytes float64) {
+func (w *Web) startSession() {
 	w.sessions++
 	// Geometric number of objects with the configured mean.
 	n := 1
@@ -155,28 +176,57 @@ func (w *Web) startSessionMin(minBytes float64) {
 	for w.rng.Float64() < pCont {
 		n++
 	}
-	w.fetchObject(n, minBytes)
+	w.session(n, w.cfg.MinObjectBytes).fetch()
 }
 
-// fetchObject transfers one object, then after a think time fetches the
-// next, remaining times.
-func (w *Web) fetchObject(remaining int, minBytes float64) {
-	if remaining <= 0 || w.stopped {
+// session takes a finished session from the pool, or makes one, for n
+// objects of at least minBytes.
+func (w *Web) session(n int, minBytes float64) *webSession {
+	var ws *webSession
+	if k := len(w.pool); k > 0 {
+		ws = w.pool[k-1]
+		w.pool[k-1] = nil
+		w.pool = w.pool[:k-1]
+	} else {
+		ws = &webSession{w: w}
+		ws.think = w.sim.NewTimer(ws.next)
+		ws.done = ws.complete
+	}
+	ws.remaining, ws.minBytes = n, minBytes
+	return ws
+}
+
+// fetch transfers the session's next object, or returns the session to
+// the pool when none remain.
+func (ws *webSession) fetch() {
+	w := ws.w
+	if ws.remaining <= 0 || w.stopped {
+		w.pool = append(w.pool, ws)
 		return
 	}
-	size := int64(stats.BoundedPareto(w.rng, w.cfg.ParetoAlpha, minBytes, w.cfg.MaxObjectBytes))
-	id := w.ids.Next()
+	size := int64(stats.BoundedPareto(w.rng, w.cfg.ParetoAlpha, ws.minBytes, w.cfg.MaxObjectBytes))
+	ws.id = w.ids.Next()
 	w.active++
-	tcp.Start(w.sim, id, w.d.Bottleneck, w.d.Reverse, w.d.FwdDemux, w.d.RevDemux, tcp.Config{
-		TotalBytes: size,
-		OnComplete: func() {
-			w.active--
-			w.transfers++
-			w.d.FwdDemux.Unregister(id)
-			w.d.RevDemux.Unregister(id)
-			w.sim.Schedule(stats.Exp(w.rng, w.cfg.ThinkTime), func() {
-				w.fetchObject(remaining-1, minBytes)
-			})
-		},
-	})
+	cfg := tcp.Config{TotalBytes: size, OnComplete: ws.done}
+	if ws.flow == nil {
+		ws.flow = tcp.Start(w.sim, ws.id, w.d.Bottleneck, w.d.Reverse, w.d.FwdDemux, w.d.RevDemux, cfg)
+	} else {
+		ws.flow.Restart(ws.id, cfg)
+	}
+}
+
+// complete runs when the current object's transfer finishes: after a
+// think time the session fetches its next object.
+func (ws *webSession) complete() {
+	w := ws.w
+	w.active--
+	w.transfers++
+	w.d.FwdDemux.Unregister(ws.id)
+	w.d.RevDemux.Unregister(ws.id)
+	ws.think.Reset(stats.Exp(w.rng, w.cfg.ThinkTime))
+}
+
+func (ws *webSession) next() {
+	ws.remaining--
+	ws.fetch()
 }
