@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check chaos soak lint bench bench-smoke bench-paper bench-full fuzz experiments clean
+.PHONY: all build vet test race check chaos soak lint bench-paper bench-full fuzz experiments clean
 
 all: build vet test
 
@@ -47,9 +47,11 @@ soak:
 	$(GO) test -race -count=1 -v ./internal/chaos/ -run TestSoakSelfHealing
 	$(GO) test -race -count=1 ./internal/fleet/ -run 'TestBreaker|TestKillTheDisk|TestAdmission|TestReadyz|TestRetryAfter'
 
-# Static analysis beyond vet. The external analyzers are optional
-# locally (skipped with a note when not installed); CI installs both.
+# Static analysis beyond vet: every Go file gofmt-clean, then the
+# external analyzers, optional locally (skipped with a note when not
+# installed); CI installs both.
 lint: vet metrics-hygiene
+	@bad=$$(gofmt -l .); if [ -n "$$bad" ]; then echo "gofmt: unformatted files:"; echo "$$bad"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "staticcheck not installed; skipping"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
@@ -67,18 +69,6 @@ metrics-hygiene:
 		echo "$$bad"; exit 1; \
 	fi
 .PHONY: metrics-hygiene
-
-# Wire hot-path benchmark harness: reflector throughput (batch vs
-# single-packet), estimator observe cost and /metrics render cost.
-# Writes BENCH_6.json (see README). Pacing lag and session cost come
-# from the repository benchmark (perfbench).
-bench:
-	$(GO) run ./cmd/benchx -out BENCH_6.json
-
-# CI smoke: short workloads, gated against the committed baseline — fails
-# on a >20% regression of the batch/single speedup ratio.
-bench-smoke:
-	$(GO) run ./cmd/benchx -short -out BENCH_6.smoke.json -baseline BENCH_6.json
 
 # Shortened-horizon paper benchmarks: one per table/figure plus ablations.
 bench-paper:

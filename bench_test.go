@@ -49,7 +49,7 @@ func reportLoss(b *testing.B, name string, est, truth float64) {
 
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lab.Table1(cfg(b, 120 * time.Second))
+		res := lab.Table1(cfg(b, 120*time.Second))
 		truth := res.Rows[0]
 		reportLoss(b, "zing10hz-freq", res.Rows[1].Frequency, truth.Frequency)
 		reportLoss(b, "zing20hz-freq", res.Rows[2].Frequency, truth.Frequency)
@@ -58,7 +58,7 @@ func BenchmarkTable1(b *testing.B) {
 
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lab.Table2(cfg(b, 180 * time.Second))
+		res := lab.Table2(cfg(b, 180*time.Second))
 		truth := res.Rows[0]
 		reportLoss(b, "zing10hz-freq", res.Rows[1].Frequency, truth.Frequency)
 	}
@@ -66,7 +66,7 @@ func BenchmarkTable2(b *testing.B) {
 
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lab.Table3(cfg(b, 120 * time.Second))
+		res := lab.Table3(cfg(b, 120*time.Second))
 		truth := res.Rows[0]
 		reportLoss(b, "zing10hz-freq", res.Rows[1].Frequency, truth.Frequency)
 	}
@@ -107,7 +107,7 @@ func BenchmarkTable6(b *testing.B) { benchSweep(b, lab.Table6, 120*time.Second) 
 
 func BenchmarkTable7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lab.Table7(cfg(b, 90 * time.Second))
+		res := lab.Table7(cfg(b, 90*time.Second))
 		r := res.Rows[len(res.Rows)-1]
 		reportLoss(b, "freq", r.EstF, r.TrueF)
 		reportLoss(b, "dur", r.EstD, r.TrueD)
@@ -116,7 +116,7 @@ func BenchmarkTable7(b *testing.B) {
 
 func BenchmarkTable8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lab.Table8(cfg(b, 150 * time.Second))
+		res := lab.Table8(cfg(b, 150*time.Second))
 		// Row order: CBR badabing, CBR zing, web badabing, web zing.
 		reportLoss(b, "badabing-dur", res.Rows[0].EstD, res.Rows[0].TrueD)
 		reportLoss(b, "zing-dur", res.Rows[1].EstD, res.Rows[1].TrueD)
@@ -125,28 +125,28 @@ func BenchmarkTable8(b *testing.B) {
 
 func BenchmarkFigure4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lab.Figure4(cfg(b, 20 * time.Second))
+		res := lab.Figure4(cfg(b, 20*time.Second))
 		b.ReportMetric(float64(len(res.Episodes)), "episodes")
 	}
 }
 
 func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lab.Figure5(cfg(b, 40 * time.Second))
+		res := lab.Figure5(cfg(b, 40*time.Second))
 		b.ReportMetric(float64(len(res.Episodes)), "episodes")
 	}
 }
 
 func BenchmarkFigure6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lab.Figure6(cfg(b, 60 * time.Second))
+		res := lab.Figure6(cfg(b, 60*time.Second))
 		b.ReportMetric(float64(len(res.Episodes)), "episodes")
 	}
 }
 
 func BenchmarkFigure7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lab.Figure7(cfg(b, 40 * time.Second))
+		res := lab.Figure7(cfg(b, 40*time.Second))
 		first, last := res.Points[0], res.Points[len(res.Points)-1]
 		b.ReportMetric(first.PNoCBR, "cbr-miss-1pkt")
 		b.ReportMetric(last.PNoCBR, "cbr-miss-10pkt")
@@ -157,7 +157,7 @@ func BenchmarkFigure7(b *testing.B) {
 
 func BenchmarkFigure8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lab.Figure8(cfg(b, 15 * time.Second))
+		res := lab.Figure8(cfg(b, 15*time.Second))
 		v := res.Variants[2] // 10-packet trains
 		if v.ProbePkts > 0 {
 			b.ReportMetric(float64(v.ProbeLost)/float64(v.ProbePkts), "10pkt-probe-lossrate")
@@ -167,7 +167,7 @@ func BenchmarkFigure8(b *testing.B) {
 
 func BenchmarkFigure9a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lab.Figure9a(cfg(b, 120 * time.Second))
+		res := lab.Figure9a(cfg(b, 120*time.Second))
 		last := res.Rows[len(res.Rows)-1]
 		b.ReportMetric(last.EstF[0], "freq-alpha005")
 		b.ReportMetric(last.EstF[2], "freq-alpha020")
@@ -176,7 +176,7 @@ func BenchmarkFigure9a(b *testing.B) {
 
 func BenchmarkFigure9b(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lab.Figure9b(cfg(b, 120 * time.Second))
+		res := lab.Figure9b(cfg(b, 120*time.Second))
 		last := res.Rows[len(res.Rows)-1]
 		b.ReportMetric(last.EstF[0], "freq-tau20")
 		b.ReportMetric(last.EstF[2], "freq-tau80")
@@ -185,7 +185,7 @@ func BenchmarkFigure9b(b *testing.B) {
 
 func BenchmarkAblationPlacement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lab.AblationPlacement(cfg(b, 150 * time.Second))
+		res := lab.AblationPlacement(cfg(b, 150*time.Second))
 		b.ReportMetric(lab.MeanFreqError(res.Rows[:1]), "bernoulli-freq-relerr")
 		b.ReportMetric(lab.MeanFreqError(res.Rows[1:]), "poisson-freq-relerr")
 	}
@@ -193,7 +193,7 @@ func BenchmarkAblationPlacement(b *testing.B) {
 
 func BenchmarkAblationMarking(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lab.AblationMarking(cfg(b, 150 * time.Second))
+		res := lab.AblationMarking(cfg(b, 150*time.Second))
 		b.ReportMetric(lab.MeanFreqError(res.Rows[:1]), "delay-freq-relerr")
 		b.ReportMetric(lab.MeanFreqError(res.Rows[1:]), "lossonly-freq-relerr")
 	}
@@ -201,7 +201,7 @@ func BenchmarkAblationMarking(b *testing.B) {
 
 func BenchmarkAblationEstimator(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lab.AblationEstimator(cfg(b, 150 * time.Second))
+		res := lab.AblationEstimator(cfg(b, 150*time.Second))
 		for _, r := range res.Rows {
 			if r.TrueD > 0 {
 				rel := r.EstD/r.TrueD - 1
@@ -220,7 +220,7 @@ func BenchmarkAblationEstimator(b *testing.B) {
 
 func BenchmarkAblationSlot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lab.AblationSlot(cfg(b, 120 * time.Second))
+		res := lab.AblationSlot(cfg(b, 120*time.Second))
 		b.ReportMetric(res.Rows[0].EstD, "dur-1ms-slot")
 		b.ReportMetric(res.Rows[2].EstD, "dur-20ms-slot")
 	}
@@ -228,7 +228,7 @@ func BenchmarkAblationSlot(b *testing.B) {
 
 func BenchmarkAblationProbeSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lab.AblationProbeSize(cfg(b, 150 * time.Second))
+		res := lab.AblationProbeSize(cfg(b, 150*time.Second))
 		b.ReportMetric(res.Rows[0].EstF, "freq-1pkt")
 		b.ReportMetric(res.Rows[1].EstF, "freq-3pkt")
 	}
@@ -236,7 +236,7 @@ func BenchmarkAblationProbeSize(b *testing.B) {
 
 func BenchmarkAblationExtendedPairs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lab.AblationExtendedPairs(cfg(b, 150 * time.Second))
+		res := lab.AblationExtendedPairs(cfg(b, 150*time.Second))
 		for _, r := range res.Rows {
 			if r.TrueD > 0 {
 				rel := r.EstD/r.TrueD - 1
@@ -276,7 +276,7 @@ func BenchmarkSeedStudy(b *testing.B) {
 
 func BenchmarkREDStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lab.RED(cfg(b, 90 * time.Second))
+		res := lab.RED(cfg(b, 90*time.Second))
 		for _, r := range res.Rows {
 			if r.TrueF > 0 {
 				rel := r.EstF/r.TrueF - 1

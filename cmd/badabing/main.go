@@ -82,7 +82,7 @@ func runSend(args []string) error {
 	n := fs.Int64("n", 180000, "number of slots in the session")
 	slot := fs.Duration("slot", badabing.DefaultSlot, "slot width")
 	improved := fs.Bool("improved", false, "use the improved (triple-probe) design")
-	packets := fs.Int("packets", 3, "packets per probe")
+	packets := fs.Int("packets", 3, "packets per probe (1–255)")
 	size := fs.Int("size", 600, "probe packet size in bytes")
 	seed := fs.Int64("seed", 0, "schedule seed (0 = derive from clock)")
 	id := fs.Uint64("id", uint64(time.Now().Unix()), "session id")

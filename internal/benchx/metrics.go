@@ -12,22 +12,16 @@ import (
 )
 
 // MetricsBench is the cost of the one exposition path every subsystem
-// now shares: how long one /metrics render of a daemon-shaped registry
-// takes, how many heap allocations it performs, and how many the
-// hot-path instrument updates (counter inc, histogram observe) perform.
-// The instrument figures must be zero — those updates sit on the probe
-// receive and HTTP serve paths — and cmd/benchx gates on them; render
-// allocations are gated against the committed baseline because the
-// render path amortizes through buffer pools, not by never allocating.
+// shares: how long one /metrics render of a daemon-shaped registry takes
+// and how many heap allocations it performs. The render-allocation
+// ceiling and the zero-allocation instrument updates are pinned by
+// internal/obs's tests; here the figures are only reported.
 type MetricsBench struct {
-	Families          int     `json:"families"`
-	Samples           int     `json:"samples"`
-	Renders           int     `json:"renders"`
-	NsPerRender       float64 `json:"ns_per_render"`
-	BytesPerRender    int     `json:"bytes_per_render"`
-	AllocsPerRender   float64 `json:"allocs_per_render"`
-	CounterIncAllocs  float64 `json:"counter_inc_allocs"`
-	HistObserveAllocs float64 `json:"hist_observe_allocs"`
+	Families        int
+	Samples         int
+	Renders         int
+	NsPerRender     float64
+	AllocsPerRender float64
 }
 
 // metricsRenders sizes the render timing loop.
@@ -38,7 +32,9 @@ func metricsRenders(opts Options) int {
 	return 1500
 }
 
-// countingWriter tallies rendered bytes without retaining them.
+// countingWriter is the render sink: each render gets a fresh one, as
+// each scrape gets its own response writer, and its allocation is one
+// of those counted.
 type countingWriter struct{ n int }
 
 func (w *countingWriter) Write(p []byte) (int, error) {
@@ -71,8 +67,6 @@ func RunMetricsBench(opts Options) (MetricsBench, error) {
 	requests := o.CounterVec("bench_http_requests_total", "Synthetic request counter.", "route", "code")
 	latency := o.HistogramVec("bench_http_request_seconds", "Synthetic latency histogram.", nil, "route")
 	routes := []string{"create", "list", "get", "snapshot", "history", "store_stats", "stop", "delete", "metrics", "healthz", "readyz", "other"}
-	var hot obs.Counter
-	var hotHist obs.Histogram
 	for _, route := range routes {
 		for _, code := range []string{"1xx", "2xx", "3xx", "4xx", "5xx"} {
 			requests.With(route, code).Inc()
@@ -81,8 +75,6 @@ func RunMetricsBench(opts Options) (MetricsBench, error) {
 		for i := 0; i < 32; i++ {
 			h.Observe(float64(i) / 997)
 		}
-		hot = requests.With(route, "2xx")
-		hotHist = h
 	}
 
 	// Per-shard reflector counters and a 64-session fleet of gauges.
@@ -99,12 +91,6 @@ func RunMetricsBench(opts Options) (MetricsBench, error) {
 	}
 
 	mb := MetricsBench{Renders: metricsRenders(opts), Families: len(o.Families())}
-
-	var cw countingWriter
-	if err := o.Write(&cw); err != nil {
-		return mb, err
-	}
-	mb.BytesPerRender = cw.n
 
 	// Warm the render buffer pool, then time.
 	for i := 0; i < 8; i++ {
@@ -125,12 +111,6 @@ func RunMetricsBench(opts Options) (MetricsBench, error) {
 	mb.AllocsPerRender = testing.AllocsPerRun(64, func() {
 		var w countingWriter
 		o.Write(&w)
-	})
-	mb.CounterIncAllocs = testing.AllocsPerRun(10_000, hot.Inc)
-	v := 0
-	mb.HistObserveAllocs = testing.AllocsPerRun(10_000, func() {
-		hotHist.Observe(float64(v) / 997)
-		v++
 	})
 
 	// Samples: every rendered line is either a sample or one of the two

@@ -6,12 +6,12 @@ import (
 	"badabing/internal/badabing"
 )
 
-// TestObservePathAllocFree pins the harvest-loop invariant the benchx
-// gate also watches: the basic, improved and parametric estimators'
-// Observe path performs zero heap allocations, windowed or not. (The
-// bootstrap kind is exempt: it retains the outcome sequence for
-// resampling, which grows a slice by design. Three-bit outcomes are also
-// exempt: the triple-count map reallocates when a window bucket recycles.)
+// TestObservePathAllocFree pins the harvest-loop invariant: the basic,
+// improved and parametric estimators' Observe path performs zero heap
+// allocations, windowed or not. (The bootstrap kind is exempt: it
+// retains the outcome sequence for resampling, which grows a slice by
+// design. Three-bit outcomes are also exempt: the triple-count map
+// reallocates when a window bucket recycles.)
 func TestObservePathAllocFree(t *testing.T) {
 	for _, kind := range []string{KindBasic, KindImproved, KindParametric} {
 		for _, windowSlots := range []int64{0, 512} {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -500,16 +501,32 @@ func (s *Store) History(id string, from, to time.Time) (points []Point, ok bool)
 	return out, true
 }
 
+// rangeNs turns History's bounds into Point.At nanoseconds. A zero from
+// is 0 and a zero to is the largest int64; any other bound is clamped to
+// the int64 range, outside which (before 1678, after 2262) UnixNano
+// wraps.
 func rangeNs(from, to time.Time) (int64, int64) {
 	fromNs := int64(0)
 	if !from.IsZero() {
-		fromNs = from.UnixNano()
+		fromNs = clampedUnixNano(from)
 	}
-	toNs := int64(1<<63 - 1)
+	toNs := int64(math.MaxInt64)
 	if !to.IsZero() {
-		toNs = to.UnixNano()
+		toNs = clampedUnixNano(to)
 	}
 	return fromNs, toNs
+}
+
+var minNanoTime, maxNanoTime = time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
+
+func clampedUnixNano(t time.Time) int64 {
+	switch {
+	case t.Before(minNanoTime):
+		return math.MinInt64
+	case t.After(maxNanoTime):
+		return math.MaxInt64
+	}
+	return t.UnixNano()
 }
 
 // ReleaseHistory trims a session's in-memory series to its newest point.

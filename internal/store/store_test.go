@@ -110,6 +110,30 @@ func TestHistoryRange(t *testing.T) {
 	if _, ok := s.History("nope", time.Time{}, time.Time{}); ok {
 		t.Error("unknown session reported ok")
 	}
+
+	// Bounds outside the int64-nanosecond range (1678–2262) clamp to it
+	// rather than wrapping, in the archive and in the in-memory store.
+	m := NewMem()
+	for i := 1; i <= 10; i++ {
+		m.SessionPoint("x", testPoint(base.Add(time.Duration(i)*time.Second).UnixNano(), i))
+	}
+	for _, tc := range []struct {
+		name     string
+		from, to time.Time
+		want     int
+	}{
+		{"to 9999-12-31", time.Time{}, time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC), 10},
+		{"from 1600-01-01", time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC), time.Time{}, 10},
+		{"from 2^40 unix seconds", time.Unix(1<<40, 0), time.Time{}, 0},
+	} {
+		for _, h := range []interface {
+			History(string, time.Time, time.Time) ([]Point, bool)
+		}{s, m} {
+			if got, _ := h.History("x", tc.from, tc.to); len(got) != tc.want {
+				t.Errorf("%T %s: %d points, want %d", h, tc.name, len(got), tc.want)
+			}
+		}
+	}
 }
 
 // TestSegmentRotation: a tiny rotation threshold produces many segments

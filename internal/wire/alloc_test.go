@@ -75,7 +75,7 @@ func TestReflectorServeBatchZeroAlloc(t *testing.T) {
 	sink := &sinkBatchConn{}
 	// NewBatchConn sees the conn's own BatchConn implementation, so the
 	// shard batches straight into the sink.
-	r := NewReflectorConfig(sink, ReflectorConfig{Shards: 1, Batch: 8})
+	r := NewReflectorConfig(sink, ReflectorConfig{Shards: 1})
 	s := r.shards[0]
 
 	src := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 4242}

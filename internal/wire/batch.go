@@ -22,7 +22,8 @@ import (
 // (64 × 2 KiB) trivial.
 const MaxBatch = 64
 
-// DefaultBatch is the batch size used when a config leaves it zero.
+// DefaultBatch is how many datagrams the reflector's and the collector's
+// receive loops move per syscall.
 const DefaultBatch = 32
 
 // maxDatagram is the buffer size reserved per batched message. Probe

@@ -196,6 +196,10 @@ func TestSendAdaptiveRejectsInvalidConfig(t *testing.T) {
 			t.Errorf("controller %+v: sent %d packets before rejecting", ctrl, res.Packets)
 		}
 	}
+	res, err := SendAdaptive(context.Background(), conn, AdaptiveConfig{BaseID: 1, PacketsPerProbe: 256})
+	if err == nil || res.Packets != 0 {
+		t.Errorf("256 packets per probe: err %v after %d packets, want a rejection before any", err, res.Packets)
+	}
 }
 
 func TestCollectorEstimateBootstrap(t *testing.T) {

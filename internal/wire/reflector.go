@@ -41,9 +41,6 @@ type ReflectorConfig struct {
 	// any given datagram to exactly one reader. Default 1 (the classic
 	// single-loop reflector); a daemon-hosted reflector wants ~NumCPU.
 	Shards int
-	// Batch is the number of datagrams moved per syscall on the batch
-	// path. Default DefaultBatch, capped at MaxBatch.
-	Batch int
 	// DisableBatch forces the portable single-packet read/write path
 	// even where multi-message syscalls exist (benchmarks use it as the
 	// baseline; the chaos matrix proves estimates match either way).
@@ -53,12 +50,6 @@ type ReflectorConfig struct {
 func (c *ReflectorConfig) applyDefaults() {
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.Batch <= 0 {
-		c.Batch = DefaultBatch
-	}
-	if c.Batch > MaxBatch {
-		c.Batch = MaxBatch
 	}
 }
 
@@ -98,18 +89,19 @@ func NewReflector(conn net.PacketConn) *Reflector {
 	return NewReflectorConfig(conn, ReflectorConfig{})
 }
 
-// NewReflectorConfig wraps an open packet socket with explicit sharding
-// and batching. Call Run to start echoing.
+// NewReflectorConfig wraps an open packet socket with explicit sharding.
+// Each shard moves up to DefaultBatch datagrams per syscall. Call Run to
+// start echoing.
 func NewReflectorConfig(conn net.PacketConn, cfg ReflectorConfig) *Reflector {
 	cfg.applyDefaults()
 	r := &Reflector{conn: conn, cfg: cfg}
 	for i := 0; i < cfg.Shards; i++ {
 		s := &reflShard{
 			bc:  NewBatchConn(conn, cfg.DisableBatch),
-			in:  MakeMessages(cfg.Batch),
-			out: make([]Message, 0, cfg.Batch),
+			in:  MakeMessages(DefaultBatch),
+			out: make([]Message, 0, DefaultBatch),
 		}
-		s.pong = make([][]byte, cfg.Batch)
+		s.pong = make([][]byte, DefaultBatch)
 		for j := range s.pong {
 			s.pong[j] = make([]byte, livenessSize)
 		}

@@ -46,7 +46,7 @@ func TestReflectorShardedShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewReflectorConfig(conn, ReflectorConfig{Shards: 4, Batch: 8})
+	r := NewReflectorConfig(conn, ReflectorConfig{Shards: 4})
 	if r.Shards() != 4 {
 		t.Fatalf("Shards() = %d, want 4", r.Shards())
 	}

@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"time"
 
@@ -32,7 +33,8 @@ type SenderConfig struct {
 	Improved bool
 	// Seed determines the schedule; the collector re-derives it.
 	Seed int64
-	// PacketsPerProbe: default 3.
+	// PacketsPerProbe: default 3, at most 255 (the header's PktsPerProbe
+	// is one byte).
 	PacketsPerProbe int
 	// PacketSize: default 600, minimum HeaderSize.
 	PacketSize int
@@ -53,6 +55,9 @@ func (c *SenderConfig) applyDefaults() error {
 	}
 	if c.PacketsPerProbe == 0 {
 		c.PacketsPerProbe = 3
+	}
+	if c.PacketsPerProbe < 1 || c.PacketsPerProbe > math.MaxUint8 {
+		return fmt.Errorf("wire: %d packets per probe out of [1,%d]", c.PacketsPerProbe, math.MaxUint8)
 	}
 	if c.PacketSize == 0 {
 		c.PacketSize = 600

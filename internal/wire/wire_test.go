@@ -114,6 +114,9 @@ func TestSenderConfigValidation(t *testing.T) {
 		{P: 1.5, N: 100},                 // bad p
 		{P: 0.5, N: 0},                   // bad n
 		{P: 0.5, N: 100, PacketSize: 20}, // below header size
+		{P: 0.5, N: 100, PacketsPerProbe: -1},
+		{P: 0.5, N: 100, PacketsPerProbe: 256}, // header's count is one byte
+		{P: 0.5, N: 100, PacketsPerProbe: 300},
 	}
 	for i, cfg := range cases {
 		if _, err := Send(context.Background(), conn, cfg); err == nil {
