@@ -14,6 +14,10 @@ import (
 // (§7) is thus navigated automatically: quiet paths are probed lightly
 // for longer, lossy paths briefly at higher rate.
 
+// minBoundaryGain is the number of new boundary observations (01/10
+// outcomes) per round below which the round counts as slow.
+const minBoundaryGain = 10
+
 // AdaptiveConfig parameterizes the controller.
 type AdaptiveConfig struct {
 	// PMin is the starting probe probability. Default 0.1.
@@ -25,10 +29,6 @@ type AdaptiveConfig struct {
 	// RoundSlots is the round length in slots. Default 6000 (30 s at
 	// the default slot width).
 	RoundSlots int64
-	// MinBoundaryGain is the number of new boundary observations
-	// (01/10 outcomes) per round below which the round counts as slow.
-	// Default 10.
-	MinBoundaryGain int
 	// Monitor carries the convergence criteria.
 	Monitor MonitorConfig
 	// MaxRounds bounds the whole measurement. Default 40.
@@ -51,9 +51,6 @@ func (c *AdaptiveConfig) applyDefaults() {
 	}
 	if c.RoundSlots == 0 {
 		c.RoundSlots = 6000
-	}
-	if c.MinBoundaryGain == 0 {
-		c.MinBoundaryGain = 10
 	}
 	if c.MaxRounds == 0 {
 		c.MaxRounds = 40
@@ -158,7 +155,7 @@ func (a *Adaptive) EndRound() {
 	_, s := a.acc.RS()
 	gain := s - a.lastS
 	a.lastS = s
-	if gain < a.cfg.MinBoundaryGain && a.p < a.cfg.PMax {
+	if gain < minBoundaryGain && a.p < a.cfg.PMax {
 		a.p *= a.cfg.Escalation
 		if a.p > a.cfg.PMax {
 			a.p = a.cfg.PMax

@@ -176,6 +176,12 @@ func TestCreateAPIHardening(t *testing.T) {
 		{"slots above the cap", fmt.Sprintf(`{"slots":%d}`, badabing.MaxSlots+1), http.StatusBadRequest},
 		{"negative retries", `{"max_retries":-1}`, http.StatusBadRequest},
 		{"negative retry backoff", `{"max_retries":1,"retry_backoff_millis":-5}`, http.StatusBadRequest},
+		// Durations that do not fit in int64 nanoseconds.
+		{"slot width overflows", `{"scenario":"idle","slots":1000,"slot_micros":10000000000000000}`, http.StatusBadRequest},
+		{"horizon overflows", `{"scenario":"idle","slots":1000000,"slot_micros":10000000000}`, http.StatusBadRequest},
+		{"step overflows", `{"scenario":"idle","slots":1000,"step_slots":4611686018427387904}`, http.StatusBadRequest},
+		{"step delay overflows", `{"scenario":"idle","step_delay_micros":10000000000000000}`, http.StatusBadRequest},
+		{"retry backoff overflows", `{"scenario":"idle","max_retries":1,"retry_backoff_millis":10000000000000}`, http.StatusBadRequest},
 		{"oversized body", `{"name":"` + strings.Repeat("x", 2<<20) + `"}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -249,6 +250,21 @@ func (c *SessionConfig) Validate() error {
 	if c.RetryBackoffMillis < 0 {
 		return fmt.Errorf("fleet: negative retry backoff %dms", c.RetryBackoffMillis)
 	}
+	// Each duration the session derives must fit in int64 nanoseconds: a
+	// wrapped slot turns negative, a wrapped step never reaches the
+	// horizon, and a wrapped backoff reads as none.
+	if !fitsNs(c.SlotMicros, time.Microsecond) {
+		return fmt.Errorf("fleet: slot width %dµs overflows", c.SlotMicros)
+	}
+	if slot := c.slot(); slot > 0 && !(fitsNs(c.Slots, slot) && fitsNs(c.StepSlots, slot)) {
+		return fmt.Errorf("fleet: horizon of %d slots or step of %d slots of %v overflows", c.Slots, c.StepSlots, slot)
+	}
+	if !fitsNs(c.StepDelayMicros, time.Microsecond) {
+		return fmt.Errorf("fleet: step delay %dµs overflows", c.StepDelayMicros)
+	}
+	if !fitsNs(c.RetryBackoffMillis, time.Millisecond) {
+		return fmt.Errorf("fleet: retry backoff %dms overflows", c.RetryBackoffMillis)
+	}
 	if _, err := scenarioOf(c.Scenario); err != nil {
 		return err
 	}
@@ -257,6 +273,9 @@ func (c *SessionConfig) Validate() error {
 	}
 	return nil
 }
+
+// fitsNs reports whether n (at least 0) units fit in a time.Duration.
+func fitsNs(n int64, unit time.Duration) bool { return n <= math.MaxInt64/int64(unit) }
 
 // Sink receives the registry's durable events: session lifecycle
 // transitions, periodic estimate snapshots and the lifetime totals.
@@ -298,11 +317,8 @@ type Config struct {
 	// MaxSessions caps registered (non-deleted) sessions. Default 256.
 	MaxSessions int
 	// MaxConcurrent bounds sessions measuring at once; further ones
-	// queue in Pending state. Default GOMAXPROCS. Ignored when Pool is
-	// set.
+	// queue in Pending state. Default GOMAXPROCS.
 	MaxConcurrent int
-	// Pool optionally shares an existing experiment engine.
-	Pool *runner.Pool
 	// Store receives durable events (nil disables persistence). If it
 	// also implements io.Closer, the registry closes it on Close/Drain —
 	// strictly after the last session goroutine joins, so no event is
@@ -356,13 +372,9 @@ func NewRegistry(cfg Config) *Registry {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = runtime.GOMAXPROCS(0)
 	}
-	pool := cfg.Pool
-	if pool == nil {
-		pool = runner.New(runner.Config{Workers: cfg.MaxConcurrent})
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Registry{
-		pool:     pool,
+		pool:     runner.New(runner.Config{Workers: cfg.MaxConcurrent}),
 		cfg:      cfg,
 		rootCtx:  ctx,
 		cancel:   cancel,

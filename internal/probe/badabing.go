@@ -17,8 +17,6 @@ type BadabingConfig struct {
 	Slot time.Duration
 	// PacketsPerProbe: default 3 (§6.2).
 	PacketsPerProbe int
-	// PacketSize: default 600 bytes (§6.1).
-	PacketSize int
 }
 
 func (c *BadabingConfig) applyDefaults() {
@@ -27,9 +25,6 @@ func (c *BadabingConfig) applyDefaults() {
 	}
 	if c.PacketsPerProbe == 0 {
 		c.PacketsPerProbe = 3
-	}
-	if c.PacketSize == 0 {
-		c.PacketSize = 600
 	}
 }
 
@@ -49,7 +44,7 @@ type Badabing struct {
 func StartBadabing(sim *simnet.Sim, entry *simnet.Link, demux *simnet.Demux, flow uint64, cfg BadabingConfig, slots []int64) *Badabing {
 	cfg.applyDefaults()
 	b := &Badabing{
-		prober: NewProber(sim, entry, flow, cfg.PacketSize),
+		prober: NewProber(sim, entry, flow, packetSize),
 		slots:  slots,
 		obs:    make([]badabing.ProbeObs, 0, len(slots)),
 	}

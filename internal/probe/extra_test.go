@@ -108,7 +108,7 @@ func TestZingConfigDefaults(t *testing.T) {
 func TestBadabingConfigDefaults(t *testing.T) {
 	var c BadabingConfig
 	c.applyDefaults()
-	if c.Slot != badabing.DefaultSlot || c.PacketsPerProbe != 3 || c.PacketSize != 600 {
+	if c.Slot != badabing.DefaultSlot || c.PacketsPerProbe != 3 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 	if PktGap != 30*time.Microsecond {

@@ -14,8 +14,6 @@ type FixedConfig struct {
 	Interval time.Duration
 	// PacketsPerProbe is the bunch length (1–10 in Figure 7).
 	PacketsPerProbe int
-	// PacketSize: default 600.
-	PacketSize int
 	// Horizon stops probing at this virtual time.
 	Horizon time.Duration
 }
@@ -27,9 +25,6 @@ func (c *FixedConfig) applyDefaults() {
 	if c.PacketsPerProbe == 0 {
 		c.PacketsPerProbe = 1
 	}
-	if c.PacketSize == 0 {
-		c.PacketSize = 600
-	}
 }
 
 // Fixed drives fixed-interval probing on a simulated path.
@@ -40,7 +35,7 @@ type Fixed struct {
 // StartFixed begins probing immediately.
 func StartFixed(sim *simnet.Sim, d *simnet.Dumbbell, flow uint64, cfg FixedConfig) *Fixed {
 	cfg.applyDefaults()
-	f := &Fixed{prober: NewProber(sim, d.Bottleneck, flow, cfg.PacketSize)}
+	f := &Fixed{prober: NewProber(sim, d.Bottleneck, flow, packetSize)}
 	d.FwdDemux.Register(flow, f.prober.Receiver())
 	var key int64
 	var tick *simnet.Timer

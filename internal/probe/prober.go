@@ -43,6 +43,10 @@ const pktsPerKey = 64
 // ≈30 µs back to back.
 const PktGap = 30 * time.Microsecond
 
+// packetSize is the size in bytes of a BADABING or fixed-interval probe
+// packet (§6.1).
+const packetSize = 600
+
 // NewProber creates a prober sending size-byte probe packets into link
 // under the given flow id.
 func NewProber(sim *simnet.Sim, link *simnet.Link, flow uint64, size int) *Prober {

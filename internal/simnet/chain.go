@@ -22,14 +22,12 @@ type Chain struct {
 }
 
 // ChainConfig parameterizes NewChain. Zero values inherit the dumbbell
-// defaults, with the one-way delay split evenly across hops.
+// defaults. The testbed's one-way delay is split evenly across the hops,
+// and the reverse path is the dumbbell's.
 type ChainConfig struct {
-	Hops            int           // number of forward links; default 2
-	RatePerHop      Rate          // default OC3
-	OneWayDelay     time.Duration // total, split across hops; default 50 ms
-	QueuePerHop     time.Duration // buffer per hop as drain time; default 100 ms
-	ReverseRate     Rate          // default OC12
-	ReverseQueueCap int
+	Hops        int           // number of forward links; default 2
+	RatePerHop  Rate          // default OC3
+	QueuePerHop time.Duration // buffer per hop as drain time; default 100 ms
 }
 
 func (c *ChainConfig) applyDefaults() {
@@ -39,17 +37,8 @@ func (c *ChainConfig) applyDefaults() {
 	if c.RatePerHop == 0 {
 		c.RatePerHop = OC3
 	}
-	if c.OneWayDelay == 0 {
-		c.OneWayDelay = 50 * time.Millisecond
-	}
 	if c.QueuePerHop == 0 {
 		c.QueuePerHop = 100 * time.Millisecond
-	}
-	if c.ReverseRate == 0 {
-		c.ReverseRate = OC12
-	}
-	if c.ReverseQueueCap == 0 {
-		c.ReverseQueueCap = c.ReverseRate.Bytes(time.Second)
 	}
 }
 
@@ -57,7 +46,7 @@ func (c *ChainConfig) applyDefaults() {
 func NewChain(sim *Sim, cfg ChainConfig) *Chain {
 	cfg.applyDefaults()
 	ch := &Chain{Sim: sim}
-	perHopDelay := cfg.OneWayDelay / time.Duration(cfg.Hops)
+	perHopDelay := oneWayDelay / time.Duration(cfg.Hops)
 	qcap := cfg.RatePerHop.Bytes(cfg.QueuePerHop)
 
 	// Build back to front so each hop's demux can fall through to the
@@ -76,7 +65,7 @@ func NewChain(sim *Sim, cfg ChainConfig) *Chain {
 	ch.HopDemux = demuxes
 	ch.FwdDemux = demuxes[cfg.Hops-1]
 	ch.RevDemux = NewDemux()
-	ch.Reverse = NewLink(sim, cfg.ReverseRate, cfg.OneWayDelay, cfg.ReverseQueueCap, ch.RevDemux)
+	ch.Reverse = newReverse(sim, oneWayDelay, ch.RevDemux)
 	return ch
 }
 

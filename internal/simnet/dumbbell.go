@@ -8,11 +8,25 @@ import "time"
 // testbed: an OC3 bottleneck, 50 ms of propagation delay in each direction,
 // and roughly 100 ms of buffering at the bottleneck.
 type DumbbellConfig struct {
-	BottleneckRate  Rate          // default OC3 (155.52 Mb/s)
-	OneWayDelay     time.Duration // default 50 ms each direction
-	QueueDuration   time.Duration // buffer capacity as drain time; default 100 ms
-	ReverseRate     Rate          // default OC12; never congested in practice
-	ReverseQueueCap int           // default: 1 s of the reverse rate
+	BottleneckRate Rate          // default OC3 (155.52 Mb/s)
+	OneWayDelay    time.Duration // default 50 ms each direction
+	QueueDuration  time.Duration // buffer capacity as drain time; default 100 ms
+}
+
+// oneWayDelay is the testbed's propagation delay in each direction.
+const oneWayDelay = 50 * time.Millisecond
+
+// The reverse path of both topologies carries the acknowledgments and is
+// never congested in practice: an OC12 link with a second of buffering.
+const (
+	reverseRate   = OC12
+	reverseBuffer = time.Second
+)
+
+// newReverse builds a topology's reverse path with the given propagation
+// delay, delivering to demux.
+func newReverse(sim *Sim, delay time.Duration, demux *Demux) *Link {
+	return NewLink(sim, reverseRate, delay, reverseRate.Bytes(reverseBuffer), demux)
 }
 
 func (c *DumbbellConfig) applyDefaults() {
@@ -20,16 +34,10 @@ func (c *DumbbellConfig) applyDefaults() {
 		c.BottleneckRate = OC3
 	}
 	if c.OneWayDelay == 0 {
-		c.OneWayDelay = 50 * time.Millisecond
+		c.OneWayDelay = oneWayDelay
 	}
 	if c.QueueDuration == 0 {
 		c.QueueDuration = 100 * time.Millisecond
-	}
-	if c.ReverseRate == 0 {
-		c.ReverseRate = OC12
-	}
-	if c.ReverseQueueCap == 0 {
-		c.ReverseQueueCap = c.ReverseRate.Bytes(time.Second)
 	}
 }
 
@@ -55,7 +63,7 @@ func NewDumbbell(sim *Sim, cfg DumbbellConfig) *Dumbbell {
 	}
 	qcap := cfg.BottleneckRate.Bytes(cfg.QueueDuration)
 	d.Bottleneck = NewLink(sim, cfg.BottleneckRate, cfg.OneWayDelay, qcap, d.FwdDemux)
-	d.Reverse = NewLink(sim, cfg.ReverseRate, cfg.OneWayDelay, cfg.ReverseQueueCap, d.RevDemux)
+	d.Reverse = newReverse(sim, cfg.OneWayDelay, d.RevDemux)
 	return d
 }
 

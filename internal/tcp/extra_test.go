@@ -118,8 +118,7 @@ func TestFiniteFlowExactSegments(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	var c Config
 	c.applyDefaults()
-	if c.SegmentSize != 1500 || c.AckSize != 40 || c.RcvWnd != 256 ||
-		c.InitCwnd != 2 || c.MinRTO != time.Second {
+	if c.RcvWnd != 256 || c.MinRTO != time.Second {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 }
@@ -157,82 +156,5 @@ func TestCwndNeverBelowOneWindow(t *testing.T) {
 	s.Run(time.Minute)
 	if min < 1 {
 		t.Fatalf("cwnd fell below 1 segment: %v", min)
-	}
-}
-
-// ackCounter counts ACK packets on the reverse link.
-type ackCounter struct{ acks uint64 }
-
-func (a *ackCounter) Arrive(_ time.Duration, p *simnet.Packet, _ int) {
-	if p.Kind == simnet.Ack {
-		a.acks++
-	}
-}
-func (a *ackCounter) Dropped(time.Duration, *simnet.Packet, simnet.Drop) {}
-func (a *ackCounter) Depart(time.Duration, *simnet.Packet, int)          {}
-
-func TestDelayedAckHalvesAckTraffic(t *testing.T) {
-	run := func(delack bool) (acks uint64, segs int64) {
-		s := simnet.New()
-		d := simnet.NewDumbbell(s, simnet.DumbbellConfig{})
-		ctr := &ackCounter{}
-		d.Reverse.AddTap(ctr)
-		f := Start(s, 1, d.Bottleneck, d.Reverse, d.FwdDemux, d.RevDemux, Config{
-			TotalBytes: 3_000_000,
-			DelayedAck: delack,
-		})
-		s.Run(time.Minute)
-		if !f.Done() {
-			t.Fatal("transfer incomplete")
-		}
-		return ctr.acks, f.AckedSegments()
-	}
-	withoutAcks, segs := run(false)
-	withAcks, _ := run(true)
-	if withoutAcks < uint64(segs) {
-		t.Fatalf("per-packet acking sent %d acks for %d segments", withoutAcks, segs)
-	}
-	// Delayed ACKs should roughly halve the ACK count.
-	if withAcks > withoutAcks*2/3 {
-		t.Errorf("delayed acks = %d, per-packet = %d: no meaningful reduction",
-			withAcks, withoutAcks)
-	}
-}
-
-func TestDelayedAckStillRecoversLoss(t *testing.T) {
-	s := simnet.New()
-	d := simnet.NewDumbbell(s, simnet.DumbbellConfig{
-		BottleneckRate: simnet.Rate(10_000_000),
-		QueueDuration:  20 * time.Millisecond,
-	})
-	done := false
-	f := Start(s, 1, d.Bottleneck, d.Reverse, d.FwdDemux, d.RevDemux, Config{
-		TotalBytes: 3_000_000,
-		DelayedAck: true,
-		OnComplete: func() { done = true },
-	})
-	s.Run(3 * time.Minute)
-	if !done {
-		t.Fatal("delayed-ack flow did not complete under loss")
-	}
-	if _, _, _, fastRtx := f.Counters(); fastRtx == 0 {
-		t.Error("no fast retransmits — duplicate ACKs not flowing with delayed ACKs")
-	}
-}
-
-func TestDelayedAckLoneSegmentTimeout(t *testing.T) {
-	// A 1-segment transfer: the lone segment's ACK must arrive via the
-	// delayed-ACK timer, not hang forever.
-	s := simnet.New()
-	d := simnet.NewDumbbell(s, simnet.DumbbellConfig{})
-	done := false
-	Start(s, 1, d.Bottleneck, d.Reverse, d.FwdDemux, d.RevDemux, Config{
-		TotalBytes: 1000,
-		DelayedAck: true,
-		OnComplete: func() { done = true },
-	})
-	s.Run(2 * time.Second)
-	if !done {
-		t.Fatal("lone segment never acknowledged")
 	}
 }

@@ -29,8 +29,8 @@ func (t logTap) Depart(now time.Duration, p *simnet.Packet, q int) {
 // state once started and the same packet trace and counters after: no
 // sender, receiver or timer state may leak from the first transfer into
 // the second. The second transfer loses
-// packets, delays its ACKs, jitters its sends and bounds its RTO below
-// by less than an RTT, none of which the first did.
+// packets, jitters its sends and bounds its RTO below by less than an
+// RTT, none of which the first did.
 func TestRestartMatchesStart(t *testing.T) {
 	run := func(restart bool) ([]string, Flow, *Flow, *simnet.Dumbbell) {
 		s := simnet.New()
@@ -46,7 +46,7 @@ func TestRestartMatchesStart(t *testing.T) {
 		var log []string
 		d.Bottleneck.AddTap(logTap{&log})
 		d.Reverse.AddTap(logTap{&log})
-		second := Config{TotalBytes: 3_000_000, DelayedAck: true, SendJitter: 100 * time.Microsecond, MinRTO: 20 * time.Millisecond}
+		second := Config{TotalBytes: 3_000_000, SendJitter: 100 * time.Microsecond, MinRTO: 20 * time.Millisecond}
 		g := f
 		if restart {
 			f.Restart(2, second)
@@ -55,7 +55,7 @@ func TestRestartMatchesStart(t *testing.T) {
 		}
 		state := *g // the bindings differ between the runs; the rest may not
 		state.sim, state.fwd, state.rev, state.fwdDemux, state.revDemux = nil, nil, nil, nil, nil
-		state.rtoT, state.delackT, state.jrng = nil, nil, nil
+		state.rtoT, state.jrng = nil, nil
 		s.Run(s.Now() + 2*time.Minute)
 		sent, retrans, timeouts, fastRtx := g.Counters()
 		log = append(log, fmt.Sprintf("done %v sent %d retrans %d timeouts %d fast %d acked %d cwnd %v",

@@ -21,28 +21,25 @@ import (
 	"badabing/internal/simnet"
 )
 
+// The paper's sources send full-size segments ("full size (1500 bytes)
+// packets", §4); every flow shares these.
+const (
+	// segmentSize is the on-the-wire size of a full data segment in
+	// bytes.
+	segmentSize = 1500
+	// ackSize is the on-the-wire size of an ACK.
+	ackSize = 40
+	// initCwnd is the initial congestion window in segments.
+	initCwnd = 2
+)
+
 // Config parameterizes a flow. The zero value is completed by defaults
 // matching the paper's setup.
 type Config struct {
-	// SegmentSize is the on-the-wire size of a full data segment in
-	// bytes. Default 1500 ("full size (1500 bytes) packets").
-	SegmentSize int
-	// AckSize is the on-the-wire size of an ACK. Default 40.
-	AckSize int
 	// RcvWnd is the receiver window in segments. Default 256.
 	RcvWnd int
-	// InitCwnd is the initial congestion window in segments. Default 2.
-	InitCwnd float64
 	// MinRTO bounds the retransmission timer from below. Default 1s.
 	MinRTO time.Duration
-	// DelayedAck enables RFC 1122-style delayed acknowledgments at the
-	// receiver: every second in-order segment is acknowledged
-	// immediately, a lone segment after DelayedAckTimeout; out-of-order
-	// segments are always acknowledged immediately so duplicate ACKs
-	// still flow for fast retransmit.
-	DelayedAck bool
-	// DelayedAckTimeout: default 200 ms (only used with DelayedAck).
-	DelayedAckTimeout time.Duration
 	// SendJitter, when positive, delays each data segment by a uniform
 	// random amount up to this bound, modeling host-side processing
 	// variability. Without it, deterministic simulation phase-locks
@@ -60,30 +57,18 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.SegmentSize == 0 {
-		c.SegmentSize = 1500
-	}
-	if c.AckSize == 0 {
-		c.AckSize = 40
-	}
 	if c.RcvWnd == 0 {
 		c.RcvWnd = 256
 	}
-	if c.InitCwnd == 0 {
-		c.InitCwnd = 2
-	}
 	if c.MinRTO == 0 {
 		c.MinRTO = time.Second
-	}
-	if c.DelayedAckTimeout == 0 {
-		c.DelayedAckTimeout = 200 * time.Millisecond
 	}
 }
 
 // Flow is a one-directional TCP transfer: a sender pushing data segments
 // into a forward link and a receiver returning cumulative ACKs over a
 // reverse link. Create one with Start; Restart runs a finished flow
-// again. A flow binds its timers and receivers once, so a restart
+// again. A flow binds its timer and receivers once, so a restart
 // allocates nothing.
 type Flow struct {
 	sim      *simnet.Sim
@@ -119,10 +104,8 @@ type Flow struct {
 	lastSend time.Duration
 
 	// Receiver state.
-	rcvNxt  int64
-	ooo     window        // segments above rcvNxt received out of order
-	ackHeld bool          // one in-order segment awaiting a delayed ACK
-	delackT *simnet.Timer // nil unless Config.DelayedAck
+	rcvNxt int64
+	ooo    window // segments above rcvNxt received out of order
 
 	// Counters.
 	sent     uint64
@@ -156,30 +139,23 @@ func (f *Flow) Restart(id uint64, cfg Config) {
 }
 
 // begin resets every per-transfer field, keeping the flow's bindings
-// (links, demuxes, timers, jitter RNG and window storage), registers id
+// (links, demuxes, timer, jitter RNG and window storage), registers id
 // and starts sending.
 func (f *Flow) begin(id uint64, cfg Config) {
 	cfg.applyDefaults()
 	f.rtoT.Stop()
-	if f.delackT != nil {
-		f.delackT.Stop()
-	}
 	*f = Flow{
 		sim: f.sim, id: id, fwd: f.fwd, rev: f.rev,
 		fwdDemux: f.fwdDemux, revDemux: f.revDemux, cfg: cfg,
-		cwnd:     cfg.InitCwnd,
+		cwnd:     initCwnd,
 		ssthresh: math.Inf(1),
 		rto:      cfg.MinRTO,
 		rttSeq:   -1,
 		rtoT:     f.rtoT,
 		jrng:     f.jrng,
 		ooo:      f.ooo,
-		delackT:  f.delackT,
 	}
 	f.ooo.reset(cfg.RcvWnd)
-	if cfg.DelayedAck && f.delackT == nil {
-		f.delackT = f.sim.NewTimer(f.sendAck)
-	}
 	if cfg.SendJitter > 0 {
 		seed := int64(id)*2654435761 + 1
 		if f.jrng == nil {
@@ -191,7 +167,7 @@ func (f *Flow) begin(id uint64, cfg Config) {
 		f.jrng = nil
 	}
 	if cfg.TotalBytes > 0 {
-		f.total = (cfg.TotalBytes + int64(cfg.SegmentSize) - 1) / int64(cfg.SegmentSize)
+		f.total = (cfg.TotalBytes + segmentSize - 1) / segmentSize
 	}
 	f.fwdDemux.Register(id, (*dataReceiver)(f))
 	f.revDemux.Register(id, (*ackReceiver)(f))
@@ -266,7 +242,7 @@ func (f *Flow) sendSeg(seq int64, isRetrans bool) {
 		ID:   f.sim.NextPacketID(),
 		Flow: f.id,
 		Kind: simnet.Data,
-		Size: f.cfg.SegmentSize,
+		Size: segmentSize,
 		Seq:  seq,
 		Sent: sendAt,
 	}
@@ -423,13 +399,11 @@ func (f *Flow) finish() {
 }
 
 // onData handles a data segment arriving at the receiver and returns a
-// cumulative ACK (possibly delayed, per Config.DelayedAck).
+// cumulative ACK.
 func (f *Flow) onData(p simnet.Packet) {
 	seq := p.Seq
-	inOrder := false
 	switch {
 	case seq == f.rcvNxt:
-		inOrder = true
 		f.rcvNxt++
 		for f.ooo.n > 0 && f.ooo.take(f.rcvNxt) {
 			f.rcvNxt++
@@ -442,32 +416,11 @@ func (f *Flow) onData(p simnet.Packet) {
 		}
 		f.ooo.add(seq)
 	}
-	if !f.cfg.DelayedAck || !inOrder || f.ooo.n > 0 {
-		// Immediate ACK: delayed ACKs are only for clean in-order
-		// arrivals; anything else must generate duplicate/teaching
-		// ACKs at once.
-		f.sendAck()
-		return
-	}
-	if f.ackHeld {
-		f.sendAck() // every second segment
-		return
-	}
-	f.ackHeld = true
-	f.delackT.Reset(f.cfg.DelayedAckTimeout)
-}
-
-// sendAck emits a cumulative ACK and clears any held delayed ACK.
-func (f *Flow) sendAck() {
-	if f.ackHeld {
-		f.ackHeld = false
-		f.delackT.Stop()
-	}
 	f.rev.Send(simnet.Packet{
 		ID:   f.sim.NextPacketID(),
 		Flow: f.id,
 		Kind: simnet.Ack,
-		Size: f.cfg.AckSize,
+		Size: ackSize,
 		Seq:  f.rcvNxt,
 		Sent: f.sim.Now(),
 	})

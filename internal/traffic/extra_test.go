@@ -83,7 +83,7 @@ func TestWebStop(t *testing.T) {
 func TestWebConfigDefaults(t *testing.T) {
 	var c WebConfig
 	c.applyDefaults()
-	if c.SessionRate != 30 || c.ObjectsPerSession != 5 || c.ParetoAlpha != 1.2 {
+	if c.SessionRate != 30 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 	if c.SurgeSpacing != 20*time.Second {

@@ -108,6 +108,10 @@ func NewInfiniteTCP(sim *simnet.Sim, d *simnet.Dumbbell, ids *IDSpace, n int) *I
 	return w
 }
 
+// injectorPacketSize is the packet size of both the injector's
+// components, the base load and the bursts.
+const injectorPacketSize = 1500
+
 // EpisodeInjectorConfig parameterizes the Iperf-like scenario: a steady
 // base load plus overload bursts engineered to produce loss episodes of
 // approximately the requested durations, randomly spaced with exponential
@@ -125,8 +129,6 @@ type EpisodeInjectorConfig struct {
 	// Overload is the ratio of total input rate to bottleneck rate
 	// during a burst. Default 2.0.
 	Overload float64
-	// PacketSize for both components. Default 1500.
-	PacketSize int
 	// Seed for the spacing/duration RNG.
 	Seed int64
 }
@@ -143,9 +145,6 @@ func (c *EpisodeInjectorConfig) applyDefaults() {
 	}
 	if c.Overload == 0 {
 		c.Overload = 2.0
-	}
-	if c.PacketSize == 0 {
-		c.PacketSize = 1500
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -187,7 +186,7 @@ func NewEpisodeInjectorAt(sim *simnet.Sim, link *simnet.Link, ids IDSource, cfg 
 	}
 	bottleneck := link.Rate()
 	baseRate := simnet.Rate(float64(bottleneck) * cfg.BaseUtilization)
-	inj.base = NewCBR(sim, link, ids.Next(), baseRate, cfg.PacketSize)
+	inj.base = NewCBR(sim, link, ids.Next(), baseRate, injectorPacketSize)
 	inj.timer = sim.NewTimer(inj.burst)
 	inj.scheduleNext()
 	return inj
@@ -229,11 +228,11 @@ func (e *EpisodeInjector) burst() {
 	fill := time.Duration(float64(queueDur) / (e.cfg.Overload - 1))
 	on := fill + target
 
-	ival := time.Duration(int64(e.cfg.PacketSize) * 8 * int64(time.Second) / int64(extra))
+	ival := time.Duration(injectorPacketSize * 8 * int64(time.Second) / int64(extra))
 	e.link.SendTrain(simnet.Packet{
 		Flow: e.ids.Next(),
 		Kind: simnet.Data,
-		Size: e.cfg.PacketSize,
+		Size: injectorPacketSize,
 	}, int(on/ival), ival)
 	e.scheduleNext()
 }

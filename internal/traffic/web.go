@@ -9,6 +9,27 @@ import (
 	"badabing/internal/tcp"
 )
 
+// The web mix's session shape and object sizes: one mix, like the
+// paper's single Harpoon configuration.
+const (
+	// objectsPerSession is the mean number of objects fetched by a
+	// session (geometric).
+	objectsPerSession = 5.0
+	// paretoAlpha shapes object sizes: heavy-tailed, the classic
+	// web-size regime.
+	paretoAlpha = 1.2
+	// minObjectBytes is the Pareto scale parameter.
+	minObjectBytes = 3000
+	// maxObjectBytes truncates the tail.
+	maxObjectBytes = 5e6
+	// thinkTime is the mean pause between a session's objects.
+	thinkTime = 500 * time.Millisecond
+	// surgeMinBytes is the minimum object size for surge sessions.
+	// Surges model flash crowds pulling substantial objects, so their
+	// flows ramp far enough to overload the link.
+	surgeMinBytes = 50_000
+)
+
 // WebConfig parameterizes the Harpoon-like web workload: Poisson user
 // sessions fetching heavy-tailed objects over TCP, plus periodic load
 // surges. The paper configured Harpoon "to briefly increase its load in
@@ -17,29 +38,12 @@ type WebConfig struct {
 	// SessionRate is the mean arrival rate of steady-state sessions per
 	// second. Default 30.
 	SessionRate float64
-	// ObjectsPerSession is the mean number of objects fetched by a
-	// session (geometric). Default 5.
-	ObjectsPerSession float64
-	// ParetoAlpha shapes object sizes. Default 1.2 (heavy-tailed, the
-	// classic web-size regime).
-	ParetoAlpha float64
-	// MinObjectBytes is the Pareto scale parameter. Default 3000.
-	MinObjectBytes float64
-	// MaxObjectBytes truncates the tail. Default 5e6.
-	MaxObjectBytes float64
-	// ThinkTime is the mean pause between a session's objects.
-	// Default 500 ms.
-	ThinkTime time.Duration
 	// SurgeSpacing is the mean time between load surges. Default 20 s.
 	SurgeSpacing time.Duration
 	// SurgeSessions is how many extra single-object sessions a surge
 	// injects at once. Default 200 — enough to push the paper-scale
 	// bottleneck into overflow briefly.
 	SurgeSessions int
-	// SurgeMinBytes is the minimum object size for surge sessions.
-	// Surges model flash crowds pulling substantial objects, so their
-	// flows ramp far enough to overload the link. Default 50000.
-	SurgeMinBytes float64
 	// Seed for all workload randomness.
 	Seed int64
 }
@@ -48,29 +52,11 @@ func (c *WebConfig) applyDefaults() {
 	if c.SessionRate == 0 {
 		c.SessionRate = 30
 	}
-	if c.ObjectsPerSession == 0 {
-		c.ObjectsPerSession = 5
-	}
-	if c.ParetoAlpha == 0 {
-		c.ParetoAlpha = 1.2
-	}
-	if c.MinObjectBytes == 0 {
-		c.MinObjectBytes = 3000
-	}
-	if c.MaxObjectBytes == 0 {
-		c.MaxObjectBytes = 5e6
-	}
-	if c.ThinkTime == 0 {
-		c.ThinkTime = 500 * time.Millisecond
-	}
 	if c.SurgeSpacing == 0 {
 		c.SurgeSpacing = 20 * time.Second
 	}
 	if c.SurgeSessions == 0 {
 		c.SurgeSessions = 200
-	}
-	if c.SurgeMinBytes == 0 {
-		c.SurgeMinBytes = 50_000
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -163,20 +149,20 @@ func (w *Web) surgeNow() {
 		// a flash crowd pulse that overloads the queue briefly,
 		// rather than a sustained multi-object load increase.
 		w.sessions++
-		w.session(1, w.cfg.SurgeMinBytes).fetch()
+		w.session(1, surgeMinBytes).fetch()
 	}
 	w.scheduleSurge()
 }
 
 func (w *Web) startSession() {
 	w.sessions++
-	// Geometric number of objects with the configured mean.
+	// Geometric number of objects with mean objectsPerSession.
 	n := 1
-	pCont := 1 - 1/w.cfg.ObjectsPerSession
+	pCont := 1 - 1/objectsPerSession
 	for w.rng.Float64() < pCont {
 		n++
 	}
-	w.session(n, w.cfg.MinObjectBytes).fetch()
+	w.session(n, minObjectBytes).fetch()
 }
 
 // session takes a finished session from the pool, or makes one, for n
@@ -204,7 +190,7 @@ func (ws *webSession) fetch() {
 		w.pool = append(w.pool, ws)
 		return
 	}
-	size := int64(stats.BoundedPareto(w.rng, w.cfg.ParetoAlpha, ws.minBytes, w.cfg.MaxObjectBytes))
+	size := int64(stats.BoundedPareto(w.rng, paretoAlpha, ws.minBytes, maxObjectBytes))
 	ws.id = w.ids.Next()
 	w.active++
 	cfg := tcp.Config{TotalBytes: size, OnComplete: ws.done}
@@ -223,7 +209,7 @@ func (ws *webSession) complete() {
 	w.transfers++
 	w.d.FwdDemux.Unregister(ws.id)
 	w.d.RevDemux.Unregister(ws.id)
-	ws.think.Reset(stats.Exp(w.rng, w.cfg.ThinkTime))
+	ws.think.Reset(stats.Exp(w.rng, thinkTime))
 }
 
 func (ws *webSession) next() {

@@ -24,10 +24,6 @@ type AdaptiveConfig struct {
 	// DrainWait is how long to wait after a round before querying, so
 	// in-flight probes land. Default 250 ms.
 	DrainWait time.Duration
-	// QueryTimeout per attempt; default 1 s. QueryRetries: default 3
-	// (control packets share the lossy path with the probes).
-	QueryTimeout time.Duration
-	QueryRetries int
 	// Seed for round schedules; default derived from the clock.
 	Seed int64
 }
@@ -35,12 +31,6 @@ type AdaptiveConfig struct {
 func (c *AdaptiveConfig) applyDefaults() {
 	if c.DrainWait == 0 {
 		c.DrainWait = 250 * time.Millisecond
-	}
-	if c.QueryTimeout == 0 {
-		c.QueryTimeout = time.Second
-	}
-	if c.QueryRetries == 0 {
-		c.QueryRetries = 3
 	}
 	if c.Seed == 0 {
 		c.Seed = nowNano()
@@ -94,7 +84,7 @@ func SendAdaptive(ctx context.Context, conn net.Conn, cfg AdaptiveConfig) (Adapt
 		case <-time.After(cfg.DrainWait):
 		}
 
-		counts, err := queryWithRetry(ctx, conn, cfg.BaseID+uint64(round), cfg)
+		counts, err := queryWithRetry(ctx, conn, cfg.BaseID+uint64(round))
 		if err != nil {
 			return badabing.Counts{}, fmt.Errorf("wire: adaptive round %d: %w", round, err)
 		}
@@ -110,14 +100,22 @@ func SendAdaptive(ctx context.Context, conn net.Conn, cfg AdaptiveConfig) (Adapt
 	return res, nil
 }
 
+// A round's outcome counts are queried up to queryAttempts times, each
+// waiting queryTimeout for the reply: control packets share the lossy
+// path with the probes.
+const (
+	queryTimeout  = time.Second
+	queryAttempts = 3
+)
+
 // queryWithRetry tolerates control packets lost on the measured path.
-func queryWithRetry(ctx context.Context, conn net.Conn, expID uint64, cfg AdaptiveConfig) (badabing.Counts, error) {
+func queryWithRetry(ctx context.Context, conn net.Conn, expID uint64) (badabing.Counts, error) {
 	var lastErr error
-	for attempt := 0; attempt < cfg.QueryRetries; attempt++ {
+	for attempt := 0; attempt < queryAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return badabing.Counts{}, err
 		}
-		counts, err := QueryCounts(conn, expID, cfg.QueryTimeout)
+		counts, err := QueryCounts(conn, expID, queryTimeout)
 		if err == nil {
 			return counts, nil
 		}

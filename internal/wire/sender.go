@@ -53,6 +53,9 @@ func (c *SenderConfig) applyDefaults() error {
 	if c.Slot == 0 {
 		c.Slot = badabing.DefaultSlot
 	}
+	if c.Slot < 0 {
+		return fmt.Errorf("wire: negative slot width %v", c.Slot)
+	}
 	if c.PacketsPerProbe == 0 {
 		c.PacketsPerProbe = 3
 	}
@@ -65,7 +68,7 @@ func (c *SenderConfig) applyDefaults() error {
 	if c.PacketSize < MinPacketSize {
 		return fmt.Errorf("wire: packet size %d below header size %d", c.PacketSize, MinPacketSize)
 	}
-	if c.P <= 0 || c.P > 1 {
+	if !(c.P > 0 && c.P <= 1) { // NaN fails too
 		return fmt.Errorf("wire: probability %v out of (0,1]", c.P)
 	}
 	if c.N <= 0 {

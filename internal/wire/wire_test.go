@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -112,13 +113,20 @@ func TestSenderConfigValidation(t *testing.T) {
 	cases := []SenderConfig{
 		{P: 0, N: 100},                   // bad p
 		{P: 1.5, N: 100},                 // bad p
+		{P: math.NaN(), N: 100},          // bad p
 		{P: 0.5, N: 0},                   // bad n
 		{P: 0.5, N: 100, PacketSize: 20}, // below header size
 		{P: 0.5, N: 100, PacketsPerProbe: -1},
 		{P: 0.5, N: 100, PacketsPerProbe: 256}, // header's count is one byte
 		{P: 0.5, N: 100, PacketsPerProbe: 300},
+		{P: 0.3, N: 100, Slot: -time.Millisecond}, // would send unpaced
 	}
 	for i, cfg := range cases {
+		// Normalize is the check the wire transport relies on, before
+		// any schedule is drawn.
+		if norm := cfg; norm.Normalize() == nil {
+			t.Errorf("case %d: Normalize accepted an invalid config", i)
+		}
 		if _, err := Send(context.Background(), conn, cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
