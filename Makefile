@@ -23,7 +23,7 @@ race:
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
-	$(GO) test -race -short ./internal/fleet/... ./internal/session/... ./internal/wire/... ./internal/runner/... ./internal/store/... ./internal/health/...
+	$(GO) test -race -short ./internal/fleet/... ./internal/session/... ./internal/wire/... ./internal/runner/... ./internal/store/... ./internal/health/... ./cmd/badabingd/...
 
 # Fault-injection matrix under the race detector: every impairment class
 # (drop, duplicate, reorder, delay, truncate, corrupt, bursts) against a

@@ -179,7 +179,7 @@ func runMeasure(args []string) error {
 	if *target == "" {
 		return fmt.Errorf("missing -target")
 	}
-	log, err := obs.NewLoggerFlags(os.Stderr, *logLevel, *logFormat)
+	log, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		return err
 	}
@@ -271,6 +271,9 @@ func runCollect(args []string) error {
 	jsonOut := fs.Bool("json", false, "emit reports as JSON lines (the daemon's session-snapshot schema)")
 	ci := fs.Bool("ci", false, "estimate with the bootstrap kind: 95% confidence intervals for the estimates")
 	fs.Parse(args)
+	if *every <= 0 {
+		return fmt.Errorf("-every %v: want a positive interval", *every)
+	}
 
 	conn, err := net.ListenPacket("udp", *listen)
 	if err != nil {

@@ -70,3 +70,11 @@ func TestCollectForgetsIdleSessions(t *testing.T) {
 	cancel()
 	<-done
 }
+
+// TestCollectRejectsNonPositiveEvery: a report interval of zero is a
+// flag error, not a ticker panic after the socket is bound.
+func TestCollectRejectsNonPositiveEvery(t *testing.T) {
+	if err := runCollect([]string{"-listen", "127.0.0.1:0", "-every", "0"}); err == nil {
+		t.Fatal("collect -every 0 returned no error")
+	}
+}

@@ -81,7 +81,7 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- string
 	// One structured logger and one metric registry for the whole
 	// daemon: every subsystem logs through the former and registers its
 	// instrument families into the latter, which GET /metrics renders.
-	log, err := obs.NewLoggerFlags(logw, *logLevel, *logFormat)
+	log, err := obs.NewLogger(logw, *logLevel, *logFormat)
 	if err != nil {
 		return err
 	}
@@ -179,7 +179,7 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- string
 		go refl.Run()
 		defer refl.Close()
 		refl.RegisterMetrics(o)
-		log.Info("reflecting", "addr", pc.LocalAddr(), "shards", refl.Shards())
+		log.Info("reflecting", "addr", pc.LocalAddr().String(), "shards", refl.Shards())
 	}
 
 	ln, err := net.Listen("tcp", *listen)
@@ -197,7 +197,7 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- string
 		Obs:        o,
 	})
 	srv := newHTTPServer(handler, *pprofOn)
-	log.Info("listening", "addr", ln.Addr(), "workers", reg.Workers(), "pprof", *pprofOn)
+	log.Info("listening", "addr", ln.Addr().String(), "workers", reg.Workers(), "pprof", *pprofOn)
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}

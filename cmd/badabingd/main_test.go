@@ -1,13 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -192,11 +195,96 @@ func TestDaemonGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestDaemonBadFlags: flag errors surface instead of hanging.
+// TestDaemonBadFlags: flag errors surface instead of hanging. The
+// context is already cancelled, so a daemon that accepted a bad value
+// would drain and return nil at once.
 func TestDaemonBadFlags(t *testing.T) {
-	err := run(context.Background(), []string{"-no-such-flag"}, io.Discard, nil)
-	if err == nil {
-		t.Fatal("expected flag parse error")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, args := range [][]string{
+		{"-no-such-flag"},
+		{"-listen", "127.0.0.1:0", "-log-level", "loud"},
+		{"-listen", "127.0.0.1:0", "-log-format", "yaml"},
+	} {
+		if err := run(ctx, args, io.Discard, nil); err == nil {
+			t.Errorf("%v: expected a flag error", args)
+		}
+	}
+}
+
+// lockedBuffer collects the daemon's log lines, which its goroutines
+// write while the test waits.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestDaemonJSONLogs: under -log-format json every line the daemon
+// writes is one JSON object with time, level and msg, and the listen
+// and reflector addresses log as host:port strings.
+func TestDaemonJSONLogs(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var logs lockedBuffer
+	ready := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{
+			"-listen", "127.0.0.1:0", "-reflect", "127.0.0.1:0", "-log-format", "json",
+		}, &logs, ready)
+	}()
+	select {
+	case <-ready:
+	case err := <-done:
+		t.Fatalf("daemon exited early: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon never became ready")
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("shutdown error: %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("daemon did not shut down")
+	}
+
+	addrs := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSuffix(logs.String(), "\n"), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line is not one JSON object: %v\n%s", err, line)
+		}
+		for _, k := range []string{"time", "level", "msg"} {
+			if _, ok := rec[k].(string); !ok {
+				t.Errorf("log line lacks a %q string: %s", k, line)
+			}
+		}
+		msg, _ := rec["msg"].(string)
+		if msg != "listening" && msg != "reflecting" {
+			continue
+		}
+		addr, _ := rec["addr"].(string)
+		if _, _, err := net.SplitHostPort(addr); err != nil || rec["level"] != "INFO" {
+			t.Errorf("%s line: want level INFO and addr host:port: %s", msg, line)
+		}
+		addrs[msg] = addr
+	}
+	if len(addrs) != 2 {
+		t.Errorf("logged addresses %v, want listening and reflecting lines:\n%s", addrs, logs.String())
 	}
 }
 

@@ -41,7 +41,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gateway: missing -target")
 		os.Exit(2)
 	}
-	log, err := obs.NewLoggerFlags(os.Stderr, *logLevel, *logFormat)
+	log, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gateway:", err)
 		os.Exit(2)
@@ -62,7 +62,7 @@ func main() {
 		os.Exit(1)
 	}
 	defer g.Close()
-	log.Info("forwarding", "listen", g.Addr(), "target", *target, "rate_bps", *rate, "delay", *delay)
+	log.Info("forwarding", "listen", g.Addr().String(), "target", *target, "rate_bps", *rate, "delay", *delay)
 	if *epEvery > 0 {
 		log.Info("loss episodes enabled", "mean_spacing", *epEvery, "duration", *epDur, "overload", *overload)
 	}

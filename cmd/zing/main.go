@@ -95,6 +95,9 @@ func runCollect(args []string) error {
 	listen := fs.String("listen", ":8791", "UDP address to listen on")
 	every := fs.Duration("every", 10*time.Second, "report interval; after each report, sessions idle for longer are dropped")
 	fs.Parse(args)
+	if *every <= 0 {
+		return fmt.Errorf("-every %v: want a positive interval", *every)
+	}
 
 	conn, err := net.ListenPacket("udp", *listen)
 	if err != nil {

@@ -43,3 +43,11 @@ func TestCollectForgetsIdleSessions(t *testing.T) {
 	cancel()
 	<-done
 }
+
+// TestCollectRejectsNonPositiveEvery: a negative report interval is a
+// flag error, not a ticker panic after the socket is bound.
+func TestCollectRejectsNonPositiveEvery(t *testing.T) {
+	if err := runCollect([]string{"-listen", "127.0.0.1:0", "-every", "-1s"}); err == nil {
+		t.Fatal("collect -every -1s returned no error")
+	}
+}

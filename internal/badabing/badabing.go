@@ -33,15 +33,6 @@ const DefaultSlot = 5 * time.Millisecond
 // packet or request must not be able to buy an unbounded loop.
 const MaxSlots = 1 << 23
 
-// Kind distinguishes experiment shapes.
-type Kind uint8
-
-// Experiment kinds.
-const (
-	Basic    Kind = iota // two probes, slots i and i+1
-	Extended             // three probes, slots i..i+2
-)
-
 // Plan is one scheduled experiment.
 type Plan struct {
 	Slot   int64 // first slot index

@@ -3,7 +3,6 @@ package chaos
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"badabing/internal/store"
@@ -37,9 +36,6 @@ type FaultySink struct {
 
 	mu  sync.Mutex
 	err error // non-nil while the fault window is open
-
-	injected  atomic.Int64
-	forwarded atomic.Int64
 }
 
 // NewFaultySink wraps inner with writes initially healthy.
@@ -65,28 +61,11 @@ func (f *FaultySink) RecoverWrites() {
 	f.mu.Unlock()
 }
 
-// Failing reports whether a fault window is open.
-func (f *FaultySink) Failing() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err != nil
-}
-
-// Injected counts appends failed by the injector.
-func (f *FaultySink) Injected() int64 { return f.injected.Load() }
-
-// Forwarded counts appends passed through to the inner sink.
-func (f *FaultySink) Forwarded() int64 { return f.forwarded.Load() }
-
 // fail returns the injected error while the window is open.
 func (f *FaultySink) fail() error {
 	f.mu.Lock()
-	err := f.err
-	f.mu.Unlock()
-	if err != nil {
-		f.injected.Add(1)
-	}
-	return err
+	defer f.mu.Unlock()
+	return f.err
 }
 
 // SessionCreated implements the sink interface.
@@ -94,7 +73,6 @@ func (f *FaultySink) SessionCreated(id string, at time.Time, cfgJSON []byte, see
 	if err := f.fail(); err != nil {
 		return err
 	}
-	f.forwarded.Add(1)
 	return f.inner.SessionCreated(id, at, cfgJSON, seed)
 }
 
@@ -103,7 +81,6 @@ func (f *FaultySink) SessionState(id string, at time.Time, state string, termina
 	if err := f.fail(); err != nil {
 		return err
 	}
-	f.forwarded.Add(1)
 	return f.inner.SessionState(id, at, state, terminal, errMsg, retries, seed)
 }
 
@@ -112,7 +89,6 @@ func (f *FaultySink) SessionPoint(id string, p store.Point) error {
 	if err := f.fail(); err != nil {
 		return err
 	}
-	f.forwarded.Add(1)
 	return f.inner.SessionPoint(id, p)
 }
 
@@ -121,7 +97,6 @@ func (f *FaultySink) RegistryTotals(t store.Totals) error {
 	if err := f.fail(); err != nil {
 		return err
 	}
-	f.forwarded.Add(1)
 	return f.inner.RegistryTotals(t)
 }
 

@@ -68,7 +68,7 @@ func (f *FlakyReflector) Addr() net.Addr {
 
 // Hang blackholes the reflector: the socket stays open (so senders get no
 // ICMP hint) but nothing is echoed or answered — the failure mode a
-// liveness watchdog exists for. Recover undoes it.
+// liveness watchdog exists for.
 func (f *FlakyReflector) Hang() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -78,19 +78,9 @@ func (f *FlakyReflector) Hang() {
 	}
 }
 
-// Recover restores the steady-state impairment profiles after a Hang.
-func (f *FlakyReflector) Recover() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.conn != nil {
-		f.conn.SetInbound(f.inF)
-		f.conn.SetOutbound(f.outF)
-	}
-}
-
 // Kill closes the socket: the reflector process "crashes". Connected
-// senders on loopback observe ECONNREFUSED write failures. Start (or
-// Restart) brings it back on the same port.
+// senders on loopback observe ECONNREFUSED write failures. Start brings
+// it back on the same port.
 func (f *FlakyReflector) Kill() {
 	f.mu.Lock()
 	refl := f.refl
@@ -101,31 +91,9 @@ func (f *FlakyReflector) Kill() {
 	}
 }
 
-// Restart is Kill-then-Start — a crash/recover cycle on the same address.
-func (f *FlakyReflector) Restart() error {
-	f.Kill()
-	return f.Start()
-}
-
 // Alive reports whether the reflector is currently echoing.
 func (f *FlakyReflector) Alive() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.alive
-}
-
-// Reflector returns the current incarnation's reflector (nil before the
-// first Start); its Packets/Pings/Dropped counters reset per incarnation.
-func (f *FlakyReflector) Reflector() *wire.Reflector {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.refl
-}
-
-// Conn returns the current incarnation's impaired socket, for fault
-// tallies and runtime profile swaps.
-func (f *FlakyReflector) Conn() *ImpairedConn {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.conn
 }

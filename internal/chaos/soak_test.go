@@ -2,6 +2,7 @@ package chaos_test
 
 import (
 	"bytes"
+	"log/slog"
 	"runtime"
 	"testing"
 	"time"
@@ -9,7 +10,6 @@ import (
 	"badabing/internal/chaos"
 	"badabing/internal/fleet"
 	"badabing/internal/health"
-	"badabing/internal/obs"
 	"badabing/internal/store"
 )
 
@@ -58,7 +58,7 @@ func TestSoakSelfHealing(t *testing.T) {
 		t.Fatal(err)
 	}
 	faulty := chaos.NewFaultySink(st)
-	log := obs.NewLogger(tlogWriter{t}, obs.LoggerConfig{})
+	log := slog.New(slog.NewTextHandler(tlogWriter{t}, nil))
 	mon := health.NewMonitor(log)
 	breaker := fleet.NewBreakerSink(faulty, fleet.BreakerConfig{
 		Threshold:     2,

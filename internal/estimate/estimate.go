@@ -19,6 +19,7 @@ package estimate
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"badabing/internal/badabing"
@@ -26,10 +27,10 @@ import (
 
 // Estimator kinds. DefaultKind is what an empty selection resolves to.
 const (
-	KindBasic      = "basic"
-	KindImproved   = "improved"
-	KindParametric = "parametric"
-	KindBootstrap  = "bootstrap"
+	KindBasic      = "basic"      // §5.2: headline duration is the two-probe D̂
+	KindImproved   = "improved"   // §5.3: headline duration prefers the triple-probe D̂
+	KindParametric = "parametric" // §8: headline duration is 1/(1−ĝ) slots
+	KindBootstrap  = "bootstrap"  // improved plus moving-block bootstrap intervals (§4)
 
 	DefaultKind = KindImproved
 )
@@ -37,38 +38,15 @@ const (
 // kinds is the registry, in canonical (documentation) order. Everything
 // that enumerates estimators — flag help, validation errors, the fleet's
 // 400 responses — walks this slice.
-var kinds = []struct {
-	name string
-	desc string
-}{
-	{KindBasic, "basic F̂/D̂ estimators (§5.2): headline duration is the two-probe D̂"},
-	{KindImproved, "improved estimators (§5.3, default): headline duration prefers the triple-probe D̂"},
-	{KindParametric, "geometric episode model (§8): headline duration is 1/(1−ĝ) slots"},
-	{KindBootstrap, "improved estimators plus moving-block bootstrap confidence intervals (§4)"},
-}
+var kinds = []string{KindBasic, KindImproved, KindParametric, KindBootstrap}
 
 // Kinds returns the valid estimator kind names in canonical order.
-func Kinds() []string {
-	out := make([]string, len(kinds))
-	for i, k := range kinds {
-		out[i] = k.name
-	}
-	return out
-}
+func Kinds() []string { return slices.Clone(kinds) }
 
 // KindList renders the registry for one-line flag help, e.g.
 // "basic, improved, parametric, bootstrap".
 func KindList() string {
-	return strings.Join(Kinds(), ", ")
-}
-
-// Describe returns one help line per kind, for multi-line usage text.
-func Describe() []string {
-	out := make([]string, len(kinds))
-	for i, k := range kinds {
-		out[i] = k.name + ": " + k.desc
-	}
-	return out
+	return strings.Join(kinds, ", ")
 }
 
 // Normalize resolves a user-supplied kind name: empty selects
@@ -78,11 +56,8 @@ func Normalize(kind string) (string, error) {
 	if kind == "" {
 		return DefaultKind, nil
 	}
-	k := strings.ToLower(kind)
-	for _, known := range kinds {
-		if known.name == k {
-			return k, nil
-		}
+	if k := strings.ToLower(kind); slices.Contains(kinds, k) {
+		return k, nil
 	}
 	return "", fmt.Errorf("estimate: unknown estimator kind %q (valid: %s)", kind, KindList())
 }

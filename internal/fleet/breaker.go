@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,7 +55,7 @@ type BreakerConfig struct {
 	Health *health.Monitor
 	// Log receives one structured line per state transition (nil
 	// discards).
-	Log *obs.Logger
+	Log *slog.Logger
 }
 
 func (c *BreakerConfig) applyDefaults() {
@@ -66,6 +67,9 @@ func (c *BreakerConfig) applyDefaults() {
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
+	}
+	if c.Log == nil {
+		c.Log = obs.Discard
 	}
 }
 

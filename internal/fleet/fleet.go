@@ -761,9 +761,6 @@ func (s *Session) Counters() session.Counters {
 	return s.counters
 }
 
-// Stop cancels the session.
-func (s *Session) Stop() { s.cancel() }
-
 // Retries returns how many times the session has been re-queued after a
 // failure.
 func (s *Session) Retries() int {

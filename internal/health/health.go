@@ -23,6 +23,7 @@
 package health
 
 import (
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,7 +90,7 @@ type Snapshot struct {
 // methods are safe for concurrent use. The zero Monitor is not usable;
 // call NewMonitor.
 type Monitor struct {
-	log *obs.Logger
+	log *slog.Logger
 	now func() time.Time
 
 	mu         sync.Mutex
@@ -103,7 +104,10 @@ type Monitor struct {
 
 // NewMonitor builds a monitor. log receives one structured line per
 // state transition (nil discards them).
-func NewMonitor(log *obs.Logger) *Monitor {
+func NewMonitor(log *slog.Logger) *Monitor {
+	if log == nil {
+		log = obs.Discard
+	}
 	return &Monitor{
 		log:        log,
 		now:        time.Now,

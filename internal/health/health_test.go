@@ -1,6 +1,7 @@
 package health
 
 import (
+	"log/slog"
 	"strings"
 	"testing"
 	"time"
@@ -50,7 +51,7 @@ func TestMonitorAggregation(t *testing.T) {
 // silent; each change logs exactly one component line.
 func TestMonitorLogsOncePerTransition(t *testing.T) {
 	var sb strings.Builder
-	m := NewMonitor(obs.NewLogger(&sb, obs.LoggerConfig{}))
+	m := NewMonitor(slog.New(slog.NewTextHandler(&sb, nil)))
 	for i := 0; i < 5; i++ {
 		m.Set("store", Degraded, "disk full")
 	}

@@ -3,329 +3,35 @@ package obs
 import (
 	"fmt"
 	"io"
-	"strconv"
-	"sync"
-	"time"
+	"log/slog"
 )
 
-// Level is a log line's severity.
-type Level int8
-
-const (
-	// LevelDebug is development detail, off by default.
-	LevelDebug Level = iota
-	// LevelInfo is normal operational events (startup, transitions).
-	LevelInfo
-	// LevelWarn is degraded-but-serving conditions.
-	LevelWarn
-	// LevelError is failures that lost work or shed load.
-	LevelError
-)
-
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	default:
-		return "unknown"
-	}
+var logLevels = map[string]slog.Level{
+	"debug": slog.LevelDebug,
+	"info":  slog.LevelInfo,
+	"warn":  slog.LevelWarn,
+	"error": slog.LevelError,
 }
 
-// ParseLevel maps a -log-level flag value to its Level.
-func ParseLevel(s string) (Level, error) {
-	switch s {
-	case "debug":
-		return LevelDebug, nil
-	case "info", "":
-		return LevelInfo, nil
-	case "warn", "warning":
-		return LevelWarn, nil
-	case "error":
-		return LevelError, nil
+// NewLogger builds a logger writing to w from -log-level and
+// -log-format flag values, so every command parses them identically:
+// level is debug, info, warn or error; format is text (slog's key=value
+// lines) or json (one object per line).
+func NewLogger(w io.Writer, level, format string) (*slog.Logger, error) {
+	lv, ok := logLevels[level]
+	if !ok {
+		return nil, fmt.Errorf("obs: unknown log level %q (want debug, info, warn or error)", level)
 	}
-	return LevelInfo, fmt.Errorf("obs: unknown log level %q (want debug, info, warn or error)", s)
-}
-
-// Format selects the logger's output encoding.
-type Format int8
-
-const (
-	// FormatText is one human-oriented line: ts LEVEL msg k=v ...
-	FormatText Format = iota
-	// FormatJSON is one JSON object per line.
-	FormatJSON
-)
-
-// ParseFormat maps a -log-format flag value to its Format.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "text", "":
-		return FormatText, nil
+	opts := &slog.HandlerOptions{Level: lv}
+	switch format {
+	case "text":
+		return slog.New(slog.NewTextHandler(w, opts)), nil
 	case "json":
-		return FormatJSON, nil
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
 	}
-	return FormatText, fmt.Errorf("obs: unknown log format %q (want text or json)", s)
+	return nil, fmt.Errorf("obs: unknown log format %q (want text or json)", format)
 }
 
-// LoggerConfig parameterizes NewLogger. The zero value is text format
-// at info level stamped with time.Now.
-type LoggerConfig struct {
-	Level  Level
-	Format Format
-	// Now injects a clock for tests (nil = time.Now).
-	Now func() time.Time
-}
-
-// Logger is a small leveled structured logger: a message plus
-// alternating key/value fields, in text or JSON, one line per call
-// written atomically. A nil *Logger discards everything, so components
-// can take one without nil checks. Loggers derived with With share the
-// parent's writer and mutex.
-type Logger struct {
-	out   *logOutput
-	level Level
-	json  bool
-	now   func() time.Time
-	bound []byte // pre-encoded With fields, in this logger's format
-}
-
-type logOutput struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-// NewLogger builds a logger writing to w.
-func NewLogger(w io.Writer, cfg LoggerConfig) *Logger {
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
-	return &Logger{
-		out:   &logOutput{w: w},
-		level: cfg.Level,
-		json:  cfg.Format == FormatJSON,
-		now:   now,
-	}
-}
-
-// NewLoggerFlags builds a logger from -log-level/-log-format flag
-// values, so every command parses them identically.
-func NewLoggerFlags(w io.Writer, level, format string) (*Logger, error) {
-	lvl, err := ParseLevel(level)
-	if err != nil {
-		return nil, err
-	}
-	f, err := ParseFormat(format)
-	if err != nil {
-		return nil, err
-	}
-	return NewLogger(w, LoggerConfig{Level: lvl, Format: f}), nil
-}
-
-// With returns a logger that prepends the given key/value fields to
-// every line (e.g. component identity).
-func (l *Logger) With(kv ...any) *Logger {
-	if l == nil {
-		return nil
-	}
-	child := *l
-	child.bound = append(append([]byte(nil), l.bound...), l.encodeFields(nil, kv)...)
-	return &child
-}
-
-// Enabled reports whether lines at lv would be emitted.
-func (l *Logger) Enabled(lv Level) bool { return l != nil && lv >= l.level }
-
-// Debug emits a debug line.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
-
-// Info emits an info line.
-func (l *Logger) Info(msg string, kv ...any) { l.log(LevelInfo, msg, kv) }
-
-// Warn emits a warning line.
-func (l *Logger) Warn(msg string, kv ...any) { l.log(LevelWarn, msg, kv) }
-
-// Error emits an error line.
-func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv) }
-
-var logBufs = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
-
-func (l *Logger) log(lv Level, msg string, kv []any) {
-	if !l.Enabled(lv) {
-		return
-	}
-	bp := logBufs.Get().(*[]byte)
-	b := (*bp)[:0]
-	ts := l.now().UTC()
-	if l.json {
-		b = append(b, `{"ts":"`...)
-		b = ts.AppendFormat(b, time.RFC3339Nano)
-		b = append(b, `","level":"`...)
-		b = append(b, lv.String()...)
-		b = append(b, `","msg":`...)
-		b = appendJSONString(b, msg)
-		b = append(b, l.bound...)
-		b = l.encodeFields(b, kv)
-		b = append(b, "}\n"...)
-	} else {
-		b = ts.AppendFormat(b, "2006-01-02T15:04:05.000Z")
-		b = append(b, ' ')
-		b = appendLevelText(b, lv)
-		b = append(b, ' ')
-		b = append(b, msg...)
-		b = append(b, l.bound...)
-		b = l.encodeFields(b, kv)
-		b = append(b, '\n')
-	}
-	l.out.mu.Lock()
-	l.out.w.Write(b)
-	l.out.mu.Unlock()
-	*bp = b
-	logBufs.Put(bp)
-}
-
-func appendLevelText(b []byte, lv Level) []byte {
-	switch lv {
-	case LevelDebug:
-		return append(b, "DEBUG"...)
-	case LevelInfo:
-		return append(b, "INFO "...)
-	case LevelWarn:
-		return append(b, "WARN "...)
-	default:
-		return append(b, "ERROR"...)
-	}
-}
-
-// encodeFields appends alternating key/value pairs in the logger's
-// format. A trailing odd value is reported under "!BADKEY" rather than
-// dropped.
-func (l *Logger) encodeFields(b []byte, kv []any) []byte {
-	for i := 0; i < len(kv); i += 2 {
-		key, ok := "", false
-		if i+1 < len(kv) {
-			key, ok = kv[i].(string)
-		}
-		var val any
-		if !ok {
-			key, val = "!BADKEY", kv[i]
-		} else {
-			val = kv[i+1]
-		}
-		if l.json {
-			b = append(b, ',')
-			b = appendJSONString(b, key)
-			b = append(b, ':')
-			b = appendJSONValue(b, val)
-		} else {
-			b = append(b, ' ')
-			b = append(b, key...)
-			b = append(b, '=')
-			b = appendTextValue(b, val)
-		}
-	}
-	return b
-}
-
-// stringify renders one field value.
-func stringify(v any) string {
-	switch x := v.(type) {
-	case string:
-		return x
-	case error:
-		return x.Error()
-	case fmt.Stringer:
-		return x.String()
-	default:
-		return fmt.Sprint(v)
-	}
-}
-
-func appendTextValue(b []byte, v any) []byte {
-	switch x := v.(type) {
-	case int:
-		return strconv.AppendInt(b, int64(x), 10)
-	case int64:
-		return strconv.AppendInt(b, x, 10)
-	case uint64:
-		return strconv.AppendUint(b, x, 10)
-	case float64:
-		return strconv.AppendFloat(b, x, 'g', -1, 64)
-	case bool:
-		return strconv.AppendBool(b, x)
-	case time.Duration:
-		return append(b, x.String()...)
-	}
-	s := stringify(v)
-	if needsQuoting(s) {
-		return strconv.AppendQuote(b, s)
-	}
-	return append(b, s...)
-}
-
-func appendJSONValue(b []byte, v any) []byte {
-	switch x := v.(type) {
-	case int:
-		return strconv.AppendInt(b, int64(x), 10)
-	case int64:
-		return strconv.AppendInt(b, x, 10)
-	case uint64:
-		return strconv.AppendUint(b, x, 10)
-	case float64:
-		// JSON has no NaN/Inf literals; quote them.
-		if x != x || x > 1.7e308 || x < -1.7e308 {
-			return appendJSONString(b, strconv.FormatFloat(x, 'g', -1, 64))
-		}
-		return strconv.AppendFloat(b, x, 'g', -1, 64)
-	case bool:
-		return strconv.AppendBool(b, x)
-	}
-	return appendJSONString(b, stringify(v))
-}
-
-func needsQuoting(s string) bool {
-	if s == "" {
-		return true
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c <= ' ' || c == '"' || c == '=' || c == 0x7f {
-			return true
-		}
-	}
-	return false
-}
-
-// appendJSONString appends s as a JSON string literal, escaping the
-// characters JSON requires (quote, backslash, controls).
-func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"':
-			b = append(b, `\"`...)
-		case c == '\\':
-			b = append(b, `\\`...)
-		case c == '\n':
-			b = append(b, `\n`...)
-		case c == '\t':
-			b = append(b, `\t`...)
-		case c == '\r':
-			b = append(b, `\r`...)
-		case c < 0x20:
-			b = append(b, `\u00`...)
-			const hex = "0123456789abcdef"
-			b = append(b, hex[c>>4], hex[c&0xf])
-		default:
-			b = append(b, c)
-		}
-	}
-	return append(b, '"')
-}
+// Discard is the logger a component falls back to when given none. Its
+// level sits above Error, so a call returns before a record is built.
+var Discard = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 1}))

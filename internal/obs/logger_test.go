@@ -1,153 +1,117 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"log/slog"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 )
 
-func fixedNow() time.Time {
-	return time.Date(2026, 8, 8, 10, 30, 0, 123e6, time.UTC)
+func mustLogger(t *testing.T, sb *strings.Builder, level, format string) *slog.Logger {
+	t.Helper()
+	l, err := NewLogger(sb, level, format)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
-// TestLoggerText checks the text line shape: timestamp, level tag,
-// message, bound fields then call fields, quoting only when needed.
+// TestLoggerText checks the text line shape: time, level, message, then
+// the fields, quoting only when needed.
 func TestLoggerText(t *testing.T) {
 	var sb strings.Builder
-	l := NewLogger(&sb, LoggerConfig{Now: fixedNow})
+	l := mustLogger(t, &sb, "info", "text")
 	l.Info("listening", "addr", "127.0.0.1:8642", "workers", 8)
-	got := sb.String()
-	want := "2026-08-08T10:30:00.123Z INFO  listening addr=127.0.0.1:8642 workers=8\n"
-	if got != want {
-		t.Errorf("text line:\n got %q\nwant %q", got, want)
+	want := regexp.MustCompile(`^time=\S+ level=INFO msg=listening addr=127\.0\.0\.1:8642 workers=8\n$`)
+	if got := sb.String(); !want.MatchString(got) {
+		t.Errorf("text line %q does not match %s", got, want)
 	}
 
 	sb.Reset()
 	l.Warn("drain", "took", 1500*time.Millisecond, "reason", "deadline exceeded", "clean", false)
-	got = sb.String()
-	if !strings.Contains(got, "WARN  drain took=1.5s") || !strings.Contains(got, `reason="deadline exceeded"`) || !strings.Contains(got, "clean=false") {
+	if got := sb.String(); !strings.Contains(got, `level=WARN msg=drain took=1.5s reason="deadline exceeded" clean=false`) {
 		t.Errorf("text fields wrong: %q", got)
 	}
 }
 
-// TestLoggerJSON: every line parses as one JSON object with ts, level,
-// msg and the fields.
+// TestLoggerJSON: every line parses as one JSON object with time, level
+// and msg; errors log as their text, durations as integer nanoseconds.
 func TestLoggerJSON(t *testing.T) {
 	var sb strings.Builder
-	l := NewLogger(&sb, LoggerConfig{Format: FormatJSON, Now: fixedNow})
-	l.Error("store append failed", "err", "disk full", "records", int64(12), "f", 0.5)
+	l := mustLogger(t, &sb, "info", "json")
+	l.Error("store append failed", "err", errors.New("disk full"), "records", int64(12), "took", 1500*time.Millisecond)
 	var obj map[string]any
 	if err := json.Unmarshal([]byte(sb.String()), &obj); err != nil {
 		t.Fatalf("not JSON: %v\n%s", err, sb.String())
 	}
-	if obj["level"] != "error" || obj["msg"] != "store append failed" || obj["err"] != "disk full" {
+	if obj["level"] != "ERROR" || obj["msg"] != "store append failed" || obj["err"] != "disk full" {
 		t.Errorf("fields wrong: %v", obj)
 	}
-	if obj["records"] != float64(12) || obj["f"] != 0.5 {
+	if obj["records"] != float64(12) || obj["took"] != float64(1.5e9) {
 		t.Errorf("numeric fields wrong: %v", obj)
 	}
-	if _, err := time.Parse(time.RFC3339Nano, obj["ts"].(string)); err != nil {
-		t.Errorf("bad ts: %v", err)
+	if ts, _ := obj["time"].(string); ts == "" {
+		t.Errorf("no time: %v", obj)
+	} else if _, err := time.Parse(time.RFC3339Nano, ts); err != nil {
+		t.Errorf("bad time: %v", err)
 	}
 }
 
 // TestLoggerLevelFilter: lines below the configured level are dropped.
 func TestLoggerLevelFilter(t *testing.T) {
 	var sb strings.Builder
-	l := NewLogger(&sb, LoggerConfig{Level: LevelWarn, Now: fixedNow})
+	l := mustLogger(t, &sb, "warn", "text")
 	l.Debug("d")
 	l.Info("i")
 	l.Warn("w")
 	l.Error("e")
 	got := sb.String()
-	if strings.Contains(got, "d\n") || strings.Contains(got, "i\n") {
+	if strings.Contains(got, "msg=d\n") || strings.Contains(got, "msg=i\n") {
 		t.Errorf("low levels leaked: %q", got)
 	}
-	if !strings.Contains(got, "WARN  w") || !strings.Contains(got, "ERROR e") {
+	if !strings.Contains(got, "level=WARN msg=w") || !strings.Contains(got, "level=ERROR msg=e") {
 		t.Errorf("high levels missing: %q", got)
 	}
-	if !l.Enabled(LevelError) || l.Enabled(LevelInfo) {
+	if !l.Enabled(context.Background(), slog.LevelError) || l.Enabled(context.Background(), slog.LevelInfo) {
 		t.Error("Enabled disagrees with filtering")
 	}
 }
 
-// TestLoggerWith: bound fields prepend every line, in both formats.
-func TestLoggerWith(t *testing.T) {
-	var sb strings.Builder
-	l := NewLogger(&sb, LoggerConfig{Now: fixedNow}).With("component", "store")
-	l.Info("opened", "segments", 3)
-	if !strings.Contains(sb.String(), "opened component=store segments=3") {
-		t.Errorf("bound text fields: %q", sb.String())
-	}
-
-	sb.Reset()
-	j := NewLogger(&sb, LoggerConfig{Format: FormatJSON, Now: fixedNow}).With("component", "store")
-	j.Info("opened")
-	var obj map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &obj); err != nil {
-		t.Fatal(err)
-	}
-	if obj["component"] != "store" {
-		t.Errorf("bound JSON field missing: %v", obj)
-	}
-}
-
-// TestNilLoggerSafe: a nil logger is a black hole, not a panic.
+// TestNilLoggerSafe: the logger a nil one falls back to is off at every
+// level, so nothing is even formatted.
 func TestNilLoggerSafe(t *testing.T) {
-	var l *Logger
-	l.Info("x", "k", "v")
-	l.Error("y")
-	if l.With("a", 1) != nil {
-		t.Error("nil With should stay nil")
-	}
-	if l.Enabled(LevelError) {
-		t.Error("nil logger claims enabled")
+	Discard.Error("y", "k", "v")
+	if Discard.Enabled(context.Background(), slog.LevelError) {
+		t.Error("Discard claims enabled")
 	}
 }
 
-// TestLoggerBadKey: odd or non-string keys are surfaced, not dropped.
-func TestLoggerBadKey(t *testing.T) {
-	var sb strings.Builder
-	l := NewLogger(&sb, LoggerConfig{Now: fixedNow})
-	l.Info("m", "dangling")
-	if !strings.Contains(sb.String(), "!BADKEY=dangling") {
-		t.Errorf("dangling value lost: %q", sb.String())
-	}
-}
-
-// TestParseLevelFormat covers the flag parsers.
+// TestParseLevelFormat covers the flag values NewLogger accepts and
+// rejects.
 func TestParseLevelFormat(t *testing.T) {
-	for s, want := range map[string]Level{"debug": LevelDebug, "info": LevelInfo, "": LevelInfo, "warn": LevelWarn, "warning": LevelWarn, "error": LevelError} {
-		got, err := ParseLevel(s)
-		if err != nil || got != want {
-			t.Errorf("ParseLevel(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Error("ParseLevel accepted junk")
-	}
-	for s, want := range map[string]Format{"text": FormatText, "": FormatText, "json": FormatJSON} {
-		got, err := ParseFormat(s)
-		if err != nil || got != want {
-			t.Errorf("ParseFormat(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseFormat("yaml"); err == nil {
-		t.Error("ParseFormat accepted junk")
-	}
-}
-
-// TestJSONControlEscapes: control characters in values stay valid JSON.
-func TestJSONControlEscapes(t *testing.T) {
 	var sb strings.Builder
-	l := NewLogger(&sb, LoggerConfig{Format: FormatJSON, Now: fixedNow})
-	l.Info("m", "v", "a\x01b\nc\"d\\e")
-	var obj map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &obj); err != nil {
-		t.Fatalf("invalid JSON: %v\n%q", err, sb.String())
+	for _, level := range []string{"debug", "info", "warn", "error"} {
+		for _, format := range []string{"text", "json"} {
+			if _, err := NewLogger(&sb, level, format); err != nil {
+				t.Errorf("NewLogger(%q, %q): %v", level, format, err)
+			}
+		}
 	}
-	if obj["v"] != "a\x01b\nc\"d\\e" {
-		t.Errorf("round trip lost data: %q", obj["v"])
+	for _, level := range []string{"loud", "", "warning", "INFO"} {
+		if _, err := NewLogger(&sb, level, "text"); err == nil {
+			t.Errorf("NewLogger accepted level %q", level)
+		}
+	}
+	for _, format := range []string{"yaml", ""} {
+		if _, err := NewLogger(&sb, "info", format); err == nil {
+			t.Errorf("NewLogger accepted format %q", format)
+		}
+	}
+	if sb.Len() != 0 {
+		t.Errorf("building a logger wrote %q", sb.String())
 	}
 }

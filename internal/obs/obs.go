@@ -261,18 +261,6 @@ func (h Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the total number of observations.
-func (h Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.h.counts {
-		n += h.h.counts[i].Load()
-	}
-	return n
-}
-
-// Sum returns the sum of all observed values.
-func (h Histogram) Sum() float64 { return math.Float64frombits(h.h.sumBits.Load()) }
-
 // DefBuckets are general-purpose latency buckets in seconds (the
 // client_golang defaults).
 var DefBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}

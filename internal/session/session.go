@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -129,6 +130,25 @@ func (c *Config) applyDefaults() {
 	}
 }
 
+// validate rejects a step the harvest loop could never finish with: a
+// negative one never advances, and a loop clock past int64 nanoseconds
+// wraps and never reaches the horizon. The clock runs to less than one
+// step past the horizon and its settle time. A non-positive slot or
+// horizon is left to the stream and the schedule to reject.
+func (c *Config) validate() error {
+	if c.StepSlots < 0 {
+		return fmt.Errorf("session: negative step of %d slots", c.StepSlots)
+	}
+	if c.Slot <= 0 || c.Slots < 0 {
+		return nil
+	}
+	most := int64((math.MaxInt64 - max(c.Settle, 0)) / c.Slot)
+	if c.Slots > most || c.StepSlots > most-c.Slots {
+		return fmt.Errorf("session: horizon of %d slots plus a step of %d slots of %v overflows", c.Slots, c.StepSlots, c.Slot)
+	}
+	return nil
+}
+
 // stream shapes the estimator from the session's probe-process
 // parameters.
 func (c *Config) stream() badabing.StreamConfig {
@@ -202,6 +222,9 @@ type Result struct {
 // closes it.
 func Run(ctx context.Context, tr Transport, cfg Config, publish func(Update)) (*Result, error) {
 	cfg.applyDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	plans, err := cfg.schedule()
 	if err != nil {
 		return nil, err

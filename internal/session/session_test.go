@@ -126,6 +126,32 @@ func TestRunCancellation(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnendingStep: a negative step, or a loop clock past
+// int64 nanoseconds, keeps the harvest loop from reaching the horizon or
+// lets it wrap around to it; Run refuses both before probing starts. In
+// the last case the step and the horizon fit, but the clock wraps on the
+// step after 7.2e18 ns.
+func TestRunRejectsUnendingStep(t *testing.T) {
+	for _, cfg := range []session.Config{
+		{P: 0.3, Slots: 400, Seed: 1, StepSlots: -1},
+		{P: 0.3, Slots: 400, Seed: 1, StepSlots: 1 << 62},
+		{P: 0.3, Slots: 400, Seed: 1, StepSlots: 1, Slot: 1 << 55},
+		{P: 0.3, Slots: 400, Seed: 1, StepSlots: 200, Slot: 1 << 54},
+	} {
+		s := simnet.New()
+		tr := simtransport.New(s, simnet.NewDumbbell(s, simnet.DumbbellConfig{}), 7, probe.BadabingConfig{})
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		updates := 0
+		_, err := session.Run(ctx, tr, cfg, func(session.Update) { updates++ })
+		cancel()
+		tr.Close()
+		if err == nil || errors.Is(err, context.DeadlineExceeded) || updates > 0 {
+			t.Errorf("StepSlots %d, Slot %v: Run returned %v after %d updates, want a config error and none",
+				cfg.StepSlots, cfg.Slot, err, updates)
+		}
+	}
+}
+
 // TestSimWireParity pushes the same schedule through both substrates — the
 // simulated idle dumbbell and a real UDP loopback round trip — and requires
 // identical results: same probe count, zero losses, same marked outcomes

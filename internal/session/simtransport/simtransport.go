@@ -62,7 +62,3 @@ func (t *Transport) Observations() ([]badabing.ProbeObs, map[int64]bool) {
 
 // Close is a no-op; the simulator owns no external resources.
 func (t *Transport) Close() error { return nil }
-
-// Badabing exposes the underlying prober (nil before Launch), e.g. for
-// packet-count assertions in tests.
-func (t *Transport) Badabing() *probe.Badabing { return t.bb }

@@ -377,9 +377,6 @@ func (t *Transport) Collector() *wire.Collector { return t.col }
 // ExpID returns the session id stamped on the probes.
 func (t *Transport) ExpID() uint64 { return t.cfg.ExpID }
 
-// LocalAddr returns the probing socket's local address.
-func (t *Transport) LocalAddr() net.Addr { return t.conn.LocalAddr() }
-
 // WriteFailures returns how many probe writes the socket has rejected so
 // far, as the pacer counted them. The session engine reads it at every
 // harvest step, so the daemon shows write failures while sessions run.
