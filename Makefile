@@ -87,6 +87,8 @@ fuzz:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzCollectorPacket -fuzztime 30s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzZingCollector -fuzztime 30s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzWALDecode -fuzztime 30s
+	$(GO) test ./internal/fleet/ -run '^$$' -fuzz FuzzCreateSession -fuzztime 30s
+	$(GO) test ./internal/fleet/ -run '^$$' -fuzz FuzzHistoryQuery -fuzztime 30s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzTraceAnalyze -fuzztime 30s
 
 # Reproduce every paper table and figure at full scale: 103 cells, 1 min

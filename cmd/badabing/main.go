@@ -183,11 +183,16 @@ func runMeasure(args []string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := estimate.Normalize(*estKind); err != nil {
-		return err
-	}
 	if *seed == 0 {
 		*seed = time.Now().UnixNano()
+	}
+	cfg := session.Config{
+		P: *p, Slots: *n, Slot: *slot, Improved: *improved, Seed: *seed,
+		StepSlots: *step, WindowSlots: *window,
+		Estimator: estimate.Config{Kind: *estKind},
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -204,11 +209,7 @@ func runMeasure(args []string) error {
 	log.Info("session starting",
 		"session", *id, "p", *p, "slots", *n, "slot", *slot,
 		"improved", *improved, "target", *target)
-	res, err := session.Run(ctx, tr, session.Config{
-		P: *p, Slots: *n, Slot: *slot, Improved: *improved, Seed: *seed,
-		StepSlots: *step, WindowSlots: *window,
-		Estimator: estimate.Config{Kind: *estKind},
-	}, func(u session.Update) {
+	res, err := session.Run(ctx, tr, cfg, func(u session.Update) {
 		est := u.Snapshot.Total
 		fmt.Printf("  %6d/%d slots  F̂=%.5f", u.SlotsDone, *n, est.Frequency)
 		printCI(u.Snapshot.FrequencyCI)

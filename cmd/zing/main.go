@@ -18,12 +18,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"badabing/internal/probe"
 	"badabing/internal/wire"
 )
 
@@ -66,6 +68,10 @@ func runSend(args []string) error {
 	if *target == "" {
 		return fmt.Errorf("missing -target")
 	}
+	mean := float64(time.Second) / *hz
+	if !(mean >= 1 && mean < math.MaxInt64) { // NaN and non-positive rates fail too
+		return fmt.Errorf("-hz %v: want a mean gap from 1ns to %v", *hz, time.Duration(math.MaxInt64))
+	}
 	conn, err := net.Dial("udp", *target)
 	if err != nil {
 		return err
@@ -76,17 +82,13 @@ func runSend(args []string) error {
 	defer stop()
 	fmt.Printf("session %d: Poisson probes at %.1f Hz, %dB → %s for %v\n",
 		*id, *hz, *size, *target, *duration)
-	sent, err := wire.ZingSend(ctx, conn, wire.ZingSenderConfig{
-		ExpID: *id, Rate: *hz, Size: *size, Duration: *duration, Seed: *seed,
+	st, err := wire.ZingSend(ctx, conn, *id, *size, probe.ZingConfig{
+		Mean: time.Duration(mean), Duration: *duration, Seed: *seed,
 	})
-	if errors.Is(err, context.Canceled) {
-		fmt.Printf("interrupted after %d probes\n", sent)
-		return nil
-	}
-	if err != nil {
+	if err != nil && !errors.Is(err, context.Canceled) {
 		return err
 	}
-	fmt.Printf("sent %d probes\n", sent)
+	fmt.Printf("sent %d of %d drawn probes, %d write failures\n", st.Packets, st.Probes, st.WriteFailures)
 	return nil
 }
 

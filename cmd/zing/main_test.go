@@ -51,3 +51,13 @@ func TestCollectRejectsNonPositiveEvery(t *testing.T) {
 		t.Fatal("collect -every -1s returned no error")
 	}
 }
+
+// TestSendRejectsBadRate: a rate whose mean gap is under 1ns or past a
+// time.Duration is a flag error, before anything is sent.
+func TestSendRejectsBadRate(t *testing.T) {
+	for _, hz := range []string{"0", "-10", "NaN", "2e9", "1e-11"} {
+		if err := runSend([]string{"-target", "127.0.0.1:9", "-duration", "1ms", "-hz", hz}); err == nil {
+			t.Errorf("send -hz %s returned no error", hz)
+		}
+	}
+}

@@ -52,22 +52,31 @@ type StreamConfig struct {
 	ExtendedPairs bool
 }
 
+// Validate rejects a shape NewStream refuses: a negative slot width,
+// window or bucket count. Zero selects the default.
+func (cfg StreamConfig) Validate() error {
+	if cfg.Slot < 0 {
+		return fmt.Errorf("badabing: negative slot width %v", cfg.Slot)
+	}
+	if cfg.WindowSlots < 0 {
+		return fmt.Errorf("badabing: negative window %d slots", cfg.WindowSlots)
+	}
+	if cfg.Buckets < 0 {
+		return fmt.Errorf("badabing: negative bucket count %d", cfg.Buckets)
+	}
+	return nil
+}
+
 // NewStream validates the configuration and returns an empty stream.
 func NewStream(cfg StreamConfig) (*Stream, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Slot == 0 {
 		cfg.Slot = DefaultSlot
 	}
-	if cfg.Slot < 0 {
-		return nil, fmt.Errorf("badabing: negative slot width %v", cfg.Slot)
-	}
-	if cfg.WindowSlots < 0 {
-		return nil, fmt.Errorf("badabing: negative window %d slots", cfg.WindowSlots)
-	}
 	if cfg.Buckets == 0 {
 		cfg.Buckets = 16
-	}
-	if cfg.Buckets < 0 {
-		return nil, fmt.Errorf("badabing: negative bucket count %d", cfg.Buckets)
 	}
 	s := &Stream{cfg: cfg, maxEpoch: -1, lastSlot: -1}
 	s.total.Slot = cfg.Slot

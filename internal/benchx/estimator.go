@@ -55,7 +55,7 @@ func RunEstimatorBench(opts Options) ([]EstimatorBench, error) {
 
 func runEstimatorKindBench(kind string, seed int64, n int) (EstimatorBench, error) {
 	eb := EstimatorBench{Kind: kind, Observes: n}
-	newEst := func() (estimate.Estimator, error) {
+	newEst := func() (*estimate.Estimator, error) {
 		return estimate.New(estimate.Config{Kind: kind}, badabing.StreamConfig{
 			WindowSlots: estimatorWindowSlots,
 		})

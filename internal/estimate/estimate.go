@@ -1,6 +1,6 @@
 // Package estimate is the pluggable streaming estimation pipeline: one
-// Observe/Snapshot interface that every estimator in the paper's family
-// implements — the basic and improved F̂/D̂ algorithms (§5), the
+// Observe/Snapshot type that runs every estimator in the paper's family
+// — the basic and improved F̂/D̂ algorithms (§5), the
 // parametric geometric-episode fit (§8) and the moving-block bootstrap
 // confidence intervals (§4) — all in O(1)-per-outcome streaming form.
 //
@@ -120,50 +120,12 @@ type Snapshot struct {
 	DurationCI  *badabing.Interval `json:"duration_ci,omitempty"`
 }
 
-// Estimator is the streaming estimation interface: feed experiment
-// outcomes one at a time, snapshot at any instant. Implementations are
+// Estimator is the streaming estimator of every kind: feed experiment
+// outcomes one at a time, snapshot at any instant. Every kind runs over
+// the shared incremental core — one badabing.Stream, plus (bootstrap
+// only) a Recorder retaining the outcome sequence for resampling. It is
 // not safe for concurrent use; the session loop owns its estimator.
-type Estimator interface {
-	// Kind returns the registry name this estimator was built under.
-	Kind() string
-	// Observe records one experiment outcome (2 or 3 congestion bits)
-	// that started at the given slot. O(1) per call.
-	Observe(slot int64, bits []bool)
-	// M returns the number of experiments observed so far.
-	M() int
-	// Snapshot computes the current estimates. It may be called at any
-	// time, including on an empty estimator.
-	Snapshot() Snapshot
-	// Reset discards all observed outcomes, returning the estimator to
-	// its freshly-constructed state (the session engine's end-of-run
-	// rebuild re-feeds the fully re-marked observation set).
-	Reset()
-}
-
-// New builds the estimator cfg selects over a stream shaped by sc: the
-// slot width, window and §5.5 pairs describe the probe process, not the
-// estimator choice, which is why they travel separately from Config.
-// Unknown kinds, out-of-range bootstrap settings and invalid stream
-// shapes are errors.
-func New(cfg Config, sc badabing.StreamConfig) (Estimator, error) {
-	kind, err := Normalize(cfg.Kind)
-	if err != nil {
-		return nil, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	e := &streamEstimator{kind: kind, cfg: cfg, sc: sc}
-	if err := e.rebuild(); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// streamEstimator implements every kind over the shared incremental
-// core: one badabing.Stream, plus (bootstrap only) a Recorder retaining
-// the outcome sequence for resampling.
-type streamEstimator struct {
+type Estimator struct {
 	kind   string
 	cfg    Config
 	sc     badabing.StreamConfig
@@ -171,11 +133,32 @@ type streamEstimator struct {
 	rec    *badabing.Recorder // bootstrap kind only
 }
 
-func (e *streamEstimator) Kind() string { return e.kind }
+// New builds the estimator cfg selects over a stream shaped by sc: the
+// slot width, window and §5.5 pairs describe the probe process, not the
+// estimator choice, which is why they travel separately from Config.
+// Unknown kinds, out-of-range bootstrap settings and invalid stream
+// shapes are errors.
+func New(cfg Config, sc badabing.StreamConfig) (*Estimator, error) {
+	kind, err := Normalize(cfg.Kind)
+	if err != nil {
+		return nil, err
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	e := &Estimator{kind: kind, cfg: cfg, sc: sc}
+	if err := e.rebuild(); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// Kind returns the registry name this estimator was built under.
+func (e *Estimator) Kind() string { return e.kind }
 
 // rebuild is Reset with the construction error exposed (New validates
 // the stream shape exactly once through it).
-func (e *streamEstimator) rebuild() error {
+func (e *Estimator) rebuild() error {
 	stream, err := badabing.NewStream(e.sc)
 	if err != nil {
 		return err
@@ -187,7 +170,10 @@ func (e *streamEstimator) rebuild() error {
 	return nil
 }
 
-func (e *streamEstimator) Reset() {
+// Reset discards all observed outcomes, returning the estimator to its
+// freshly-constructed state (the session engine's end-of-run rebuild
+// re-feeds the fully re-marked observation set).
+func (e *Estimator) Reset() {
 	// The stream shape was validated at construction; rebuilding
 	// cannot fail.
 	if err := e.rebuild(); err != nil {
@@ -195,16 +181,21 @@ func (e *streamEstimator) Reset() {
 	}
 }
 
-func (e *streamEstimator) Observe(slot int64, bits []bool) {
+// Observe records one experiment outcome (2 or 3 congestion bits) that
+// started at the given slot. O(1) per call.
+func (e *Estimator) Observe(slot int64, bits []bool) {
 	e.stream.Observe(slot, bits)
 	if e.rec != nil {
 		e.rec.Add(bits)
 	}
 }
 
-func (e *streamEstimator) M() int { return e.stream.M() }
+// M returns the number of experiments observed so far.
+func (e *Estimator) M() int { return e.stream.M() }
 
-func (e *streamEstimator) Snapshot() Snapshot {
+// Snapshot computes the current estimates. It may be called at any time,
+// including on an empty estimator.
+func (e *Estimator) Snapshot() Snapshot {
 	snap := Snapshot{Kind: e.kind, StreamSnapshot: e.stream.Snapshot()}
 	applyKind(e.kind, &snap.Total)
 	applyKind(e.kind, &snap.Window)

@@ -153,6 +153,34 @@ func TestWireSessionDegradedOnDeadPath(t *testing.T) {
 	}
 }
 
+// createCases are malformed or invalid create bodies and the status each
+// gets; they also seed FuzzCreateSession.
+var createCases = []struct {
+	name string
+	body string
+	want int
+}{
+	{"malformed JSON", `{"scenario":`, http.StatusBadRequest},
+	{"unknown field", `{"scenario":"cbr","bogus":1}`, http.StatusBadRequest},
+	{"wrong type", `{"slots":"many"}`, http.StatusBadRequest},
+	{"unknown scenario", `{"scenario":"teleport"}`, http.StatusBadRequest},
+	{"wire without target", `{"scenario":"wire"}`, http.StatusBadRequest},
+	{"probability out of range", `{"p":1.5}`, http.StatusBadRequest},
+	{"slots above the cap", fmt.Sprintf(`{"slots":%d}`, badabing.MaxSlots+1), http.StatusBadRequest},
+	{"negative retries", `{"max_retries":-1}`, http.StatusBadRequest},
+	{"negative retry backoff", `{"max_retries":1,"retry_backoff_millis":-5}`, http.StatusBadRequest},
+	// Durations that do not fit in int64 nanoseconds.
+	{"slot width overflows", `{"scenario":"idle","slots":1000,"slot_micros":10000000000000000}`, http.StatusBadRequest},
+	{"horizon overflows", `{"scenario":"idle","slots":1000000,"slot_micros":10000000000}`, http.StatusBadRequest},
+	{"step overflows", `{"scenario":"idle","slots":1000,"step_slots":4611686018427387904}`, http.StatusBadRequest},
+	{"step delay overflows", `{"scenario":"idle","step_delay_micros":10000000000000000}`, http.StatusBadRequest},
+	{"retry backoff overflows", `{"scenario":"idle","max_retries":1,"retry_backoff_millis":10000000000000}`, http.StatusBadRequest},
+	// 2^54 ns slots: the horizon and the step fit, but the loop clock
+	// wraps on the step after 7.2e18 ns.
+	{"loop clock overflows", `{"scenario":"idle","slots":400,"slot_micros":18014398509481,"step_slots":200}`, http.StatusBadRequest},
+	{"oversized body", `{"name":"` + strings.Repeat("x", 2<<20) + `"}`, http.StatusRequestEntityTooLarge},
+}
+
 // TestCreateAPIHardening: every malformed or invalid create is a client
 // error — never a 500 — oversized bodies are cut off, and a draining
 // registry answers 503.
@@ -162,29 +190,7 @@ func TestCreateAPIHardening(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(reg))
 	defer srv.Close()
 
-	cases := []struct {
-		name string
-		body string
-		want int
-	}{
-		{"malformed JSON", `{"scenario":`, http.StatusBadRequest},
-		{"unknown field", `{"scenario":"cbr","bogus":1}`, http.StatusBadRequest},
-		{"wrong type", `{"slots":"many"}`, http.StatusBadRequest},
-		{"unknown scenario", `{"scenario":"teleport"}`, http.StatusBadRequest},
-		{"wire without target", `{"scenario":"wire"}`, http.StatusBadRequest},
-		{"probability out of range", `{"p":1.5}`, http.StatusBadRequest},
-		{"slots above the cap", fmt.Sprintf(`{"slots":%d}`, badabing.MaxSlots+1), http.StatusBadRequest},
-		{"negative retries", `{"max_retries":-1}`, http.StatusBadRequest},
-		{"negative retry backoff", `{"max_retries":1,"retry_backoff_millis":-5}`, http.StatusBadRequest},
-		// Durations that do not fit in int64 nanoseconds.
-		{"slot width overflows", `{"scenario":"idle","slots":1000,"slot_micros":10000000000000000}`, http.StatusBadRequest},
-		{"horizon overflows", `{"scenario":"idle","slots":1000000,"slot_micros":10000000000}`, http.StatusBadRequest},
-		{"step overflows", `{"scenario":"idle","slots":1000,"step_slots":4611686018427387904}`, http.StatusBadRequest},
-		{"step delay overflows", `{"scenario":"idle","step_delay_micros":10000000000000000}`, http.StatusBadRequest},
-		{"retry backoff overflows", `{"scenario":"idle","max_retries":1,"retry_backoff_millis":10000000000000}`, http.StatusBadRequest},
-		{"oversized body", `{"name":"` + strings.Repeat("x", 2<<20) + `"}`, http.StatusRequestEntityTooLarge},
-	}
-	for _, tc := range cases {
+	for _, tc := range createCases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := http.Post(srv.URL+"/v1/sessions", "application/json", strings.NewReader(tc.body))
 			if err != nil {

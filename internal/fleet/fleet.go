@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"badabing/internal/badabing"
 	"badabing/internal/estimate"
 	"badabing/internal/runner"
 	"badabing/internal/session"
@@ -196,18 +195,6 @@ func (c *SessionConfig) applyDefaults() {
 	}
 }
 
-// scheduleConfig converts to the estimator core's form (Seed filled by
-// the session).
-func (c *SessionConfig) scheduleConfig(seed int64) badabing.ScheduleConfig {
-	return badabing.ScheduleConfig{
-		P:                c.P,
-		N:                c.Slots,
-		Improved:         !c.Basic,
-		ExtendedFraction: c.ExtendedFraction,
-		Seed:             seed,
-	}
-}
-
 // slot is the slot width.
 func (c *SessionConfig) slot() time.Duration { return time.Duration(c.SlotMicros) * time.Microsecond }
 
@@ -230,40 +217,42 @@ func (c *SessionConfig) EstimatorKind() string {
 	return kind
 }
 
-// Validate rejects configurations the daemon must not crash on.
+// sessionConfig is the session engine's form of the spec, measured with
+// the given schedule seed. Validate and measure both go through it, so
+// the spec that is checked is the spec that runs.
+func (c *SessionConfig) sessionConfig(seed int64) session.Config {
+	return session.Config{
+		P:                c.P,
+		Slots:            c.Slots,
+		Slot:             c.slot(),
+		Improved:         !c.Basic,
+		ExtendedFraction: c.ExtendedFraction,
+		ExtendedPairs:    c.ExtendedPairs,
+		Estimator:        c.estimatorConfig(),
+		Seed:             seed,
+		WindowSlots:      c.WindowSlots,
+		StepSlots:        c.StepSlots,
+		StepDelay:        time.Duration(c.StepDelayMicros) * time.Microsecond,
+	}
+}
+
+// Validate rejects configurations the daemon must not crash on. The
+// fleet checks its own fields: each µs or ms count must convert to a
+// non-negative int64 of nanoseconds (a wrapped slot turns negative, a
+// wrapped backoff reads as none), the retry budget, the scenario and the
+// wire target. session.Config.Validate checks the rest of the spec.
 func (c *SessionConfig) Validate() error {
-	if err := c.scheduleConfig(1).Validate(); err != nil {
-		return err
+	if !fitsNs(c.SlotMicros, time.Microsecond) {
+		return fmt.Errorf("fleet: slot width %dµs out of range", c.SlotMicros)
 	}
-	if err := c.estimatorConfig().Validate(); err != nil {
-		return err
-	}
-	if c.SlotMicros < 0 {
-		return fmt.Errorf("fleet: negative slot width %dµs", c.SlotMicros)
-	}
-	if c.StepSlots < 0 || c.WindowSlots < 0 || c.StepDelayMicros < 0 {
-		return errors.New("fleet: negative step, window or delay")
+	if !fitsNs(c.StepDelayMicros, time.Microsecond) {
+		return fmt.Errorf("fleet: step delay %dµs out of range", c.StepDelayMicros)
 	}
 	if c.MaxRetries < 0 || c.MaxRetries > 100 {
 		return fmt.Errorf("fleet: max_retries %d out of range [0,100]", c.MaxRetries)
 	}
-	if c.RetryBackoffMillis < 0 {
-		return fmt.Errorf("fleet: negative retry backoff %dms", c.RetryBackoffMillis)
-	}
-	// Each duration the session derives must fit in int64 nanoseconds: a
-	// wrapped slot turns negative, a wrapped step never reaches the
-	// horizon, and a wrapped backoff reads as none.
-	if !fitsNs(c.SlotMicros, time.Microsecond) {
-		return fmt.Errorf("fleet: slot width %dµs overflows", c.SlotMicros)
-	}
-	if slot := c.slot(); slot > 0 && !(fitsNs(c.Slots, slot) && fitsNs(c.StepSlots, slot)) {
-		return fmt.Errorf("fleet: horizon of %d slots or step of %d slots of %v overflows", c.Slots, c.StepSlots, slot)
-	}
-	if !fitsNs(c.StepDelayMicros, time.Microsecond) {
-		return fmt.Errorf("fleet: step delay %dµs overflows", c.StepDelayMicros)
-	}
 	if !fitsNs(c.RetryBackoffMillis, time.Millisecond) {
-		return fmt.Errorf("fleet: retry backoff %dms overflows", c.RetryBackoffMillis)
+		return fmt.Errorf("fleet: retry backoff %dms out of range", c.RetryBackoffMillis)
 	}
 	if _, err := scenarioOf(c.Scenario); err != nil {
 		return err
@@ -271,11 +260,11 @@ func (c *SessionConfig) Validate() error {
 	if strings.ToLower(c.Scenario) == "wire" && c.Target == "" {
 		return errors.New("fleet: wire scenario requires a target")
 	}
-	return nil
+	return c.sessionConfig(c.Seed).Validate()
 }
 
-// fitsNs reports whether n (at least 0) units fit in a time.Duration.
-func fitsNs(n int64, unit time.Duration) bool { return n <= math.MaxInt64/int64(unit) }
+// fitsNs reports whether n units are a non-negative time.Duration.
+func fitsNs(n int64, unit time.Duration) bool { return 0 <= n && n <= math.MaxInt64/int64(unit) }
 
 // Sink receives the registry's durable events: session lifecycle
 // transitions, periodic estimate snapshots and the lifetime totals.

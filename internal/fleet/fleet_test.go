@@ -406,7 +406,9 @@ func TestFinalSnapshotMatchesBatch(t *testing.T) {
 	// Replay the identical run through the batch pipeline.
 	full := s.Config() // defaults applied
 	slot := time.Duration(full.SlotMicros) * time.Microsecond
-	plans := badabing.MustSchedule(full.scheduleConfig(full.Seed))
+	plans := badabing.MustSchedule(badabing.ScheduleConfig{
+		P: full.P, N: full.Slots, Improved: !full.Basic, ExtendedFraction: full.ExtendedFraction, Seed: full.Seed,
+	})
 	sim, d := labScenario(lab.CBRUniform)(full.Seed + 1)
 	bb := probe.StartBadabing(sim, d.Bottleneck, d.FwdDemux, probeFlowID, probe.BadabingConfig{Slot: slot}, badabing.ProbeSlots(plans))
 	sim.Run(time.Duration(full.Slots)*slot + session.DefaultSettle)

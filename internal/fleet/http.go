@@ -410,17 +410,21 @@ type storeStatsResponse struct {
 func ptr[T any](v T) *T { return &v }
 
 // parseTimeParam accepts RFC3339(Nano) or integer Unix seconds; empty
-// means an open bound.
+// means an open bound, which History reads from the zero Time.
 func parseTimeParam(s string) (time.Time, error) {
 	if s == "" {
 		return time.Time{}, nil
 	}
+	var t time.Time
 	if secs, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return time.Unix(secs, 0), nil
-	}
-	t, err := time.Parse(time.RFC3339Nano, s)
-	if err != nil {
+		t = time.Unix(secs, 0)
+	} else if t, err = time.Parse(time.RFC3339Nano, s); err != nil {
 		return time.Time{}, fmt.Errorf("fleet: bad time %q (want RFC3339 or unix seconds)", s)
+	}
+	if t.IsZero() {
+		// An explicit bound at the zero instant is not open. No point
+		// predates 1678, so a nanosecond later selects the same points.
+		t = t.Add(time.Nanosecond)
 	}
 	return t, nil
 }

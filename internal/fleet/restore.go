@@ -90,17 +90,27 @@ const (
 	restoreMarked
 )
 
+// archivedConfig decodes and checks a session spec read back from the
+// archive, with the create endpoint's defaults and validation.
+func archivedConfig(b []byte) (SessionConfig, error) {
+	var cfg SessionConfig
+	// Unlike the create endpoint's, this decoder accepts unknown fields:
+	// an archived config may carry a retired field such as disable_batch,
+	// and its session must still restore (TestDisableBatchRetired).
+	if err := json.Unmarshal(b, &cfg); err != nil {
+		return cfg, err
+	}
+	cfg.applyDefaults()
+	return cfg, cfg.Validate()
+}
+
 func (r *Registry) restoreSession(rec store.Session) restoreOutcome {
 	// Even a session we cannot re-register must keep its id number
 	// reserved: its history is still in the archive, and a fresh session
 	// minted under the same id would append to it.
 	defer r.reserveID(rec.ID)
-	var cfg SessionConfig
-	if err := json.Unmarshal(rec.ConfigJSON, &cfg); err != nil || len(rec.ConfigJSON) == 0 {
-		return restoreSkipped
-	}
-	cfg.applyDefaults()
-	if cfg.Validate() != nil {
+	cfg, err := archivedConfig(rec.ConfigJSON)
+	if err != nil {
 		return restoreSkipped
 	}
 	if rec.Seed != 0 {

@@ -106,21 +106,8 @@ func runSession(ctx context.Context, s *Session, seed int64) error {
 // starts at zero with every run.
 func (s *Session) measure(ctx context.Context, tr session.Transport, seed int64) error {
 	s.setTransport(tr)
-	cfg := s.cfg
 	var prev session.Counters
-	_, err := session.Run(ctx, tr, session.Config{
-		P:                cfg.P,
-		Slots:            cfg.Slots,
-		Slot:             cfg.slot(),
-		Improved:         !cfg.Basic,
-		ExtendedFraction: cfg.ExtendedFraction,
-		ExtendedPairs:    cfg.ExtendedPairs,
-		Estimator:        cfg.estimatorConfig(),
-		Seed:             seed,
-		WindowSlots:      cfg.WindowSlots,
-		StepSlots:        cfg.StepSlots,
-		StepDelay:        time.Duration(cfg.StepDelayMicros) * time.Microsecond,
-	}, func(u session.Update) {
+	_, err := session.Run(ctx, tr, s.cfg.sessionConfig(seed), func(u session.Update) {
 		s.publish(u, prev)
 		prev = u.Counters
 	})

@@ -66,11 +66,10 @@ func zingTable(title string, sc Scenario, cfg RunConfig) LossTable {
 			key: fmt.Sprintf("zing/%v/%s/seed=%d/h=%v", sc, spec.name, cfg.Seed, cfg.Horizon),
 			run: func() zrow {
 				p := NewPath(sc, cfg)
-				z := probe.StartZing(p.Sim, p.D, probeFlowID, probe.ZingConfig{
-					Mean:       spec.mean,
-					PacketSize: spec.size,
-					Horizon:    cfg.Horizon,
-					Seed:       cfg.Seed + int64(i),
+				z := probe.StartZing(p.Sim, p.D, probeFlowID, spec.size, probe.ZingConfig{
+					Mean:     spec.mean,
+					Duration: cfg.Horizon,
+					Seed:     cfg.Seed + int64(i),
 				})
 				p.Run(cfg.Horizon)
 				truth := p.Mon.Truth(cfg.Horizon, badabing.DefaultSlot)
@@ -315,11 +314,10 @@ func Table8(cfg RunConfig) Table8Result {
 			run: func() Table8Row {
 				path := NewPath(sc, cfg)
 				slotF := float64(badabing.DefaultSlot)
-				z := probe.StartZing(path.Sim, path.D, probeFlowID, probe.ZingConfig{
-					Mean:       time.Duration(slotF / (0.3 * 3)),
-					PacketSize: 600,
-					Horizon:    cfg.Horizon,
-					Seed:       cfg.Seed + 7,
+				z := probe.StartZing(path.Sim, path.D, probeFlowID, 600, probe.ZingConfig{
+					Mean:     time.Duration(slotF / (0.3 * 3)),
+					Duration: cfg.Horizon,
+					Seed:     cfg.Seed + 7,
 				})
 				path.Run(cfg.Horizon)
 				truth := path.Mon.Truth(cfg.Horizon, badabing.DefaultSlot)

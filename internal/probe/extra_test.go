@@ -68,10 +68,10 @@ func TestBadabingObservationsInheritLastOWD(t *testing.T) {
 func TestZingFlightCounts(t *testing.T) {
 	s := simnet.New()
 	d := simnet.NewDumbbell(s, simnet.DumbbellConfig{})
-	cfg := ZingConfig{Mean: 50 * time.Millisecond, Horizon: 10 * time.Second, Seed: 4}
-	z := StartZing(s, d, 9, cfg)
+	cfg := ZingConfig{Mean: 50 * time.Millisecond, Duration: 10 * time.Second, Seed: 4}
+	z := StartZing(s, d, 9, 256, cfg)
 	s.Run(11 * time.Second)
-	epochs, err := ZingEpochs(cfg.Seed, cfg.Mean, cfg.Horizon)
+	epochs, err := cfg.Epochs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,21 +86,21 @@ func TestZingFlightCounts(t *testing.T) {
 	}
 }
 
-// TestZingPastHorizonSendsNothing: a horizon already reached, as a bad
+// TestZingPastHorizonSendsNothing: a negative duration, as a bad
 // command-line horizon gives, draws no epochs and sends no probe.
 func TestZingPastHorizonSendsNothing(t *testing.T) {
 	s := simnet.New()
-	z := StartZing(s, simnet.NewDumbbell(s, simnet.DumbbellConfig{}), 9, ZingConfig{Horizon: -time.Second})
+	z := StartZing(s, simnet.NewDumbbell(s, simnet.DumbbellConfig{}), 9, 256, ZingConfig{Duration: -time.Second})
 	s.Run(time.Second)
 	if rep := z.Report(); rep.Probes != 0 {
 		t.Fatalf("%d probes sent past the horizon", rep.Probes)
 	}
 }
 
+// TestZingConfigDefaults: an unset mean gap defaults to 100 ms, and the
+// seed is never rewritten.
 func TestZingConfigDefaults(t *testing.T) {
-	var c ZingConfig
-	c.applyDefaults()
-	if c.Mean != 100*time.Millisecond || c.PacketSize != 256 || c.Seed != 1 {
+	if c := (ZingConfig{}).WithDefaults(); c.Mean != 100*time.Millisecond || c.Seed != 0 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 }
@@ -152,7 +152,7 @@ func TestBadabingReportEmptySchedule(t *testing.T) {
 // wire collector's tests cover the other refusals.
 func TestZingEpochsBounds(t *testing.T) {
 	// Gaps near 2^62 ns overflow the running sum: the draw ends there.
-	huge, err := ZingEpochs(1, 1<<62, 1<<63-1)
+	huge, err := ZingConfig{Mean: 1 << 62, Duration: 1<<63 - 1, Seed: 1}.Epochs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestZingEpochsBounds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drawing MaxSlots epochs takes 64 MiB")
 	}
-	if _, err := ZingEpochs(1, time.Nanosecond, badabing.MaxSlots); err == nil {
+	if _, err := (ZingConfig{Mean: time.Nanosecond, Duration: badabing.MaxSlots, Seed: 1}).Epochs(); err == nil {
 		t.Error("a draw of more than MaxSlots epochs was accepted")
 	}
 }

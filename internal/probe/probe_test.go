@@ -96,10 +96,10 @@ func TestFixedProbeSpacing(t *testing.T) {
 func TestZingPoissonSpacing(t *testing.T) {
 	s := simnet.New()
 	d := simnet.NewDumbbell(s, simnet.DumbbellConfig{})
-	z := StartZing(s, d, 9, ZingConfig{
-		Mean:    100 * time.Millisecond,
-		Horizon: 100 * time.Second,
-		Seed:    3,
+	z := StartZing(s, d, 9, 256, ZingConfig{
+		Mean:     100 * time.Millisecond,
+		Duration: 100 * time.Second,
+		Seed:     3,
 	})
 	s.Run(101 * time.Second)
 	rep := z.Report()
@@ -221,11 +221,10 @@ func TestBadabingBeatsZingAtSameLoad(t *testing.T) {
 		slot := badabing.DefaultSlot
 		if withZing {
 			// Match ≈ p=0.3 × 3 pkts / 5 ms ≈ 180 pkt/s.
-			z := StartZing(s, d, 7, ZingConfig{
-				Mean:       5555 * time.Microsecond,
-				PacketSize: 600,
-				Horizon:    horizon,
-				Seed:       6,
+			z := StartZing(s, d, 7, 600, ZingConfig{
+				Mean:     5555 * time.Microsecond,
+				Duration: horizon,
+				Seed:     6,
 			})
 			s.Run(horizon + time.Second)
 			rep := z.Report()

@@ -10,54 +10,60 @@ import (
 	"badabing/internal/stats"
 )
 
-// ZingConfig parameterizes the ZING-style Poisson prober (§4): one-packet
-// UDP probes at Poisson-modulated intervals with a fixed mean rate.
+// ZingConfig is the ZING draw (§4): one-packet UDP probes at
+// Poisson-modulated epochs with a fixed mean gap, for a bounded duration.
+// It is the one spec of the draw: the simulated prober and the live
+// sender send at the epochs it gives, and every live probe header carries
+// it, so the collector redraws them.
 type ZingConfig struct {
-	// Mean is the mean probe interval (the paper uses 100 ms / 10 Hz
-	// and 50 ms / 20 Hz).
+	// Mean is the mean gap between probes (the paper uses 100 ms / 10 Hz
+	// and 50 ms / 20 Hz). Default 100 ms.
 	Mean time.Duration
-	// PacketSize in bytes (the paper uses 256 B at 10 Hz, 64 B at
-	// 20 Hz).
-	PacketSize int
-	// Horizon stops probing at this virtual time.
-	Horizon time.Duration
-	// Seed for the Poisson process.
+	// Duration bounds the draw: probes go out at epochs before it,
+	// counted from the prober's start.
+	Duration time.Duration
+	// Seed drives the Poisson process. The spec never rewrites it: the
+	// simulated prober draws from 0 like any other seed, and a live
+	// sender given 0 picks one from the clock.
 	Seed int64
 }
 
-func (c *ZingConfig) applyDefaults() {
+// WithDefaults returns the spec with an unset mean gap filled in.
+func (c ZingConfig) WithDefaults() ZingConfig {
 	if c.Mean == 0 {
 		c.Mean = 100 * time.Millisecond
 	}
-	if c.PacketSize == 0 {
-		c.PacketSize = 256
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
+	return c
 }
 
 var errLongDraw = fmt.Errorf("probe: zing draw exceeds %d probes", badabing.MaxSlots)
 
-// ZingEpochs returns a Poisson prober's send epochs as offsets from its
-// start: the running sums of exponential gaps of the given mean, drawn
-// from seed, that fall before horizon. The simulated prober and the live
-// sender both send at these epochs, and the live collector redraws them
-// from the values every probe header carries. Those values come off the
-// network, so a non-positive mean or horizon is an error, and so is a
-// draw of more than badabing.MaxSlots epochs; a horizon of more than
-// MaxSlots mean gaps is refused without drawing.
-func ZingEpochs(seed int64, mean, horizon time.Duration) ([]time.Duration, error) {
-	if mean <= 0 || horizon <= 0 {
-		return nil, fmt.Errorf("probe: zing draw needs a positive mean gap and horizon, got %v and %v", mean, horizon)
+// Validate rejects a draw Epochs refuses. A live draw comes off the
+// network in every probe header, so a non-positive mean gap or duration
+// is an error, and so is a duration of more than badabing.MaxSlots mean
+// gaps.
+func (c ZingConfig) Validate() error {
+	if c.Mean <= 0 || c.Duration <= 0 {
+		return fmt.Errorf("probe: zing draw needs a positive mean gap and duration, got %v and %v", c.Mean, c.Duration)
 	}
-	if horizon/mean > badabing.MaxSlots {
-		return nil, errLongDraw
+	if c.Duration/c.Mean > badabing.MaxSlots {
+		return errLongDraw
 	}
-	rng := rand.New(rand.NewSource(seed))
+	return nil
+}
+
+// Epochs returns the send epochs as offsets from the prober's start: the
+// running sums of exponential gaps of mean Mean, drawn from Seed, that
+// fall before Duration. A spec Validate rejects is an error, and so is a
+// draw of more than badabing.MaxSlots epochs.
+func (c ZingConfig) Epochs() ([]time.Duration, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	rng := rand.New(rand.NewSource(c.Seed))
 	var epochs []time.Duration
-	// A sum that overflows goes negative: it lies past any horizon.
-	for at := stats.Exp(rng, mean); 0 <= at && at < horizon; at += stats.Exp(rng, mean) {
+	// A sum that overflows goes negative: it lies past any duration.
+	for at := stats.Exp(rng, c.Mean); 0 <= at && at < c.Duration; at += stats.Exp(rng, c.Mean) {
 		if len(epochs) == badabing.MaxSlots {
 			return nil, errLongDraw
 		}
@@ -71,22 +77,21 @@ type Zing struct {
 	prober *Prober
 }
 
-// StartZing begins probing at the current virtual time, one probe at each
-// epoch ZingEpochs draws before cfg.Horizon; a horizon already reached
-// sends nothing. A draw longer than ZingEpochs allows panics, as
-// badabing.MustSchedule does.
-func StartZing(sim *simnet.Sim, d *simnet.Dumbbell, flow uint64, cfg ZingConfig) *Zing {
-	cfg.applyDefaults()
-	z := &Zing{prober: NewProber(sim, d.Bottleneck, flow, cfg.PacketSize)}
+// StartZing begins probing at the current virtual time with packets of
+// size bytes (the paper uses 256 B at 10 Hz, 64 B at 20 Hz), one probe at
+// each epoch cfg draws; a non-positive duration sends nothing. A draw
+// longer than Epochs allows panics, as badabing.MustSchedule does.
+func StartZing(sim *simnet.Sim, d *simnet.Dumbbell, flow uint64, size int, cfg ZingConfig) *Zing {
+	z := &Zing{prober: NewProber(sim, d.Bottleneck, flow, size)}
 	d.FwdDemux.Register(flow, z.prober.Receiver())
-	start := sim.Now()
-	if cfg.Horizon <= start {
+	if cfg.Duration <= 0 {
 		return z
 	}
-	epochs, err := ZingEpochs(cfg.Seed, cfg.Mean, cfg.Horizon-start)
+	epochs, err := cfg.WithDefaults().Epochs()
 	if err != nil {
 		panic(err)
 	}
+	start := sim.Now()
 	next := 0
 	var tick *simnet.Timer
 	tick = sim.NewTimer(func() {

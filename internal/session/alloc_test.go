@@ -37,7 +37,7 @@ func midRunStepAllocs(t *testing.T, slots int64) []uint64 {
 	ctx := context.Background()
 	cfg := Config{P: 0.3, Slots: slots, Improved: true, Seed: 5, StepSlots: 200, WindowSlots: max(slots/4, 1000)}
 	cfg.applyDefaults()
-	plans, err := cfg.schedule()
+	plans, err := badabing.Schedule(cfg.scheduleConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,17 +130,26 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// validate rejects a step the harvest loop could never finish with: a
-// negative one never advances, and a loop clock past int64 nanoseconds
-// wraps and never reaches the horizon. The clock runs to less than one
-// step past the horizon and its settle time. A non-positive slot or
-// horizon is left to the stream and the schedule to reject.
-func (c *Config) validate() error {
+// Validate checks the spec Run would run, with Run's defaults applied to
+// a copy. It is the one check of a BADABING session spec: the schedule
+// (P, N and the extended fraction), the estimator settings, the stream
+// shape, the sign of the step, and the loop clock. A negative step never
+// advances, and a clock past int64 nanoseconds wraps and never reaches
+// the horizon; the clock runs to less than one step past the horizon and
+// its settle time, so (Slots+StepSlots)×Slot+Settle must fit.
+func (c Config) Validate() error {
+	c.applyDefaults()
+	if err := c.scheduleConfig().Validate(); err != nil {
+		return err
+	}
+	if err := c.Estimator.Validate(); err != nil {
+		return err
+	}
+	if err := c.stream().Validate(); err != nil {
+		return err
+	}
 	if c.StepSlots < 0 {
 		return fmt.Errorf("session: negative step of %d slots", c.StepSlots)
-	}
-	if c.Slot <= 0 || c.Slots < 0 {
-		return nil
 	}
 	most := int64((math.MaxInt64 - max(c.Settle, 0)) / c.Slot)
 	if c.Slots > most || c.StepSlots > most-c.Slots {
@@ -159,15 +168,15 @@ func (c *Config) stream() badabing.StreamConfig {
 	}
 }
 
-// schedule draws the session's experiment plan.
-func (c *Config) schedule() ([]badabing.Plan, error) {
-	return badabing.Schedule(badabing.ScheduleConfig{
+// scheduleConfig is the session's experiment schedule.
+func (c *Config) scheduleConfig() badabing.ScheduleConfig {
+	return badabing.ScheduleConfig{
 		P:                c.P,
 		N:                c.Slots,
 		Improved:         c.Improved,
 		ExtendedFraction: c.ExtendedFraction,
 		Seed:             c.Seed,
-	})
+	}
 }
 
 // Counters are a session's probe-level tallies so far, the "counters"
@@ -217,15 +226,16 @@ type Result struct {
 
 // Run drives a full measurement session over the transport: it draws the
 // schedule, launches probing, paces the harvest loop, and publishes an
-// Update after every step (publish may be nil). It blocks until the
+// Update after every step (publish may be nil). It refuses a spec that
+// Config.Validate rejects before probing starts. It blocks until the
 // session completes or ctx is cancelled. The caller owns the transport and
 // closes it.
 func Run(ctx context.Context, tr Transport, cfg Config, publish func(Update)) (*Result, error) {
-	cfg.applyDefaults()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	plans, err := cfg.schedule()
+	cfg.applyDefaults()
+	plans, err := badabing.Schedule(cfg.scheduleConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -287,7 +297,7 @@ func Run(ctx context.Context, tr Transport, cfg Config, publish func(Update)) (*
 type harvester struct {
 	cfg     *Config
 	plans   []badabing.Plan
-	est     estimate.Estimator
+	est     *estimate.Estimator
 	publish func(Update)
 	fed     int // plans[:fed] have been fed to the stream
 	skip    int64
@@ -300,7 +310,7 @@ type harvester struct {
 	due    map[int64]bool
 }
 
-func newHarvester(cfg *Config, plans []badabing.Plan, probes int, est estimate.Estimator, publish func(Update)) *harvester {
+func newHarvester(cfg *Config, plans []badabing.Plan, probes int, est *estimate.Estimator, publish func(Update)) *harvester {
 	// A mid-run step feeds the experiments whose last probe crossed the
 	// feed cutoff since the previous step. They probe at most
 	// StepSlots+2 slots, so a map sized for that never grows.

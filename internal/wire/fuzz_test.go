@@ -268,30 +268,29 @@ func FuzzCollectorPacket(f *testing.F) {
 // time's low 42 bits say (up to 73 minutes, so trailing probes are due in
 // some inputs and not in others). Each session is then reported, and
 // everything is expired. Nothing may panic or hang; a session is
-// reportable exactly when probe.ZingEpochs accepts its draw; a report's
+// reportable exactly when its draw's Epochs accepts it; a report's
 // lost probes never exceed its probes, nor its probes the draw; its
 // frequency lies in [0, 1]; and Expire(0) leaves no session behind.
 // Valid draws longer than 1<<16 probes are skipped: drawing them is only
 // slow.
 func FuzzZingCollector(f *testing.F) {
-	draw := ZingHeader{ExpID: 1, Seed: 1, Mean: time.Millisecond, Duration: 100 * time.Millisecond}
-	packet := func(seq uint64, draw ZingHeader) []byte {
+	draw := probe.ZingConfig{Seed: 1, Mean: time.Millisecond, Duration: 100 * time.Millisecond}
+	packet := func(seq uint64, draw probe.ZingConfig) []byte {
 		buf := make([]byte, ZingHeaderSize)
-		h := draw
-		h.Seq, h.SendTime = seq, int64(seq)*int64(time.Millisecond)
+		h := ZingHeader{ExpID: 1, Seq: seq, SendTime: int64(seq) * int64(time.Millisecond), Draw: draw}
 		if _, err := h.Marshal(buf); err != nil {
 			f.Fatal(err)
 		}
 		return buf
 	}
-	frames := func(draw ZingHeader, seqs ...uint64) []byte {
+	frames := func(draw probe.ZingConfig, seqs ...uint64) []byte {
 		var out []byte
 		for _, s := range seqs {
 			out = append(append(out, ZingHeaderSize), packet(s, draw)...)
 		}
 		return out
 	}
-	with := func(mean, dur time.Duration) ZingHeader {
+	with := func(mean, dur time.Duration) probe.ZingConfig {
 		d := draw
 		d.Mean, d.Duration = mean, dur
 		return d
@@ -310,7 +309,7 @@ func FuzzZingCollector(f *testing.F) {
 			n := min(int(data[0]), len(data)-1)
 			var h ZingHeader
 			if h.Unmarshal(data[1:1+n]) == nil {
-				if h.Mean > 0 && h.Duration/h.Mean > 1<<16 && h.Duration/h.Mean <= badabing.MaxSlots {
+				if d := h.Draw; d.Mean > 0 && d.Duration/d.Mean > 1<<16 && d.Duration/d.Mean <= badabing.MaxSlots {
 					t.Skip("valid draw too long to draw per input")
 				}
 				c.Record(&h, now.Add(-time.Duration(h.SendTime&(1<<42-1))))
@@ -319,7 +318,7 @@ func FuzzZingCollector(f *testing.F) {
 		}
 		for _, id := range c.Sessions() {
 			d := c.sessions[id].draw
-			epochs, drawErr := probe.ZingEpochs(d.Seed, d.Mean, d.Duration)
+			epochs, drawErr := d.Epochs()
 			rep, err := c.Report(id)
 			if (err != nil) != (drawErr != nil) {
 				t.Fatalf("session %d: draw %+v refused with %v, report with %v", id, d, drawErr, err)

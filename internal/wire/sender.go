@@ -68,16 +68,18 @@ func (c *SenderConfig) applyDefaults() error {
 	if c.PacketSize < MinPacketSize {
 		return fmt.Errorf("wire: packet size %d below header size %d", c.PacketSize, MinPacketSize)
 	}
-	if !(c.P > 0 && c.P <= 1) { // NaN fails too
-		return fmt.Errorf("wire: probability %v out of (0,1]", c.P)
-	}
-	if c.N <= 0 {
-		return fmt.Errorf("wire: slot count %d must be positive", c.N)
+	if err := c.scheduleConfig().Validate(); err != nil {
+		return err
 	}
 	if c.Seed == 0 {
 		c.Seed = nowNano()
 	}
 	return nil
+}
+
+// scheduleConfig is the session's experiment schedule.
+func (c *SenderConfig) scheduleConfig() badabing.ScheduleConfig {
+	return badabing.ScheduleConfig{P: c.P, N: c.N, Improved: c.Improved, Seed: c.Seed}
 }
 
 // SendStats summarizes a completed send.
@@ -94,10 +96,11 @@ type SendStats struct {
 	// restarts) are tolerated and counted rather than aborting the
 	// session; only an unbroken run of them kills the send.
 	WriteFailures int
-	// DeadSlot is the slot where the terminal run of consecutive write
-	// failures began, or -1 if the send did not die that way. The wire
-	// transport truncates its observations there so the outage is never
-	// reported as measured loss.
+	// DeadSlot is the slot (for ZingSend, the probe's sequence number)
+	// where the terminal run of consecutive write failures began, or -1
+	// if the send did not die that way. The wire transport truncates its
+	// observations there so the outage is never reported as measured
+	// loss.
 	DeadSlot int64
 }
 
@@ -109,6 +112,37 @@ type SendStats struct {
 // far end.
 const maxConsecutiveWriteFailures = 30
 
+// writeGuard is the consecutive-write-failure guard both pacers write
+// through. A rejected write is infrastructure failure, not path loss: it
+// is counted and pacing goes on. Only an unbroken run long enough to rule
+// out a transient declares the far end dead.
+type writeGuard struct {
+	conn    net.Conn
+	st      *SendStats
+	consec  int
+	runFrom int64 // the slot where the current run of failures began
+}
+
+// write sends one packet of slot's probe.
+func (g *writeGuard) write(buf []byte, slot int64) error {
+	if _, err := g.conn.Write(buf); err != nil {
+		g.st.WriteFailures++
+		if g.consec == 0 {
+			g.runFrom = slot
+		}
+		g.consec++
+		if g.consec >= maxConsecutiveWriteFailures {
+			g.st.DeadSlot = g.runFrom
+			return fmt.Errorf("wire: %d consecutive write failures from slot %d (%v): %w",
+				g.consec, g.runFrom, err, session.ErrPathDead)
+		}
+		return nil
+	}
+	g.consec = 0
+	g.st.Packets++
+	return nil
+}
+
 // Send runs a full measurement session over conn (a connected UDP socket),
 // pacing probes onto their slot deadlines. It blocks until the session
 // completes or ctx is cancelled.
@@ -116,9 +150,7 @@ func Send(ctx context.Context, conn net.Conn, cfg SenderConfig) (SendStats, erro
 	if err := cfg.applyDefaults(); err != nil {
 		return SendStats{DeadSlot: -1}, err
 	}
-	plans, err := badabing.Schedule(badabing.ScheduleConfig{
-		P: cfg.P, N: cfg.N, Improved: cfg.Improved, Seed: cfg.Seed,
-	})
+	plans, err := badabing.Schedule(cfg.scheduleConfig())
 	if err != nil {
 		return SendStats{DeadSlot: -1}, err
 	}
@@ -141,38 +173,12 @@ func SendSlots(ctx context.Context, conn net.Conn, cfg SenderConfig, slots []int
 		return st, err
 	}
 	st.Probes = len(slots)
-	var consecFails int
-	var failRunSlot int64
-	var lastWriteErr error
-
-	// writeOne is the single-packet slow path with the consecutive-
-	// write-failure guard: a rejected write is infrastructure failure,
-	// not path loss — count it and keep pacing. Only an unbroken run
-	// long enough to rule out a transient declares the far end dead.
-	writeOne := func(buf []byte, slot int64) error {
-		if _, err := conn.Write(buf); err != nil {
-			st.WriteFailures++
-			if consecFails == 0 {
-				failRunSlot = slot
-			}
-			consecFails++
-			lastWriteErr = err
-			if consecFails >= maxConsecutiveWriteFailures {
-				st.DeadSlot = failRunSlot
-				return fmt.Errorf("wire: %d consecutive write failures from slot %d (%v): %w",
-					consecFails, failRunSlot, lastWriteErr, session.ErrPathDead)
-			}
-			return nil
-		}
-		consecFails = 0
-		st.Packets++
-		return nil
-	}
+	g := writeGuard{conn: conn, st: &st}
 
 	// The batch fast path emits a probe's whole packet bunch with one
 	// sendmmsg. Any shortfall or error drops that bunch's remainder to
-	// writeOne, so failure accounting and the dead-path guard behave
-	// exactly as on the single-packet path.
+	// the guard's single-packet write, so failure accounting and the
+	// dead-path guard behave exactly as on the single-packet path.
 	var bw BatchWriter
 	if !cfg.DisableBatch {
 		if b, ok := conn.(BatchWriter); ok {
@@ -231,11 +237,11 @@ func SendSlots(ctx context.Context, conn net.Conn, cfg SenderConfig, slots []int
 			n, err := bw.WriteBatch(batch)
 			st.Packets += n
 			if n > 0 {
-				consecFails = 0
+				g.consec = 0
 			}
 			if n != len(batch) || err != nil {
 				for i := n; i < len(batch); i++ {
-					if werr := writeOne(batch[i].Buf, slot); werr != nil {
+					if werr := g.write(batch[i].Buf, slot); werr != nil {
 						return st, werr
 					}
 				}
@@ -249,7 +255,7 @@ func SendSlots(ctx context.Context, conn net.Conn, cfg SenderConfig, slots []int
 				if _, err := h.Marshal(buf); err != nil {
 					return st, err
 				}
-				if err := writeOne(buf, slot); err != nil {
+				if err := g.write(buf, slot); err != nil {
 					return st, err
 				}
 			}

@@ -34,11 +34,9 @@ type ZingHeader struct {
 	ExpID    uint64
 	Seq      uint64
 	SendTime int64 // Unix nanos
-	// Seed, Mean and Duration are the sender's draw (probe.ZingEpochs):
-	// from them the collector redraws every probe's send epoch.
-	Seed     int64
-	Mean     time.Duration
-	Duration time.Duration
+	// Draw is the sender's epoch draw: from it the collector redraws
+	// every probe's send epoch.
+	Draw probe.ZingConfig
 }
 
 // Marshal encodes h into buf.
@@ -52,9 +50,9 @@ func (h *ZingHeader) Marshal(buf []byte) (int, error) {
 	binary.BigEndian.PutUint64(buf[6:], h.ExpID)
 	binary.BigEndian.PutUint64(buf[14:], h.Seq)
 	binary.BigEndian.PutUint64(buf[22:], uint64(h.SendTime))
-	binary.BigEndian.PutUint64(buf[30:], uint64(h.Seed))
-	binary.BigEndian.PutUint64(buf[38:], uint64(h.Mean))
-	binary.BigEndian.PutUint64(buf[46:], uint64(h.Duration))
+	binary.BigEndian.PutUint64(buf[30:], uint64(h.Draw.Seed))
+	binary.BigEndian.PutUint64(buf[38:], uint64(h.Draw.Mean))
+	binary.BigEndian.PutUint64(buf[46:], uint64(h.Draw.Duration))
 	return ZingHeaderSize, nil
 }
 
@@ -72,61 +70,40 @@ func (h *ZingHeader) Unmarshal(buf []byte) error {
 	h.ExpID = binary.BigEndian.Uint64(buf[6:])
 	h.Seq = binary.BigEndian.Uint64(buf[14:])
 	h.SendTime = int64(binary.BigEndian.Uint64(buf[22:]))
-	h.Seed = int64(binary.BigEndian.Uint64(buf[30:]))
-	h.Mean = time.Duration(binary.BigEndian.Uint64(buf[38:]))
-	h.Duration = time.Duration(binary.BigEndian.Uint64(buf[46:]))
+	h.Draw.Seed = int64(binary.BigEndian.Uint64(buf[30:]))
+	h.Draw.Mean = time.Duration(binary.BigEndian.Uint64(buf[38:]))
+	h.Draw.Duration = time.Duration(binary.BigEndian.Uint64(buf[46:]))
 	return nil
 }
 
-// ZingSenderConfig parameterizes a Poisson-modulated probe session (§2's
-// ZING baseline: UDP probes at exponentially distributed intervals).
-type ZingSenderConfig struct {
-	// ExpID identifies the session at the collector.
-	ExpID uint64
-	// Rate is the mean probe rate in probes per second.
-	Rate float64
-	// Size is the probe packet size; default 256, minimum ZingHeaderSize.
-	Size int
-	// Duration bounds the session length.
-	Duration time.Duration
-	// Seed drives the interval RNG; 0 derives it from the clock.
-	Seed int64
-}
-
-func (c *ZingSenderConfig) applyDefaults() error {
-	if c.Size == 0 {
-		c.Size = 256
+// ZingSend emits size-byte probes (at least ZingHeaderSize) over conn,
+// sequence-numbered and timestamped, at the epochs draw gives, the
+// simulated ZING prober's draw; a draw seed of 0 is taken from the clock.
+// It sends until the last epoch, or until ctx is cancelled, when it
+// returns the stats so far with ctx's error. Each probe is paced onto its
+// epoch the way SendSlots paces a slot deadline, so a late write does not
+// delay the probes after it, and written through SendSlots' guard, with
+// the probe's sequence number as its slot: a rejected write is counted
+// and pacing goes on, and only an unbroken run of rejected writes
+// declares the far end dead (session.ErrPathDead). Every header carries
+// the draw, so the collector knows the whole session.
+func ZingSend(ctx context.Context, conn net.Conn, expID uint64, size int, draw probe.ZingConfig) (SendStats, error) {
+	st := SendStats{DeadSlot: -1}
+	if size < ZingHeaderSize {
+		return st, fmt.Errorf("wire: zing packet size %d below header size %d", size, ZingHeaderSize)
 	}
-	if c.Size < ZingHeaderSize {
-		return fmt.Errorf("wire: zing packet size %d below header size %d", c.Size, ZingHeaderSize)
+	draw = draw.WithDefaults()
+	if draw.Seed == 0 {
+		draw.Seed = nowNano()
 	}
-	if c.Rate <= 0 {
-		return fmt.Errorf("wire: zing rate %v must be positive", c.Rate)
-	}
-	if c.Seed == 0 {
-		c.Seed = nowNano()
-	}
-	return nil
-}
-
-// ZingSend emits sequence-numbered, timestamped probes over conn at the
-// epochs probe.ZingEpochs draws before the configured duration, the
-// simulated ZING prober's draw, until the last is sent or ctx is cancelled
-// (in which case it returns the probes sent so far alongside ctx's error).
-// Each probe is paced onto its epoch the way SendSlots paces a slot
-// deadline, so a late write does not delay the probes after it. Every
-// header carries the draw, so the collector knows the whole session.
-func ZingSend(ctx context.Context, conn net.Conn, cfg ZingSenderConfig) (uint64, error) {
-	if err := cfg.applyDefaults(); err != nil {
-		return 0, err
-	}
-	mean := time.Duration(float64(time.Second) / cfg.Rate)
-	epochs, err := probe.ZingEpochs(cfg.Seed, mean, cfg.Duration)
+	epochs, err := draw.Epochs()
 	if err != nil {
-		return 0, err
+		return st, err
 	}
-	h := ZingHeader{ExpID: cfg.ExpID, Seed: cfg.Seed, Mean: mean, Duration: cfg.Duration}
-	buf := make([]byte, cfg.Size)
+	st.Probes = len(epochs)
+	g := writeGuard{conn: conn, st: &st}
+	h := ZingHeader{ExpID: expID, Draw: draw}
+	buf := make([]byte, size)
 	timer := time.NewTimer(0)
 	defer timer.Stop()
 	if !timer.Stop() {
@@ -135,17 +112,17 @@ func ZingSend(ctx context.Context, conn net.Conn, cfg ZingSenderConfig) (uint64,
 	start := time.Now()
 	for i, epoch := range epochs {
 		if err := waitUntil(ctx, timer, start.Add(epoch)); err != nil {
-			return uint64(i), err
+			return st, err
 		}
 		h.Seq, h.SendTime = uint64(i), time.Now().UnixNano()
 		if _, err := h.Marshal(buf); err != nil {
-			return uint64(i), err
+			return st, err
 		}
-		if _, err := conn.Write(buf); err != nil {
-			return uint64(i), err
+		if err := g.write(buf, int64(i)); err != nil {
+			return st, err
 		}
 	}
-	return uint64(len(epochs)), nil
+	return st, nil
 }
 
 // zingRec is one received probe.
@@ -158,7 +135,7 @@ func cmpSeq(r zingRec, seq uint64) int { return cmp.Compare(r.seq, seq) }
 
 // zingSession is the collector's state for one ExpID.
 type zingSession struct {
-	draw ZingHeader // the epoch draw from the first packet seen
+	draw probe.ZingConfig // the epoch draw of the first packet seen
 	// recs holds one record per probe heard from, in strictly ascending
 	// sequence order; a duplicate keeps its first arrival.
 	recs     []zingRec
@@ -188,7 +165,7 @@ func (c *ZingCollector) Record(h *ZingHeader, arrival time.Time) {
 	defer c.mu.Unlock()
 	s := c.sessions[h.ExpID]
 	if s == nil {
-		s = &zingSession{draw: *h}
+		s = &zingSession{draw: h.Draw}
 		c.sessions[h.ExpID] = s
 	}
 	s.lastSeen = arrival
@@ -228,7 +205,7 @@ func (c *ZingCollector) Report(expID uint64) (probe.ZingReport, error) {
 	if s == nil {
 		return probe.ZingReport{}, ErrUnknownSession
 	}
-	epochs, err := probe.ZingEpochs(s.draw.Seed, s.draw.Mean, s.draw.Duration)
+	epochs, err := s.draw.Epochs()
 	if err != nil {
 		return probe.ZingReport{}, fmt.Errorf("wire: zing session %d: %w", expID, err)
 	}

@@ -2,23 +2,34 @@ package wire
 
 import (
 	"context"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
 	"net"
+	"syscall"
 	"testing"
 	"time"
 
 	"badabing/internal/badabing"
 	"badabing/internal/lab"
 	"badabing/internal/probe"
+	"badabing/internal/session"
 )
 
+// TestZingHeaderRoundTrip: a header decodes to what was encoded, and
+// encodes to the pinned bytes of the wire format.
 func TestZingHeaderRoundTrip(t *testing.T) {
-	h := ZingHeader{ExpID: 7, Seq: 12345, SendTime: time.Now().UnixNano(),
-		Seed: -9, Mean: 50 * time.Millisecond, Duration: 900 * time.Second}
+	h := ZingHeader{ExpID: 7, Seq: 12345, SendTime: 1700000000123456789,
+		Draw: probe.ZingConfig{Seed: -9, Mean: 50 * time.Millisecond, Duration: 900 * time.Second}}
 	buf := make([]byte, ZingHeaderSize)
 	if _, err := h.Marshal(buf); err != nil {
 		t.Fatal(err)
+	}
+	const want = "5a494e47020000000000000000070000000000003039179" +
+		"79cfe3d85cd15fffffffffffffff70000000002faf080000000d18c2e2800"
+	if got := hex.EncodeToString(buf); got != want {
+		t.Fatalf("header encodes to\n%s, want\n%s", got, want)
 	}
 	var got ZingHeader
 	if err := got.Unmarshal(buf); err != nil {
@@ -44,11 +55,11 @@ func TestZingHeaderRejects(t *testing.T) {
 
 // testDraw is the epoch draw the collector tests send: about 120 probes
 // at a 100 ms mean gap.
-var testDraw = ZingHeader{Seed: 3, Mean: 100 * time.Millisecond, Duration: 12 * time.Second}
+var testDraw = probe.ZingConfig{Seed: 3, Mean: 100 * time.Millisecond, Duration: 12 * time.Second}
 
 func testEpochs(t *testing.T) []time.Duration {
 	t.Helper()
-	epochs, err := probe.ZingEpochs(testDraw.Seed, testDraw.Mean, testDraw.Duration)
+	epochs, err := testDraw.Epochs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +77,7 @@ func feed(c *ZingCollector, expID uint64, epochs []time.Duration, start time.Tim
 		if lost[i] {
 			continue
 		}
-		h := testDraw
-		h.ExpID, h.Seq, h.SendTime = expID, uint64(i), start.Add(e).UnixNano()
+		h := ZingHeader{ExpID: expID, Seq: uint64(i), SendTime: start.Add(e).UnixNano(), Draw: testDraw}
 		c.Record(&h, start.Add(e+10*time.Millisecond))
 	}
 }
@@ -150,26 +160,23 @@ func TestZingCollectorTrailingLoss(t *testing.T) {
 // TestZingCollectorStraySequence: one packet with a sequence number far
 // beyond the draw does not buy probes.
 func TestZingCollectorStraySequence(t *testing.T) {
-	long, err := probe.ZingEpochs(testDraw.Seed, testDraw.Mean, time.Hour)
+	draw := testDraw
+	draw.Duration = time.Hour
+	long, err := draw.Epochs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	draw := testDraw
 	draw.Duration = long[99] + 1 // exactly 100 probes
-	epochs, err := probe.ZingEpochs(draw.Seed, draw.Mean, draw.Duration)
+	epochs, err := draw.Epochs()
 	if err != nil || len(epochs) != 100 {
 		t.Fatalf("draw holds %d probes (%v), want 100", len(epochs), err)
 	}
 	c := NewZingCollector()
 	start := past()
 	for i, e := range epochs {
-		h := draw
-		h.ExpID, h.Seq = 1, uint64(i)
-		c.Record(&h, start.Add(e))
+		c.Record(&ZingHeader{ExpID: 1, Seq: uint64(i), Draw: draw}, start.Add(e))
 	}
-	stray := draw
-	stray.ExpID, stray.Seq = 1, 1<<63+5
-	c.Record(&stray, time.Now())
+	c.Record(&ZingHeader{ExpID: 1, Seq: 1<<63 + 5, Draw: draw}, time.Now())
 	rep, err := c.Report(1)
 	if err != nil {
 		t.Fatal(err)
@@ -179,19 +186,16 @@ func TestZingCollectorStraySequence(t *testing.T) {
 	}
 }
 
-// TestZingCollectorRejectsBadDraws: a header whose draw ZingEpochs
-// refuses makes its session unreportable instead of costing an unbounded
-// draw.
+// TestZingCollectorRejectsBadDraws: a header whose draw Epochs refuses
+// makes its session unreportable instead of costing an unbounded draw.
 func TestZingCollectorRejectsBadDraws(t *testing.T) {
-	for _, draw := range []ZingHeader{
+	for _, draw := range []probe.ZingConfig{
 		{Seed: 1, Mean: 0, Duration: time.Second},
 		{Seed: 1, Mean: time.Millisecond, Duration: 0},
 		{Seed: 1, Mean: time.Nanosecond, Duration: badabing.MaxSlots + 1},
 	} {
 		c := NewZingCollector()
-		h := draw
-		h.ExpID = 1
-		c.Record(&h, time.Now())
+		c.Record(&ZingHeader{ExpID: 1, Draw: draw}, time.Now())
 		if rep, err := c.Report(1); err == nil {
 			t.Errorf("draw %+v reported %+v, want an error", draw, rep)
 		}
@@ -230,9 +234,8 @@ func TestZingSimLiveParity(t *testing.T) {
 			for _, seed := range []int64{1, 2} {
 				t.Run(fmt.Sprintf("%v/%v/seed=%d", sc, spec.mean, seed), func(t *testing.T) {
 					p := lab.NewPath(sc, lab.RunConfig{Horizon: horizon, Seed: seed})
-					z := probe.StartZing(p.Sim, p.D, 7, probe.ZingConfig{
-						Mean: spec.mean, PacketSize: spec.size, Horizon: horizon, Seed: seed,
-					})
+					draw := probe.ZingConfig{Mean: spec.mean, Duration: horizon, Seed: seed}
+					z := probe.StartZing(p.Sim, p.D, 7, spec.size, draw)
 					p.Run(horizon)
 					sim := z.Report()
 
@@ -242,8 +245,7 @@ func TestZingSimLiveParity(t *testing.T) {
 						if o.Lost > 0 {
 							continue
 						}
-						h := ZingHeader{ExpID: 1, Seq: uint64(i), SendTime: start.Add(o.T).UnixNano(),
-							Seed: seed, Mean: spec.mean, Duration: horizon}
+						h := ZingHeader{ExpID: 1, Seq: uint64(i), SendTime: start.Add(o.T).UnixNano(), Draw: draw}
 						c.Record(&h, start.Add(o.T+o.OWD))
 					}
 					live, err := c.Report(1)
@@ -275,9 +277,8 @@ func TestZingSimLiveParity(t *testing.T) {
 // sender emits exactly the drawn epochs, each header carries the draw,
 // and no probe leaves ahead of its epoch.
 func TestZingSendPacesDrawnEpochs(t *testing.T) {
-	const rate, seed, dur = 200.0, 7, time.Second
-	mean := time.Duration(float64(time.Second) / rate)
-	epochs, err := probe.ZingEpochs(seed, mean, dur)
+	draw := probe.ZingConfig{Mean: 5 * time.Millisecond, Duration: time.Second, Seed: 7}
+	epochs, err := draw.Epochs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,22 +311,22 @@ func TestZingSendPacesDrawnEpochs(t *testing.T) {
 	}()
 
 	before := time.Now()
-	sent, err := ZingSend(context.Background(), conn, ZingSenderConfig{ExpID: 1, Rate: rate, Duration: dur, Seed: seed})
+	st, err := ZingSend(context.Background(), conn, 1, 256, draw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(100 * time.Millisecond) // let the last probes land
 	pc.Close()
 	<-done
-	if sent != uint64(len(epochs)) {
-		t.Fatalf("sent %d probes, the schedule draws %d before %v", sent, len(epochs), dur)
+	if st.Probes != len(epochs) || st.Packets != len(epochs) {
+		t.Fatalf("sent %d of %d probes, the schedule draws %d before %v", st.Packets, st.Probes, len(epochs), draw.Duration)
 	}
 	if len(got) == 0 {
 		t.Fatal("no probe arrived")
 	}
 	for _, h := range got {
-		if h.Seed != seed || h.Mean != mean || h.Duration != dur {
-			t.Fatalf("probe %d carries draw (%d, %v, %v), want (%d, %v, %v)", h.Seq, h.Seed, h.Mean, h.Duration, seed, mean, dur)
+		if h.Draw != draw {
+			t.Fatalf("probe %d carries draw %+v, want %+v", h.Seq, h.Draw, draw)
 		}
 		if h.Seq >= uint64(len(epochs)) {
 			t.Fatalf("probe %d beyond the %d drawn epochs", h.Seq, len(epochs))
@@ -339,8 +340,63 @@ func TestZingSendPacesDrawnEpochs(t *testing.T) {
 // TestZingSendRejectsLongDraw: the sender refuses a draw the collector
 // would refuse, before sending anything.
 func TestZingSendRejectsLongDraw(t *testing.T) {
-	if _, err := ZingSend(context.Background(), nil, ZingSenderConfig{Rate: 1e9, Duration: time.Hour, Seed: 1}); err == nil {
+	if _, err := ZingSend(context.Background(), nil, 1, 256, probe.ZingConfig{Mean: time.Nanosecond, Duration: time.Hour, Seed: 1}); err == nil {
 		t.Fatal("a draw of 3.6e12 probes was accepted")
+	}
+}
+
+// TestZingSendKeepsPacingPastRefusedWrites: sent to a closed loopback
+// port, where the kernel refuses about every other write, a 1 s draw at
+// 200 Hz sends every drawn epoch, counting the refused writes.
+func TestZingSendKeepsPacingPastRefusedWrites(t *testing.T) {
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := pc.LocalAddr().String()
+	pc.Close()
+	conn, err := net.Dial("udp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	draw := probe.ZingConfig{Mean: 5 * time.Millisecond, Duration: time.Second, Seed: 7}
+	epochs, err := draw.Epochs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := ZingSend(context.Background(), conn, 1, 256, draw)
+	if err != nil {
+		t.Fatalf("ZingSend to a closed port: %v after %d probes, %d refused", err, st.Packets, st.WriteFailures)
+	}
+	if st.Packets+st.WriteFailures != len(epochs) || st.DeadSlot != -1 {
+		t.Fatalf("%d probes written and %d refused (dead slot %d), want %d in all and no dead slot",
+			st.Packets, st.WriteFailures, st.DeadSlot, len(epochs))
+	}
+	t.Logf("%d of %d writes refused", st.WriteFailures, len(epochs))
+}
+
+// deadConn is a connected socket whose every write is refused.
+type deadConn struct{ rejectConn }
+
+func (c *deadConn) Write([]byte) (int, error) {
+	c.writes++
+	return 0, syscall.ECONNREFUSED
+}
+
+// TestZingSendDeclaresDeadPath: when every write is refused, ZingSend
+// gives up with ErrPathDead after exactly maxConsecutiveWriteFailures
+// writes, and names the first probe of the run.
+func TestZingSendDeclaresDeadPath(t *testing.T) {
+	conn := &deadConn{}
+	draw := probe.ZingConfig{Mean: time.Millisecond, Duration: 100 * time.Millisecond, Seed: 7}
+	st, err := ZingSend(context.Background(), conn, 1, 256, draw)
+	if !errors.Is(err, session.ErrPathDead) {
+		t.Fatalf("ZingSend returned %v, want ErrPathDead", err)
+	}
+	if conn.writes != maxConsecutiveWriteFailures || st.WriteFailures != maxConsecutiveWriteFailures ||
+		st.Packets != 0 || st.DeadSlot != 0 {
+		t.Fatalf("%d writes, stats %+v; want %d refused writes from probe 0", conn.writes, st, maxConsecutiveWriteFailures)
 	}
 }
 
