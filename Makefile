@@ -10,8 +10,10 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# perfbench is a nested module, so ./... skips it.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet .
 
 test:
 	$(GO) test ./...
@@ -91,8 +93,8 @@ fuzz:
 	$(GO) test ./internal/fleet/ -run '^$$' -fuzz FuzzHistoryQuery -fuzztime 30s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzTraceAnalyze -fuzztime 30s
 
-# Reproduce every paper table and figure at full scale: 103 cells, 1 min
-# 32–42 s wall on a 2-vCPU Intel Xeon host (2 workers, 3 min 0–20 s of work).
+# Reproduce every paper table and figure at full scale: 103 cells, 52–57 s
+# wall on a 2-vCPU Intel Xeon host (2 workers, 1 min 42–51 s of work).
 experiments:
 	$(GO) run ./cmd/labsim -experiment all -horizon 900s
 

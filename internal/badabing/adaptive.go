@@ -141,9 +141,6 @@ func (a *Adaptive) NextRound(seed int64) ([]Plan, float64) {
 	return plans, a.p
 }
 
-// Add records one experiment outcome from the current round.
-func (a *Adaptive) Add(bits []bool) { a.acc.Add(bits) }
-
 // EndRound evaluates the stopping and escalation rules after a round's
 // outcomes have been added.
 func (a *Adaptive) EndRound() {
@@ -186,8 +183,3 @@ func (a *Adaptive) RunRounds(seed int64, exec func(round int, plans []Plan, p fl
 
 // Estimates returns the current estimates over every merged round.
 func (a *Adaptive) Estimates() Estimates { return EstimatesOf(&a.acc) }
-
-// Elapsed returns the measurement time the completed rounds spanned.
-func (a *Adaptive) Elapsed() time.Duration {
-	return time.Duration(a.round) * time.Duration(a.cfg.RoundSlots) * a.cfg.Slot
-}

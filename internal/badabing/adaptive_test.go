@@ -24,7 +24,7 @@ func driveAdaptive(t *testing.T, a *Adaptive, series []bool) {
 			for j := range bits {
 				bits[j] = series[base+pl.Slot+int64(j)]
 			}
-			a.Add(bits)
+			a.acc.Add(bits)
 		}
 		base += 6000
 		a.EndRound()
@@ -97,21 +97,6 @@ func TestAdaptiveRespectsRoundBudget(t *testing.T) {
 	}
 	if a.P() != 0.9 {
 		t.Fatalf("p = %v after persistent silence, want PMax 0.9", a.P())
-	}
-}
-
-func TestAdaptiveElapsed(t *testing.T) {
-	for _, slot := range []time.Duration{0, 10 * time.Millisecond} {
-		a := newAdaptive(t, AdaptiveConfig{Slot: slot})
-		a.EndRound()
-		a.EndRound()
-		want := 2 * 6000 * slot
-		if slot == 0 {
-			want = 2 * 6000 * DefaultSlot
-		}
-		if got := a.Elapsed(); got != want {
-			t.Fatalf("slot %v: elapsed = %v, want %v", slot, got, want)
-		}
 	}
 }
 

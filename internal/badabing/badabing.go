@@ -308,17 +308,6 @@ func (a *Accumulator) DurationImproved() (time.Duration, bool) {
 	return time.Duration(slots * float64(a.slotWidth())), true
 }
 
-// EpisodeRateHat estimates B̂, the number of loss episodes per slot,
-// from S ≈ 2pB over N slots: B̂/N = S/(2pN). It feeds the §7 standard
-// deviation approximation.
-func (a *Accumulator) EpisodeRateHat(p float64, n int64) float64 {
-	if p <= 0 || n <= 0 {
-		return 0
-	}
-	_, s := a.RS()
-	return float64(s) / (2 * p * float64(n))
-}
-
 // DurationStdDev returns the §7 reliability approximation
 // StdDev(duration) ≈ 1/sqrt(pNL), with L estimated from the data.
 // With L̂ = S/(2pN), this reduces to sqrt(2/S).

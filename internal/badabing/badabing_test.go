@@ -400,16 +400,3 @@ func TestAssembleSkipsIncomplete(t *testing.T) {
 		t.Fatalf("U = %d, want 1", u)
 	}
 }
-
-func TestEpisodeRateHat(t *testing.T) {
-	// Deterministic construction: S = 2pB exactly in expectation.
-	acc := &Accumulator{}
-	for i := 0; i < 40; i++ {
-		acc.AddBasic(i%2 == 0, i%2 != 0) // 20×"10", 20×"01" → S = 40
-	}
-	got := acc.EpisodeRateHat(0.2, 10_000)
-	want := 40.0 / (2 * 0.2 * 10_000)
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("L̂ = %v, want %v", got, want)
-	}
-}

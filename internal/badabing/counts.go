@@ -39,20 +39,6 @@ func (a *Accumulator) Merge(c Counts) {
 	}
 }
 
-// Add returns the element-wise sum of two Counts.
-func (c Counts) Add(o Counts) Counts {
-	out := c
-	out.M += o.M
-	out.Z += o.Z
-	for i := range out.C2 {
-		out.C2[i] += o.C2[i]
-	}
-	for i := range out.C3 {
-		out.C3[i] += o.C3[i]
-	}
-	return out
-}
-
 // MergeRound feeds a remote round's counts into the adaptive controller
 // and applies the end-of-round stopping/escalation rules — the
 // control-channel twin of Add+EndRound.

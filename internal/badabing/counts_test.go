@@ -57,15 +57,6 @@ func TestCountsMergeEquivalentToStreaming(t *testing.T) {
 	}
 }
 
-func TestCountsAdd(t *testing.T) {
-	a := Counts{M: 1, Z: 1, C2: [4]int{1, 0, 0, 0}}
-	b := Counts{M: 2, Z: 0, C2: [4]int{0, 1, 1, 0}, C3: [8]int{7: 3}}
-	sum := a.Add(b)
-	if sum.M != 3 || sum.Z != 1 || sum.C2 != [4]int{1, 1, 1, 0} || sum.C3[7] != 3 {
-		t.Fatalf("sum = %+v", sum)
-	}
-}
-
 func TestAdaptiveMergeRound(t *testing.T) {
 	a := newAdaptive(t, AdaptiveConfig{
 		MaxRounds: 3,

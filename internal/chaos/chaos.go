@@ -76,12 +76,6 @@ type Stats struct {
 	Corrupted    uint64
 }
 
-// Delivered returns how many packets came out the other side (duplicates
-// add, drops subtract).
-func (s Stats) Delivered() uint64 {
-	return s.Packets - s.Dropped - s.BurstDropped + s.Duplicated
-}
-
 // packet is a buffered datagram with its delivery modifications applied.
 type packet struct {
 	data  []byte
@@ -208,20 +202,6 @@ func (c *ImpairedConn) SetOutbound(f Fault) {
 	c.out.mu.Lock()
 	c.out.f = f
 	c.out.mu.Unlock()
-}
-
-// InboundStats returns the inbound direction's fault tallies.
-func (c *ImpairedConn) InboundStats() Stats {
-	c.in.mu.Lock()
-	defer c.in.mu.Unlock()
-	return c.in.stats
-}
-
-// OutboundStats returns the outbound direction's fault tallies.
-func (c *ImpairedConn) OutboundStats() Stats {
-	c.out.mu.Lock()
-	defer c.out.mu.Unlock()
-	return c.out.stats
 }
 
 // ReadFrom surfaces the next surviving inbound packet, applying the

@@ -90,10 +90,3 @@ func (f *FlakyReflector) Kill() {
 		refl.Close()
 	}
 }
-
-// Alive reports whether the reflector is currently echoing.
-func (f *FlakyReflector) Alive() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.alive
-}

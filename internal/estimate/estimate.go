@@ -153,9 +153,6 @@ func New(cfg Config, sc badabing.StreamConfig) (*Estimator, error) {
 	return e, nil
 }
 
-// Kind returns the registry name this estimator was built under.
-func (e *Estimator) Kind() string { return e.kind }
-
 // rebuild is Reset with the construction error exposed (New validates
 // the stream shape exactly once through it).
 func (e *Estimator) rebuild() error {

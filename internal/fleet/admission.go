@@ -44,8 +44,8 @@ func NewRateLimiter(rate float64, burst int) *RateLimiter {
 	}
 }
 
-// SetNow injects a clock for tests.
-func (l *RateLimiter) SetNow(now func() time.Time) {
+// setNow injects a clock for tests.
+func (l *RateLimiter) setNow(now func() time.Time) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.now = now
@@ -107,13 +107,6 @@ func (l *RateLimiter) evictIdlestLocked(now time.Time) {
 	if victim != "" {
 		delete(l.buckets, victim)
 	}
-}
-
-// Clients returns how many client buckets are live (for tests/metrics).
-func (l *RateLimiter) Clients() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buckets)
 }
 
 // clientKey extracts the per-client limiter key from an HTTP remote

@@ -12,7 +12,7 @@ import (
 func TestRateLimiterBucketCap(t *testing.T) {
 	lim := NewRateLimiter(1, 4)
 	clock := time.Unix(1700000000, 0)
-	lim.SetNow(func() time.Time { return clock })
+	lim.setNow(func() time.Time { return clock })
 
 	for i := 0; i < 2*maxBuckets; i++ {
 		// The clock never advances, so no bucket ever refills and
@@ -20,7 +20,7 @@ func TestRateLimiterBucketCap(t *testing.T) {
 		if ok, _ := lim.Allow(fmt.Sprintf("10.%d.%d.%d", i>>16&0xff, i>>8&0xff, i&0xff)); !ok {
 			t.Fatalf("fresh client %d denied", i)
 		}
-		if got := lim.Clients(); got > maxBuckets {
+		if got := len(lim.buckets); got > maxBuckets {
 			t.Fatalf("bucket map grew to %d after %d clients, cap %d", got, i+1, maxBuckets)
 		}
 	}

@@ -366,13 +366,6 @@ func (b *BreakerSink) Stats() BreakerStats {
 	}
 }
 
-// State returns the breaker's current position.
-func (b *BreakerSink) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
 // RegisterMetrics registers the breaker's metric families; each scrape
 // mirrors a Stats snapshot.
 func (b *BreakerSink) RegisterMetrics(o *obs.Registry) {

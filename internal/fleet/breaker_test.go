@@ -392,8 +392,8 @@ func TestKillTheDisk(t *testing.T) {
 	faulted.FailWrites(nil)
 	script(b, 1)
 	script(control, 1)
-	if b.State() != BreakerOpen {
-		t.Fatalf("breaker state during outage = %v, want open", b.State())
+	if st := b.Stats().State; st != BreakerOpen.String() {
+		t.Fatalf("breaker state during outage = %v, want open", st)
 	}
 	if mon.State() != health.Degraded {
 		t.Fatalf("health during outage = %v, want degraded", mon.State())

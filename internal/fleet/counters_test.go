@@ -72,7 +72,7 @@ func TestWriteFailuresReachEveryView(t *testing.T) {
 		defer tr.Close()
 		return s.measure(ctx, &failingWrites{Transport: tr}, seed)
 	}
-	srv := httptest.NewServer(NewHandler(reg))
+	srv := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{}))
 	defer srv.Close()
 
 	var created View
@@ -153,7 +153,7 @@ func TestResumedSessionTotalsMonotone(t *testing.T) {
 	if st := waitTerminal(t, s, 10*time.Second); st != Done {
 		t.Fatalf("resumed session ended %v, want done", st)
 	}
-	final := s.Counters()
+	final := s.View().Counters
 	if final.ProbesSent == 0 {
 		t.Fatal("the resumed run sent no probes")
 	}
@@ -194,7 +194,7 @@ func TestResumedSessionTotalsMonotone(t *testing.T) {
 func TestDisableBatchRetired(t *testing.T) {
 	reg := NewRegistry(Config{MaxConcurrent: 1})
 	defer reg.Close()
-	srv := httptest.NewServer(NewHandler(reg))
+	srv := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{}))
 	defer srv.Close()
 	if code := postJSON(t, srv.URL+"/v1/sessions", `{"scenario":"idle","slots":1000,"disable_batch":true}`, nil); code != http.StatusBadRequest {
 		t.Errorf("create with disable_batch: status %d, want %d", code, http.StatusBadRequest)

@@ -32,7 +32,7 @@ func TestWireSessionRetriesToDone(t *testing.T) {
 
 	reg := NewRegistry(Config{MaxConcurrent: 1})
 	defer reg.Close()
-	srv := httptest.NewServer(NewHandler(reg))
+	srv := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{}))
 	defer srv.Close()
 
 	body := fmt.Sprintf(
@@ -187,7 +187,7 @@ var createCases = []struct {
 func TestCreateAPIHardening(t *testing.T) {
 	reg := NewRegistry(Config{MaxConcurrent: 1})
 	defer reg.Close()
-	srv := httptest.NewServer(NewHandler(reg))
+	srv := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{}))
 	defer srv.Close()
 
 	for _, tc := range createCases {
@@ -252,9 +252,9 @@ func TestRetryOverrideBackoff(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if got := s.State(); got != Done {
-		t.Fatalf("state %v, want done (err %v)", got, s.Err())
+		t.Fatalf("state %v, want done (err %v)", got, s.View().Error)
 	}
-	if got := s.Retries(); got != 2 {
+	if got := s.View().Retries; got != 2 {
 		t.Fatalf("retries = %d, want 2", got)
 	}
 	if got := reg.Totals().SessionRetries; got != 2 {
@@ -281,7 +281,7 @@ func TestRetryOverrideBackoff(t *testing.T) {
 	if got := s2.State(); got != Failed {
 		t.Fatalf("state %v, want failed", got)
 	}
-	if got := s2.Retries(); got != 2 {
+	if got := s2.View().Retries; got != 2 {
 		t.Fatalf("retries = %d, want 2", got)
 	}
 }

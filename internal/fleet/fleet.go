@@ -718,21 +718,11 @@ type Session struct {
 	tr session.Transport
 }
 
-// Config returns the session's (defaulted) configuration.
-func (s *Session) Config() SessionConfig { return s.cfg }
-
 // State returns the lifecycle state.
 func (s *Session) State() State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.state
-}
-
-// Err returns the failure cause for Failed sessions.
-func (s *Session) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
 }
 
 // Snapshot returns the latest published estimator snapshot. Snapshots
@@ -741,21 +731,6 @@ func (s *Session) Snapshot() estimate.Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.snap
-}
-
-// Counters returns the probe-level tallies.
-func (s *Session) Counters() session.Counters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counters
-}
-
-// Retries returns how many times the session has been re-queued after a
-// failure.
-func (s *Session) Retries() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.retries
 }
 
 func (s *Session) setRunning(seed int64) {

@@ -75,7 +75,7 @@ func waitTerminal(t *testing.T, s *Session, within time.Duration) State {
 func TestFleetConcurrentSessionsOverHTTP(t *testing.T) {
 	reg := NewRegistry(Config{MaxConcurrent: 4})
 	defer reg.Close()
-	srv := httptest.NewServer(NewHandler(reg))
+	srv := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{}))
 	defer srv.Close()
 
 	// 15 s of virtual time in 1 s harvest steps, throttled 5 ms of real
@@ -127,7 +127,7 @@ func TestFleetConcurrentSessionsOverHTTP(t *testing.T) {
 			t.Fatal(err)
 		}
 		if st := waitTerminal(t, s, 60*time.Second); st != Done {
-			t.Fatalf("session %s finished %v (err %v)", id, st, s.Err())
+			t.Fatalf("session %s finished %v (err %v)", id, st, s.View().Error)
 		}
 	}
 
@@ -244,7 +244,7 @@ func parsePrometheus(t *testing.T, text string) map[string]float64 {
 func TestSessionStopDeleteLifecycle(t *testing.T) {
 	reg := NewRegistry(Config{MaxConcurrent: 2})
 	defer reg.Close()
-	srv := httptest.NewServer(NewHandler(reg))
+	srv := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{}))
 	defer srv.Close()
 
 	// A session long enough (real time) to still be running when we act:
@@ -314,11 +314,11 @@ func TestSessionPanicIsolation(t *testing.T) {
 	if st := waitTerminal(t, bad, 10*time.Second); st != Failed {
 		t.Fatalf("panicking session state %v, want failed", st)
 	}
-	if err := bad.Err(); err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("panic not surfaced: %v", err)
+	if msg := bad.View().Error; !strings.Contains(msg, "panicked") {
+		t.Fatalf("panic not surfaced: %q", msg)
 	}
 	if st := waitTerminal(t, good, 10*time.Second); st != Done {
-		t.Fatalf("healthy session state %v (err %v)", st, good.Err())
+		t.Fatalf("healthy session state %v (err %v)", st, good.View().Error)
 	}
 }
 
@@ -327,7 +327,7 @@ func TestSessionPanicIsolation(t *testing.T) {
 func TestCreateValidation(t *testing.T) {
 	reg := NewRegistry(Config{})
 	defer reg.Close()
-	srv := httptest.NewServer(NewHandler(reg))
+	srv := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{}))
 	defer srv.Close()
 
 	for _, body := range []string{
@@ -374,7 +374,7 @@ func TestRegistryFull(t *testing.T) {
 		<-ctx.Done()
 		return ctx.Err()
 	}
-	srv := httptest.NewServer(NewHandler(reg))
+	srv := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{}))
 	defer srv.Close()
 
 	for i := 0; i < 2; i++ {
@@ -399,12 +399,12 @@ func TestFinalSnapshotMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := waitTerminal(t, s, 60*time.Second); st != Done {
-		t.Fatalf("session state %v (err %v)", st, s.Err())
+		t.Fatalf("session state %v (err %v)", st, s.View().Error)
 	}
 	got := s.Snapshot().Total
 
 	// Replay the identical run through the batch pipeline.
-	full := s.Config() // defaults applied
+	full := s.cfg // defaults applied
 	slot := time.Duration(full.SlotMicros) * time.Microsecond
 	plans := badabing.MustSchedule(badabing.ScheduleConfig{
 		P: full.P, N: full.Slots, Improved: !full.Basic, ExtendedFraction: full.ExtendedFraction, Seed: full.Seed,

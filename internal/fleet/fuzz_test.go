@@ -35,7 +35,7 @@ func FuzzCreateSession(f *testing.F) {
 		reg.runOverride = noRun
 		defer reg.Close()
 		rec := httptest.NewRecorder()
-		NewHandler(reg).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", strings.NewReader(body)))
+		NewHandlerOpts(reg, HandlerOptions{}).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", strings.NewReader(body)))
 		if rec.Code >= 500 {
 			t.Fatalf("status %d for %q: %s", rec.Code, body, rec.Body)
 		}
@@ -82,7 +82,7 @@ func FuzzHistoryQuery(f *testing.F) {
 	for i := 0; i < 10; i++ {
 		mem.SessionPoint(s.ID, store.Point{At: base.Add(time.Duration(i) * time.Hour).UnixNano(), SlotsDone: int64(i)})
 	}
-	h := NewHandler(reg)
+	h := NewHandlerOpts(reg, HandlerOptions{})
 
 	f.Add("", "")
 	f.Add("2026-01-01T03:00:00Z", "2026-01-01T06:30:00Z")

@@ -57,7 +57,7 @@ type api struct {
 	renderTime   obs.Histogram
 }
 
-// NewHandler returns the daemon's HTTP API for a registry:
+// NewHandlerOpts returns the daemon's HTTP API for a registry:
 //
 //	POST   /v1/sessions           create a session (JSON SessionConfig body)
 //	GET    /v1/sessions           list sessions
@@ -79,16 +79,13 @@ type api struct {
 // 500s; oversized bodies are cut off at 1 MiB (413); a draining
 // registry answers 503. Shed responses (503 not-ready/queue-full/
 // draining, 429 rate-limited/registry-full) always carry Retry-After.
-func NewHandler(r *Registry) http.Handler {
-	return NewHandlerOpts(r, HandlerOptions{})
-}
-
-// NewHandlerOpts is NewHandler with the self-protection layer
-// configured (deep readiness, queue-depth shedding and per-client rate
-// limiting on session creates) and an explicit observability registry.
-// The fleet registry's families, the health monitor's (when set), the
-// admission shed counters and the daemon's HTTP self-metrics are all
-// registered here; GET /metrics renders opts.Obs and nothing else.
+//
+// opts configures the self-protection layer (deep readiness,
+// queue-depth shedding and per-client rate limiting on session creates)
+// and the observability registry. The fleet registry's families, the
+// health monitor's (when set), the admission shed counters and the
+// daemon's HTTP self-metrics are all registered here; GET /metrics
+// renders opts.Obs and nothing else.
 func NewHandlerOpts(r *Registry, opts HandlerOptions) http.Handler {
 	if opts.RetryAfter <= 0 {
 		opts.RetryAfter = 5 * time.Second

@@ -48,7 +48,7 @@ func TestAdmissionShedding(t *testing.T) {
 	mon := health.NewMonitor(nil)
 	lim := NewRateLimiter(1, 2) // 2-burst, 1 token/s
 	clock := time.Unix(1700000000, 0)
-	lim.SetNow(func() time.Time { return clock })
+	lim.setNow(func() time.Time { return clock })
 
 	reg := NewRegistry(Config{MaxConcurrent: 1})
 	defer reg.Close()
@@ -168,7 +168,7 @@ func TestAdmissionQueueDepth(t *testing.T) {
 // registry-full 429 and draining 503 now carry Retry-After.
 func TestRetryAfterOnFullAndDraining(t *testing.T) {
 	reg := NewRegistry(Config{MaxConcurrent: 1, MaxSessions: 1})
-	srv := httptest.NewServer(NewHandler(reg))
+	srv := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{}))
 	defer srv.Close()
 
 	if code, _, body := postCreate(t, srv.URL); code != 201 {
@@ -248,7 +248,7 @@ func TestReadyz(t *testing.T) {
 func TestReadyzWithoutHealth(t *testing.T) {
 	reg := NewRegistry(Config{MaxConcurrent: 1})
 	defer reg.Close()
-	srv := httptest.NewServer(NewHandler(reg))
+	srv := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/readyz")

@@ -20,7 +20,7 @@ func TestHTTPStatusCodes(t *testing.T) {
 	mem := store.NewMem()
 	reg := NewRegistry(Config{MaxConcurrent: 1, Store: mem})
 	defer reg.Close()
-	srv := httptest.NewServer(NewHandler(reg))
+	srv := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{}))
 	defer srv.Close()
 
 	do := func(method, path, body string) (int, string, http.Header) {
@@ -127,7 +127,7 @@ func TestHTTPStatusCodes(t *testing.T) {
 func TestHTTPHistoryNoStore(t *testing.T) {
 	reg := NewRegistry(Config{MaxConcurrent: 1})
 	defer reg.Close()
-	srv := httptest.NewServer(NewHandler(reg))
+	srv := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{}))
 	defer srv.Close()
 
 	s, err := reg.Create(SessionConfig{Scenario: "idle", Slots: 1000})

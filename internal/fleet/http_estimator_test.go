@@ -28,7 +28,7 @@ import (
 func TestCreateAPIHardeningEstimator(t *testing.T) {
 	reg := NewRegistry(Config{MaxConcurrent: 2})
 	defer reg.Close()
-	srv := httptest.NewServer(NewHandler(reg))
+	srv := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{}))
 	defer srv.Close()
 
 	post := func(body string) (int, string) {
@@ -156,7 +156,7 @@ func TestWireSessionBootstrapEstimator(t *testing.T) {
 	defer refl.Close()
 
 	reg := NewRegistry(Config{MaxConcurrent: 1, Store: st})
-	srv := httptest.NewServer(NewHandler(reg))
+	srv := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{}))
 
 	const (
 		seed       = 77
@@ -293,7 +293,7 @@ func TestWireSessionBootstrapEstimator(t *testing.T) {
 	reg2 := NewRegistry(Config{MaxConcurrent: 1, Store: st2})
 	defer reg2.Close()
 	reg2.Restore(info)
-	srv2 := httptest.NewServer(NewHandler(reg2))
+	srv2 := httptest.NewServer(NewHandlerOpts(reg2, HandlerOptions{}))
 	defer srv2.Close()
 
 	after := history(srv2.URL + "/v1/sessions/" + created.ID + "/history")

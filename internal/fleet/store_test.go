@@ -217,8 +217,8 @@ func TestRestoreLifecycle(t *testing.T) {
 	if s3.State() != Recovered {
 		t.Errorf("s0003 state %v, want recovered", s3.State())
 	}
-	if err := s3.Err(); err == nil || !strings.Contains(err.Error(), "interrupted") {
-		t.Errorf("s0003 err %v, want ErrInterrupted", err)
+	if msg := s3.View().Error; !strings.Contains(msg, "interrupted") {
+		t.Errorf("s0003 err %q, want ErrInterrupted", msg)
 	}
 	if !s3.State().Terminal() {
 		t.Error("recovered must be a terminal state")

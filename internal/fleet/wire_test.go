@@ -35,7 +35,7 @@ func TestWireSessionEndToEnd(t *testing.T) {
 
 	reg := NewRegistry(Config{MaxConcurrent: 1})
 	defer reg.Close()
-	srv := httptest.NewServer(NewHandler(reg))
+	srv := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{}))
 	defer srv.Close()
 
 	const (

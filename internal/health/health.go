@@ -115,8 +115,8 @@ func NewMonitor(log *slog.Logger) *Monitor {
 	}
 }
 
-// SetNow injects a clock for tests.
-func (m *Monitor) SetNow(now func() time.Time) {
+// setNow injects a clock for tests.
+func (m *Monitor) setNow(now func() time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.now = now

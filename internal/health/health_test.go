@@ -78,7 +78,7 @@ func TestMonitorLogsOncePerTransition(t *testing.T) {
 func TestMonitorSince(t *testing.T) {
 	m := NewMonitor(nil)
 	now := time.Unix(1000, 0)
-	m.SetNow(func() time.Time { return now })
+	m.setNow(func() time.Time { return now })
 	m.Set("store", Degraded, "x")
 	first := m.Snapshot().Components["store"].Since
 	now = now.Add(time.Minute)
@@ -98,7 +98,7 @@ func TestWatchdogBudgets(t *testing.T) {
 	m := NewMonitor(nil)
 	w := NewWatchdog(m, Budgets{MaxGoroutines: 100, MaxFDs: 50, MaxHeapBytes: 1 << 20}, time.Hour)
 	u := Usage{Goroutines: 10, OpenFDs: 10, HeapBytes: 1 << 10}
-	w.SetSample(func() Usage { return u })
+	w.setSample(func() Usage { return u })
 
 	cases := []struct {
 		name string
@@ -133,17 +133,11 @@ func TestWatchdogBudgets(t *testing.T) {
 func TestWatchdogZeroBudgetsDisabled(t *testing.T) {
 	m := NewMonitor(nil)
 	w := NewWatchdog(m, Budgets{}, time.Hour)
-	w.SetSample(func() Usage {
+	w.setSample(func() Usage {
 		return Usage{Goroutines: 1 << 20, OpenFDs: 1 << 20, HeapBytes: 1 << 40}
 	})
 	if got := w.Check(); got != Ok {
 		t.Fatalf("Check() with no budgets = %v, want ok", got)
-	}
-	if Budgets.Enabled(Budgets{}) {
-		t.Fatal("zero budgets report Enabled")
-	}
-	if !(Budgets{MaxGoroutines: 1}).Enabled() {
-		t.Fatal("goroutine budget not Enabled")
 	}
 }
 
@@ -175,7 +169,7 @@ func TestWatchdogLiveSample(t *testing.T) {
 func TestWatchdogMetrics(t *testing.T) {
 	m := NewMonitor(nil)
 	w := NewWatchdog(m, Budgets{MaxGoroutines: 10}, time.Hour)
-	w.SetSample(func() Usage { return Usage{Goroutines: 42, OpenFDs: 7, HeapBytes: 1234} })
+	w.setSample(func() Usage { return Usage{Goroutines: 42, OpenFDs: 7, HeapBytes: 1234} })
 	w.Check()
 	o := obs.NewRegistry()
 	w.RegisterMetrics(o)
@@ -199,7 +193,7 @@ func TestWatchdogMetrics(t *testing.T) {
 
 	// open_fds disappears (never renders a stale sample) when the
 	// platform cannot count descriptors.
-	w.SetSample(func() Usage { return Usage{Goroutines: 42, OpenFDs: -1, HeapBytes: 1234} })
+	w.setSample(func() Usage { return Usage{Goroutines: 42, OpenFDs: -1, HeapBytes: 1234} })
 	w.Check()
 	sb.Reset()
 	if err := o.Write(&sb); err != nil {

@@ -29,11 +29,6 @@ type Budgets struct {
 // degraded to failing.
 const failingMultiple = 2.0
 
-// Enabled reports whether any dimension has a budget.
-func (b Budgets) Enabled() bool {
-	return b.MaxGoroutines > 0 || b.MaxFDs > 0 || b.MaxHeapBytes > 0
-}
-
 // Usage is one watchdog sample.
 type Usage struct {
 	Goroutines int
@@ -79,8 +74,8 @@ func NewWatchdog(mon *Monitor, budgets Budgets, interval time.Duration) *Watchdo
 	}
 }
 
-// SetSample injects a usage source for tests.
-func (w *Watchdog) SetSample(f func() Usage) {
+// setSample injects a usage source for tests.
+func (w *Watchdog) setSample(f func() Usage) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.sample = f

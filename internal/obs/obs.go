@@ -154,9 +154,9 @@ func equalFloats(a, b []float64) bool {
 }
 
 // sample is one counter or gauge child. The value is the sum of an
-// integer part (fast atomic increments) and a float part (CAS-added),
-// the classic split that keeps Inc/Add allocation-free without losing
-// float totals.
+// integer part (atomic increments) and a float part (a non-integral
+// Set), the split that keeps Inc/Add allocation-free without losing
+// float values.
 type sample struct {
 	labels string // pre-rendered `{k="v",...}`, "" when unlabeled
 	ints   atomic.Uint64
@@ -165,15 +165,6 @@ type sample struct {
 
 func (s *sample) value() float64 {
 	return float64(s.ints.Load()) + math.Float64frombits(s.bits.Load())
-}
-
-func (s *sample) addFloat(v float64) {
-	for {
-		old := s.bits.Load()
-		if s.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
 }
 
 // set overwrites the child's value (collector mirroring). Integral
@@ -199,15 +190,9 @@ func (c Counter) Inc() { c.s.ints.Add(1) }
 // Add adds n. Allocation-free.
 func (c Counter) Add(n uint64) { c.s.ints.Add(n) }
 
-// AddFloat adds a fractional amount (e.g. seconds). Allocation-free.
-func (c Counter) AddFloat(v float64) { c.s.addFloat(v) }
-
 // Set mirrors an externally maintained monotone total into the counter
 // (scrape-time collector use). The caller owns monotonicity.
 func (c Counter) Set(v float64) { c.s.set(v) }
-
-// Value returns the current total.
-func (c Counter) Value() float64 { return c.s.value() }
 
 // Gauge is a value that can go up and down. The zero Gauge is invalid;
 // obtain one from a Registry.
@@ -226,12 +211,6 @@ func (g Gauge) SetInt(v int64) {
 	g.s.ints.Store(0)
 	g.s.bits.Store(math.Float64bits(float64(v)))
 }
-
-// Add adjusts the gauge by v (may be negative). Allocation-free.
-func (g Gauge) Add(v float64) { g.s.addFloat(v) }
-
-// Value returns the current value.
-func (g Gauge) Value() float64 { return g.s.value() }
 
 // histSample is one histogram child: cumulative-at-render bucket
 // counts, an observation count and a float sum.

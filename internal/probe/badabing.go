@@ -61,9 +61,6 @@ func StartBadabing(sim *simnet.Sim, entry *simnet.Link, demux *simnet.Demux, flo
 	return b
 }
 
-// ProbeCount returns the number of probes scheduled.
-func (b *Badabing) ProbeCount() int { return len(b.slots) }
-
 // PacketCounts returns total probe packets sent and lost so far.
 func (b *Badabing) PacketCounts() (sent, lost int) { return b.prober.PacketCounts() }
 

@@ -251,8 +251,8 @@ func TestBadabingProbesShareOverlappingSlots(t *testing.T) {
 	d := simnet.NewDumbbell(s, simnet.DumbbellConfig{})
 	plans := []badabing.Plan{{Slot: 10, Probes: 2}, {Slot: 11, Probes: 2}}
 	bb := startPlans(s, d, plans)
-	if bb.ProbeCount() != 3 {
-		t.Fatalf("scheduled %d probes for overlapping experiments, want 3 (slots 10,11,12)", bb.ProbeCount())
+	if len(bb.slots) != 3 {
+		t.Fatalf("scheduled %d probes for overlapping experiments, want 3 (slots 10,11,12)", len(bb.slots))
 	}
 	s.Run(time.Second)
 	if got := estimates(t, bb, plans, badabing.MarkerConfig{}).M; got != 2 {

@@ -139,17 +139,11 @@ func (p *Pool) Stats() Summary {
 
 // Job is a running (or finished) batch of cells.
 type Job struct {
-	progress chan Result
-	done     chan struct{}
-	results  []Result
-	summary  Summary
-	err      error
+	done    chan struct{}
+	results []Result
+	summary Summary
+	err     error
 }
-
-// Progress yields one Result per cell in completion order. The channel is
-// buffered to the cell count, so consuming it is optional; it is closed
-// when the job finishes.
-func (j *Job) Progress() <-chan Result { return j.progress }
 
 // Wait blocks until every cell has finished (or been abandoned) and
 // returns the results in submission order, the job summary, and the
@@ -164,13 +158,12 @@ func (p *Pool) Run(ctx context.Context, cells []Cell) ([]Result, Summary, error)
 	return p.Start(ctx, cells).Wait()
 }
 
-// Start launches the cells and returns immediately. Results arrive on
-// Job.Progress as they complete; Job.Wait reassembles submission order.
+// Start launches the cells and returns immediately. Config.OnResult sees
+// results as they complete; Job.Wait returns them in submission order.
 func (p *Pool) Start(ctx context.Context, cells []Cell) *Job {
 	j := &Job{
-		progress: make(chan Result, len(cells)),
-		done:     make(chan struct{}),
-		results:  make([]Result, len(cells)),
+		done:    make(chan struct{}),
+		results: make([]Result, len(cells)),
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -191,7 +184,6 @@ func (p *Pool) run(ctx context.Context, cells []Cell, j *Job) {
 		case <-ctx.Done():
 			res.Err = ctx.Err()
 			j.results[i] = res
-			j.progress <- res
 			continue
 		case worker := <-p.slots:
 			res.Worker = worker
@@ -200,7 +192,6 @@ func (p *Pool) run(ctx context.Context, cells []Cell, j *Job) {
 				defer wg.Done()
 				defer func() { p.slots <- worker }()
 				j.results[i] = p.runCell(ctx, c, res)
-				j.progress <- j.results[i]
 				if p.cfg.OnResult != nil {
 					p.cfg.OnResult(j.results[i])
 				}
@@ -208,7 +199,6 @@ func (p *Pool) run(ctx context.Context, cells []Cell, j *Job) {
 		}
 	}
 	wg.Wait()
-	close(j.progress)
 	j.err = ctx.Err()
 	j.summary = Summary{Cells: len(cells), Wall: time.Since(start), Worker: p.cfg.Workers}
 	for _, r := range j.results {

@@ -127,43 +127,28 @@ func TestConcurrencyBoundedByWorkers(t *testing.T) {
 	}
 }
 
-func TestProgressStreamsEveryCell(t *testing.T) {
-	p := New(Config{Workers: 4})
-	job := p.Start(context.Background(), sweep(10))
+func TestOnResultHookFiresPerCell(t *testing.T) {
+	var mu sync.Mutex
 	seen := map[string]bool{}
-	for r := range job.Progress() {
+	p := New(Config{Workers: 2, OnResult: func(r Result) {
+		mu.Lock()
+		defer mu.Unlock()
 		if r.Elapsed < 0 {
 			t.Errorf("cell %s: negative elapsed", r.Key)
 		}
 		seen[r.Key] = true
-	}
-	if len(seen) != 10 {
-		t.Fatalf("progress reported %d cells, want 10", len(seen))
-	}
-	rs, sum, err := job.Wait()
-	if err != nil || len(rs) != 10 || sum.Cells != 10 {
-		t.Fatalf("wait: %d results, %+v, %v", len(rs), sum, err)
+	}})
+	rs, sum, err := p.Run(context.Background(), sweep(7))
+	if err != nil || len(rs) != 7 || sum.Cells != 7 {
+		t.Fatalf("run: %d results, %+v, %v", len(rs), sum, err)
 	}
 	if sum.Work <= 0 {
 		t.Error("summary recorded no work time")
 	}
-}
-
-func TestOnResultHookFiresPerCell(t *testing.T) {
-	var mu sync.Mutex
-	count := 0
-	p := New(Config{Workers: 2, OnResult: func(Result) {
-		mu.Lock()
-		count++
-		mu.Unlock()
-	}})
-	if _, _, err := p.Run(context.Background(), sweep(7)); err != nil {
-		t.Fatal(err)
-	}
 	mu.Lock()
 	defer mu.Unlock()
-	if count != 7 {
-		t.Errorf("hook fired %d times, want 7", count)
+	if len(seen) != 7 {
+		t.Errorf("hook saw %d cells, want 7", len(seen))
 	}
 }
 

@@ -69,14 +69,5 @@ func NewChain(sim *Sim, cfg ChainConfig) *Chain {
 	return ch
 }
 
-// RTT returns the base round-trip time of the path.
-func (c *Chain) RTT() time.Duration {
-	var fwd time.Duration
-	for _, l := range c.Hops {
-		fwd += l.Delay()
-	}
-	return fwd + c.Reverse.Delay()
-}
-
 // Entry returns the first forward link.
 func (c *Chain) Entry() *Link { return c.Hops[0] }

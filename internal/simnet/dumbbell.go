@@ -66,8 +66,3 @@ func NewDumbbell(sim *Sim, cfg DumbbellConfig) *Dumbbell {
 	d.Reverse = newReverse(sim, cfg.OneWayDelay, d.RevDemux)
 	return d
 }
-
-// RTT returns the base (zero-queue) round-trip time of the path.
-func (d *Dumbbell) RTT() time.Duration {
-	return d.Bottleneck.Delay() + d.Reverse.Delay()
-}

@@ -327,17 +327,17 @@ func TestEventOrderPendingDrains(t *testing.T) {
 	s.ScheduleEach(4, func(i int) time.Duration { return time.Duration(i) * time.Microsecond }, func(int) {})
 	l.SendAt(time.Microsecond, mkpkt(s, 1000))
 	l.SendTrain(mkpkt(s, 100), 3, 0)
-	if got, want := s.Pending(), 1+1+4+1+3; got != want {
+	if got, want := s.pending, 1+1+4+1+3; got != want {
 		t.Fatalf("pending = %d, want %d", got, want)
 	}
 	// The train's three packets leave by 0.3 ms and arrive by 1.3 ms;
 	// the SendAt packet queues behind them and departs at 1.3 ms.
 	s.Run(1500 * time.Microsecond)
-	if got := s.Pending(); got != 1 || len(dst.pkts) != 3 {
+	if got := s.pending; got != 1 || len(dst.pkts) != 3 {
 		t.Fatalf("pending = %d, delivered %d with one packet on the delay line; want 1, 3", got, len(dst.pkts))
 	}
 	s.Run(time.Second)
-	if got := s.Pending(); got != 0 || len(dst.pkts) != 4 {
+	if got := s.pending; got != 0 || len(dst.pkts) != 4 {
 		t.Fatalf("pending = %d, delivered %d after draining; want 0, 4", got, len(dst.pkts))
 	}
 }
@@ -448,7 +448,7 @@ func TestEventOrderTimeMonotonic(t *testing.T) {
 	if !sort.SliceIsSorted(times, func(i, j int) bool { return times[i] < times[j] }) {
 		t.Fatal("events ran out of time order")
 	}
-	if s.Pending() != 0 {
-		t.Fatalf("pending = %d after draining", s.Pending())
+	if s.pending != 0 {
+		t.Fatalf("pending = %d after draining", s.pending)
 	}
 }

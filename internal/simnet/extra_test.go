@@ -70,7 +70,7 @@ func TestLinkConservationProperty(t *testing.T) {
 		if len(tap.dropped) != int(dropped) || len(tap.departed) != int(delivered) {
 			return false
 		}
-		return l.QueueBytes() == 0
+		return l.qbytes == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -133,8 +133,8 @@ func TestDumbbellCustomConfig(t *testing.T) {
 	if d.Bottleneck.Rate() != Rate(10_000_000) {
 		t.Error("custom rate ignored")
 	}
-	if d.RTT() != 10*time.Millisecond {
-		t.Errorf("RTT = %v, want 10ms", d.RTT())
+	if d.Bottleneck.delay != 5*time.Millisecond || d.Reverse.delay != 5*time.Millisecond {
+		t.Errorf("one-way delays %v and %v, want 5ms", d.Bottleneck.delay, d.Reverse.delay)
 	}
 	if got, want := d.Bottleneck.QueueCap(), Rate(10_000_000).Bytes(20*time.Millisecond); got != want {
 		t.Errorf("queue cap %d, want %d", got, want)

@@ -80,15 +80,8 @@ func (l *Link) AddTap(t Tap) { l.taps = append(l.taps, t) }
 // Rate returns the link bandwidth.
 func (l *Link) Rate() Rate { return l.rate }
 
-// Delay returns the propagation delay.
-func (l *Link) Delay() time.Duration { return l.delay }
-
 // QueueCap returns the buffer capacity in bytes.
 func (l *Link) QueueCap() int { return l.queueCap }
-
-// QueueBytes returns the current buffer occupancy in bytes, including the
-// packet in service.
-func (l *Link) QueueBytes() int { return l.qbytes }
 
 // QueueDelay returns the current buffer occupancy expressed as time to
 // drain at the link rate — the quantity plotted on the y axis of the

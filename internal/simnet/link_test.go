@@ -130,8 +130,8 @@ func TestLinkQueueDelayReflectsOccupancy(t *testing.T) {
 		}
 	})
 	s.Run(time.Second)
-	if l.QueueBytes() != 0 {
-		t.Fatalf("queue not drained: %d bytes", l.QueueBytes())
+	if l.qbytes != 0 {
+		t.Fatalf("queue not drained: %d bytes", l.qbytes)
 	}
 }
 
@@ -217,8 +217,8 @@ func TestDumbbellDefaults(t *testing.T) {
 	if d.Bottleneck.Rate() != OC3 {
 		t.Errorf("bottleneck rate = %d, want OC3", d.Bottleneck.Rate())
 	}
-	if d.RTT() != 100*time.Millisecond {
-		t.Errorf("RTT = %v, want 100ms", d.RTT())
+	if d.Bottleneck.delay != 50*time.Millisecond || d.Reverse.delay != 50*time.Millisecond {
+		t.Errorf("one-way delays %v and %v, want 50ms", d.Bottleneck.delay, d.Reverse.delay)
 	}
 	// 100 ms of OC3 ≈ 1.944 MB.
 	wantQ := OC3.Bytes(100 * time.Millisecond)

@@ -72,9 +72,6 @@ func NewRED(cfg REDConfig) *RED {
 	return &RED{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), count: -1}
 }
 
-// Avg returns the current average queue size estimate in bytes.
-func (r *RED) Avg() float64 { return r.avg }
-
 // Admit implements AQM.
 func (r *RED) Admit(_ *Packet, queuedBytes int) bool {
 	r.avg = (1-r.cfg.Wq)*r.avg + r.cfg.Wq*float64(queuedBytes)

@@ -38,8 +38,8 @@ func TestREDAlwaysDropsAboveMaxTh(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		r.Admit(nil, 60_000)
 	}
-	if r.Avg() < 30_000 {
-		t.Fatalf("EWMA %v did not reach MaxTh", r.Avg())
+	if r.avg < 30_000 {
+		t.Fatalf("EWMA %v did not reach MaxTh", r.avg)
 	}
 	for i := 0; i < 100; i++ {
 		if r.Admit(nil, 60_000) {
@@ -88,8 +88,8 @@ func TestREDOnLinkSpreadsDrops(t *testing.T) {
 			l.Send(Packet{ID: s.NextPacketID(), Kind: Data, Size: 1000})
 			// Ignore the warm-up transient: the EWMA needs time to
 			// catch up with the instantaneous queue (classic RED).
-			if s.Now() > 500*time.Millisecond && l.QueueBytes() > maxQ {
-				maxQ = l.QueueBytes()
+			if s.Now() > 500*time.Millisecond && l.qbytes > maxQ {
+				maxQ = l.qbytes
 			}
 		})
 	}

@@ -242,11 +242,6 @@ func (s *Sim) rekeyTop(at time.Duration, seq uint64) {
 	s.down(0)
 }
 
-// Pending reports the number of scheduled events not yet run: callbacks,
-// armed timers, packets in transmission, in flight on a delay line or
-// waiting for SendAt, and the remaining events of every stream and train.
-func (s *Sim) Pending() int { return s.pending }
-
 func (s *Sim) up(i int) {
 	h := s.heap
 	e := h[i]

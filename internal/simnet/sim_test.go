@@ -55,8 +55,8 @@ func TestSimRunHorizon(t *testing.T) {
 	if s.Now() != 5*time.Millisecond {
 		t.Fatalf("clock = %v, want 5ms", s.Now())
 	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", s.Pending())
+	if s.pending != 1 {
+		t.Fatalf("pending = %d, want 1", s.pending)
 	}
 	s.Run(time.Second)
 	if !ran {

@@ -549,13 +549,6 @@ func (s *Store) Sessions() []Session {
 	return s.sessionViewsLocked()
 }
 
-// Totals returns the persisted registry counters.
-func (s *Store) Totals() Totals {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.totals
-}
-
 // Stats is the archive's operational snapshot (the /store/stats and
 // /metrics source).
 type Stats struct {
@@ -734,23 +727,6 @@ func (s *Store) compactLoop() {
 			s.Compact()
 		}
 	}
-}
-
-// Sync forces pending appends to stable storage regardless of policy.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	if s.w.policy == FsyncNever {
-		if s.w.active != nil && s.w.dirty {
-			s.w.dirty = false
-			return s.w.active.f.Sync()
-		}
-		return nil
-	}
-	return s.w.fsync()
 }
 
 // Close flushes the WAL and closes the active segment. Later appends

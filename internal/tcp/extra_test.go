@@ -53,8 +53,8 @@ func TestJitteredFlowCompletes(t *testing.T) {
 	if !done {
 		t.Fatal("jittered flow did not complete")
 	}
-	if _, retrans, _, _ := f.Counters(); retrans != 0 {
-		t.Fatalf("jitter on a clean path caused %d retransmissions", retrans)
+	if f.retrans != 0 {
+		t.Fatalf("jitter on a clean path caused %d retransmissions", f.retrans)
 	}
 }
 
@@ -84,7 +84,7 @@ func TestTimeoutBackoffOnDeadPath(t *testing.T) {
 	// Kill the return path: ACKs vanish.
 	d.RevDemux.Unregister(1)
 	s.Run(2 * time.Minute)
-	_, _, timeouts, _ := f.Counters()
+	timeouts := f.timeouts
 	if timeouts < 2 {
 		t.Fatalf("only %d timeouts on a dead path in 2 minutes", timeouts)
 	}
@@ -92,7 +92,7 @@ func TestTimeoutBackoffOnDeadPath(t *testing.T) {
 	if timeouts > 10 {
 		t.Fatalf("%d timeouts — backoff is not exponential", timeouts)
 	}
-	if f.Done() {
+	if f.done {
 		t.Fatal("flow completed without ACKs")
 	}
 }
@@ -103,15 +103,14 @@ func TestFiniteFlowExactSegments(t *testing.T) {
 	// 10001 bytes = 7 segments of 1500 (ceil).
 	f := Start(s, 1, d.Bottleneck, d.Reverse, d.FwdDemux, d.RevDemux, Config{TotalBytes: 10_001})
 	s.Run(10 * time.Second)
-	if !f.Done() {
+	if !f.done {
 		t.Fatal("not done")
 	}
 	if f.AckedSegments() != 7 {
 		t.Fatalf("acked %d segments, want 7", f.AckedSegments())
 	}
-	sent, _, _, _ := f.Counters()
-	if sent != 7 {
-		t.Fatalf("sent %d segments, want 7", sent)
+	if f.sent != 7 {
+		t.Fatalf("sent %d segments, want 7", f.sent)
 	}
 }
 
@@ -147,8 +146,8 @@ func TestCwndNeverBelowOneWindow(t *testing.T) {
 	min := 1e9
 	var poll func()
 	poll = func() {
-		if w := f.Cwnd(); w < min {
-			min = w
+		if f.cwnd < min {
+			min = f.cwnd
 		}
 		s.Schedule(10*time.Millisecond, poll)
 	}

@@ -40,7 +40,7 @@ func TestRestartMatchesStart(t *testing.T) {
 		})
 		f := Start(s, 1, d.Bottleneck, d.Reverse, d.FwdDemux, d.RevDemux, Config{TotalBytes: 60_000})
 		s.Run(time.Minute) // done, and every packet delivered
-		if !f.Done() {
+		if !f.done {
 			t.Fatal("the first transfer did not finish")
 		}
 		var log []string
@@ -57,9 +57,8 @@ func TestRestartMatchesStart(t *testing.T) {
 		state.sim, state.fwd, state.rev, state.fwdDemux, state.revDemux = nil, nil, nil, nil, nil
 		state.rtoT, state.jrng = nil, nil
 		s.Run(s.Now() + 2*time.Minute)
-		sent, retrans, timeouts, fastRtx := g.Counters()
 		log = append(log, fmt.Sprintf("done %v sent %d retrans %d timeouts %d fast %d acked %d cwnd %v",
-			g.Done(), sent, retrans, timeouts, fastRtx, g.AckedSegments(), g.Cwnd()))
+			g.done, g.sent, g.retrans, g.timeouts, g.fastRtx, g.AckedSegments(), g.cwnd))
 		return log, state, g, d
 	}
 	want, wantState, fresh, _ := run(false)
@@ -75,11 +74,11 @@ func TestRestartMatchesStart(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("%d events after the restart, %d for a fresh flow", len(got), len(want))
 	}
-	if _, retrans, _, _ := fresh.Counters(); !fresh.Done() || retrans == 0 {
-		t.Fatalf("the second transfer finished %v with %d retransmissions; want a lossy, finished one", fresh.Done(), retrans)
+	if !fresh.done || fresh.retrans == 0 {
+		t.Fatalf("the second transfer finished %v with %d retransmissions; want a lossy, finished one", fresh.done, fresh.retrans)
 	}
-	if restarted.ID() != 2 {
-		t.Fatalf("restarted flow has id %d", restarted.ID())
+	if restarted.id != 2 {
+		t.Fatalf("restarted flow has id %d", restarted.id)
 	}
 	before := d.FwdDemux.Orphans()
 	d.FwdDemux.Deliver(simnet.Packet{Flow: 1})

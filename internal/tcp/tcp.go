@@ -185,21 +185,6 @@ type (
 func (r *dataReceiver) Deliver(p simnet.Packet) { (*Flow)(r).onData(p) }
 func (r *ackReceiver) Deliver(p simnet.Packet)  { (*Flow)(r).onAck(p) }
 
-// ID returns the flow identifier.
-func (f *Flow) ID() uint64 { return f.id }
-
-// Done reports whether a finite flow has completed.
-func (f *Flow) Done() bool { return f.done }
-
-// Cwnd returns the current congestion window in segments.
-func (f *Flow) Cwnd() float64 { return f.cwnd }
-
-// Counters returns cumulative segment counts: first transmissions,
-// retransmissions, timeouts and fast retransmits.
-func (f *Flow) Counters() (sent, retrans, timeouts, fastRtx uint64) {
-	return f.sent, f.retrans, f.timeouts, f.fastRtx
-}
-
 // AckedSegments returns how many segments have been cumulatively
 // acknowledged.
 func (f *Flow) AckedSegments() int64 { return f.acked }

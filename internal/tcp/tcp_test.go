@@ -36,13 +36,12 @@ func TestFiniteTransferNoRetransWithoutLoss(t *testing.T) {
 		TotalBytes: 1_500_000,
 	})
 	s.Run(60 * time.Second)
-	if !f.Done() {
+	if !f.done {
 		t.Fatal("transfer incomplete")
 	}
-	sent, retrans, timeouts, fastRtx := f.Counters()
-	if retrans != 0 || timeouts != 0 || fastRtx != 0 {
+	if f.retrans != 0 || f.timeouts != 0 || f.fastRtx != 0 {
 		t.Fatalf("spurious recovery on clean path: sent=%d retrans=%d timeouts=%d fastrtx=%d",
-			sent, retrans, timeouts, fastRtx)
+			f.sent, f.retrans, f.timeouts, f.fastRtx)
 	}
 	if f.AckedSegments() != 1000 {
 		t.Fatalf("acked %d segments, want 1000", f.AckedSegments())
@@ -78,14 +77,13 @@ func TestRecoveryFromLoss(t *testing.T) {
 	if !done {
 		t.Fatal("transfer did not complete despite losses")
 	}
-	_, retrans, _, fastRtx := f.Counters()
 	if _, drops, _ := d.Bottleneck.Stats(); drops == 0 {
 		t.Fatal("test invalid: no drops induced")
 	}
-	if retrans == 0 {
+	if f.retrans == 0 {
 		t.Fatal("drops occurred but no retransmissions")
 	}
-	if fastRtx == 0 {
+	if f.fastRtx == 0 {
 		t.Fatal("expected at least one fast retransmit")
 	}
 }
@@ -102,13 +100,12 @@ func TestCwndHalvesOnFastRetransmit(t *testing.T) {
 	found := false
 	var poll func()
 	poll = func() {
-		if f.Cwnd() > peak && !found {
-			peak = f.Cwnd()
+		if f.cwnd > peak && !found {
+			peak = f.cwnd
 		}
-		_, _, _, fr := f.Counters()
-		if fr > 0 && !found {
+		if f.fastRtx > 0 && !found {
 			found = true
-			after = f.Cwnd()
+			after = f.cwnd
 		}
 		if !found {
 			s.Schedule(time.Millisecond, poll)

@@ -19,12 +19,12 @@ func TestCBRPerPacketZeroAlloc(t *testing.T) {
 	l := simnet.NewLink(s, simnet.OC3, time.Millisecond, 1_000_000, simnet.ReceiverFunc(func(simnet.Packet) { delivered++ }))
 	c := NewCBR(s, l, 1, simnet.Rate(50_000_000), 1000)
 	s.Run(10 * time.Millisecond) // warm up: queue, delay line and heap grow once
-	sent := c.Sent()
+	sent := c.sent
 	if avg := testing.AllocsPerRun(200, func() { s.Run(s.Now() + time.Millisecond) }); avg != 0 {
 		t.Errorf("a millisecond of CBR traffic allocates %.2f times, want 0", avg)
 	}
-	if c.Sent()-sent < 1000 || delivered == 0 {
-		t.Fatalf("the measured runs sent %d packets and delivered %d", c.Sent()-sent, delivered)
+	if c.sent-sent < 1000 || delivered == 0 {
+		t.Fatalf("the measured runs sent %d packets and delivered %d", c.sent-sent, delivered)
 	}
 }
 
@@ -36,7 +36,7 @@ func TestEpisodeBurstZeroAlloc(t *testing.T) {
 	d := simnet.NewDumbbell(s, simnet.DumbbellConfig{})
 	inj := NewEpisodeInjector(s, d, NewIDSpace(0), EpisodeInjectorConfig{MeanSpacing: 2 * time.Second})
 	burst := func() {
-		for n := inj.Episodes(); inj.Episodes() == n; {
+		for n := inj.episodes; inj.episodes == n; {
 			s.Run(s.Now() + 100*time.Millisecond)
 		}
 		s.Run(s.Now() + time.Second) // the burst's train and queue drain
@@ -46,8 +46,8 @@ func TestEpisodeBurstZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(10, burst); avg != 0 {
 		t.Errorf("an episode burst allocates %.2f times, want 0", avg)
 	}
-	if _, drops2, _ := d.Bottleneck.Stats(); inj.Episodes() != 12 || drops2 == drops {
-		t.Fatalf("%d bursts dropped %d packets", inj.Episodes(), drops2-drops)
+	if _, drops2, _ := d.Bottleneck.Stats(); inj.episodes != 12 || drops2 == drops {
+		t.Fatalf("%d bursts dropped %d packets", inj.episodes, drops2-drops)
 	}
 }
 
@@ -61,11 +61,11 @@ func TestWebSteadyZeroAlloc(t *testing.T) {
 	d := simnet.NewDumbbell(s, simnet.DumbbellConfig{})
 	w := NewWeb(s, d, NewIDSpace(0), WebConfig{Seed: 3, SurgeSpacing: 1000 * time.Hour})
 	s.Run(120 * time.Second)
-	done, pooled := w.Transfers(), len(w.pool)
+	done, pooled := w.transfers, len(w.pool)
 	if avg := testing.AllocsPerRun(20, func() { s.Run(s.Now() + time.Second) }); avg != 0 {
 		t.Errorf("a second of web traffic allocates %.2f times, want 0", avg)
 	}
-	if n := w.Transfers() - done; n < 1000 {
+	if n := w.transfers - done; n < 1000 {
 		t.Fatalf("the measured window completed only %d transfers", n)
 	}
 	if pooled == 0 {

@@ -8,36 +8,6 @@ import (
 	"badabing/internal/simnet"
 )
 
-func TestCBRStop(t *testing.T) {
-	s := simnet.New()
-	l := simnet.NewLink(s, simnet.GigE, 0, 1_000_000, simnet.ReceiverFunc(func(simnet.Packet) {}))
-	c := NewCBR(s, l, 1, simnet.Rate(12_000_000), 1500)
-	s.Run(100 * time.Millisecond)
-	c.Stop()
-	atStop := c.Sent()
-	s.Run(time.Second)
-	if c.Sent() > atStop+1 {
-		t.Fatalf("CBR kept sending after Stop: %d → %d", atStop, c.Sent())
-	}
-}
-
-func TestEpisodeInjectorStop(t *testing.T) {
-	s := simnet.New()
-	d := simnet.NewDumbbell(s, simnet.DumbbellConfig{})
-	ids := NewIDSpace(1000)
-	inj := NewEpisodeInjector(s, d, ids, EpisodeInjectorConfig{MeanSpacing: 3 * time.Second})
-	s.Run(10 * time.Second)
-	inj.Stop()
-	n := inj.Episodes()
-	s.Run(40 * time.Second)
-	if inj.Episodes() != n {
-		t.Fatalf("injector kept bursting after Stop: %d → %d", n, inj.Episodes())
-	}
-	if _, _, delivered := d.Bottleneck.Stats(); delivered == 0 {
-		t.Fatal("no traffic delivered")
-	}
-}
-
 func TestEpisodeInjectorMinSpacing(t *testing.T) {
 	s := simnet.New()
 	d := simnet.NewDumbbell(s, simnet.DumbbellConfig{})
@@ -60,23 +30,6 @@ func TestEpisodeInjectorMinSpacing(t *testing.T) {
 		if gap := eps[i].Start - eps[i-1].End; gap < time.Second {
 			t.Fatalf("episodes %d,%d only %v apart", i-1, i, gap)
 		}
-	}
-}
-
-func TestWebStop(t *testing.T) {
-	s := simnet.New()
-	d := simnet.NewDumbbell(s, simnet.DumbbellConfig{})
-	ids := NewIDSpace(1000)
-	w := NewWeb(s, d, ids, WebConfig{Seed: 9})
-	s.Run(10 * time.Second)
-	w.Stop()
-	n := w.Sessions()
-	s.Run(40 * time.Second)
-	if w.Sessions() != n {
-		t.Fatalf("web workload kept spawning sessions after Stop: %d → %d", n, w.Sessions())
-	}
-	if w.Active() != 0 {
-		t.Fatalf("%d transfers still active long after Stop", w.Active())
 	}
 }
 

@@ -75,12 +75,6 @@ func (c *CBR) tick() {
 	c.timer.Reset(c.ival)
 }
 
-// Stop halts the source: no further packets are sent.
-func (c *CBR) Stop() { c.timer.Stop() }
-
-// Sent returns how many packets have been sent.
-func (c *CBR) Sent() uint64 { return c.sent }
-
 // InfiniteTCP is the paper's first scenario: n long-lived TCP flows
 // sharing the bottleneck.
 type InfiniteTCP struct {
@@ -159,11 +153,9 @@ type EpisodeInjector struct {
 	cfg   EpisodeInjectorConfig
 	rng   *rand.Rand
 	ids   IDSource
-	base  *CBR
 	timer *simnet.Timer // fires the next burst
 
 	episodes int
-	stopped  bool
 }
 
 // NewEpisodeInjector starts the base CBR load and schedules the first
@@ -186,19 +178,10 @@ func NewEpisodeInjectorAt(sim *simnet.Sim, link *simnet.Link, ids IDSource, cfg 
 	}
 	bottleneck := link.Rate()
 	baseRate := simnet.Rate(float64(bottleneck) * cfg.BaseUtilization)
-	inj.base = NewCBR(sim, link, ids.Next(), baseRate, injectorPacketSize)
+	NewCBR(sim, link, ids.Next(), baseRate, injectorPacketSize)
 	inj.timer = sim.NewTimer(inj.burst)
 	inj.scheduleNext()
 	return inj
-}
-
-// Episodes returns how many bursts have been injected so far.
-func (e *EpisodeInjector) Episodes() int { return e.episodes }
-
-// Stop halts both the base load and future bursts.
-func (e *EpisodeInjector) Stop() {
-	e.stopped = true
-	e.base.Stop()
 }
 
 func (e *EpisodeInjector) scheduleNext() {
@@ -212,9 +195,6 @@ func (e *EpisodeInjector) scheduleNext() {
 }
 
 func (e *EpisodeInjector) burst() {
-	if e.stopped {
-		return
-	}
 	e.episodes++
 	target := e.cfg.Durations[e.rng.Intn(len(e.cfg.Durations))]
 	bottleneck := e.link.Rate()

@@ -13,9 +13,8 @@ func TestCBRRateAndSpacing(t *testing.T) {
 	var times []time.Duration
 	sink := simnet.ReceiverFunc(func(p simnet.Packet) { times = append(times, s.Now()) })
 	l := simnet.NewLink(s, simnet.GigE, 0, 10_000_000, sink)
-	c := NewCBR(s, l, 1, simnet.Rate(12_000_000), 1500) // 1000 pps
+	NewCBR(s, l, 1, simnet.Rate(12_000_000), 1500) // 1000 pps
 	s.Run(time.Second)
-	c.Stop()
 	if got := len(times); got < 995 || got > 1005 {
 		t.Fatalf("delivered %d packets in 1s, want ≈1000", got)
 	}
@@ -38,13 +37,12 @@ func TestEpisodeInjectorUniformDurations(t *testing.T) {
 	})
 	const horizon = 180 * time.Second
 	s.Run(horizon)
-	inj.Stop()
 	eps := mon.Episodes()
 	if len(eps) < 8 || len(eps) > 35 {
 		t.Fatalf("got %d episodes in 180s with 10s mean spacing, want ≈18", len(eps))
 	}
-	if inj.Episodes() != len(eps) {
-		t.Errorf("injector bursts %d != extracted episodes %d", inj.Episodes(), len(eps))
+	if inj.episodes != len(eps) {
+		t.Errorf("injector bursts %d != extracted episodes %d", inj.episodes, len(eps))
 	}
 	truth := mon.Truth(horizon, 5*time.Millisecond)
 	mean := truth.Duration.MeanDuration()
@@ -115,9 +113,8 @@ func TestWebWorkloadGeneratesLoadAndEpisodes(t *testing.T) {
 	w := NewWeb(s, d, ids, WebConfig{Seed: 5})
 	const horizon = 120 * time.Second
 	s.Run(horizon)
-	w.Stop()
-	if w.Sessions() == 0 || w.Transfers() == 0 {
-		t.Fatalf("no web activity: %d sessions, %d transfers", w.Sessions(), w.Transfers())
+	if w.sessions == 0 || w.transfers == 0 {
+		t.Fatalf("no web activity: %d sessions, %d transfers", w.sessions, w.transfers)
 	}
 	truth := mon.Truth(horizon, 5*time.Millisecond)
 	if truth.Episodes < 2 {

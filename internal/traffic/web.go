@@ -76,10 +76,8 @@ type Web struct {
 	arrival, surge *simnet.Timer
 	pool           []*webSession // finished sessions, ready for reuse
 
-	stopped   bool
 	sessions  uint64
 	transfers uint64
-	active    int
 }
 
 // webSession is one user session: its objects are fetched in turn over
@@ -111,27 +109,12 @@ func NewWeb(sim *simnet.Sim, d *simnet.Dumbbell, ids *IDSpace, cfg WebConfig) *W
 	return w
 }
 
-// Stop prevents new sessions and surges; in-flight transfers complete.
-func (w *Web) Stop() { w.stopped = true }
-
-// Sessions returns how many sessions have started.
-func (w *Web) Sessions() uint64 { return w.sessions }
-
-// Transfers returns how many object transfers have completed.
-func (w *Web) Transfers() uint64 { return w.transfers }
-
-// Active returns the number of in-flight object transfers.
-func (w *Web) Active() int { return w.active }
-
 func (w *Web) scheduleArrival() {
 	mean := time.Duration(float64(time.Second) / w.cfg.SessionRate)
 	w.arrival.Reset(stats.Exp(w.rng, mean))
 }
 
 func (w *Web) arrive() {
-	if w.stopped {
-		return
-	}
 	w.startSession()
 	w.scheduleArrival()
 }
@@ -141,9 +124,6 @@ func (w *Web) scheduleSurge() {
 }
 
 func (w *Web) surgeNow() {
-	if w.stopped {
-		return
-	}
 	for i := 0; i < w.cfg.SurgeSessions; i++ {
 		// Surge sessions fetch a single substantial object each:
 		// a flash crowd pulse that overloads the queue briefly,
@@ -186,13 +166,12 @@ func (w *Web) session(n int, minBytes float64) *webSession {
 // the pool when none remain.
 func (ws *webSession) fetch() {
 	w := ws.w
-	if ws.remaining <= 0 || w.stopped {
+	if ws.remaining <= 0 {
 		w.pool = append(w.pool, ws)
 		return
 	}
 	size := int64(stats.BoundedPareto(w.rng, paretoAlpha, ws.minBytes, maxObjectBytes))
 	ws.id = w.ids.Next()
-	w.active++
 	cfg := tcp.Config{TotalBytes: size, OnComplete: ws.done}
 	if ws.flow == nil {
 		ws.flow = tcp.Start(w.sim, ws.id, w.d.Bottleneck, w.d.Reverse, w.d.FwdDemux, w.d.RevDemux, cfg)
@@ -205,7 +184,6 @@ func (ws *webSession) fetch() {
 // think time the session fetches its next object.
 func (ws *webSession) complete() {
 	w := ws.w
-	w.active--
 	w.transfers++
 	w.d.FwdDemux.Unregister(ws.id)
 	w.d.RevDemux.Unregister(ws.id)

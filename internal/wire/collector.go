@@ -68,8 +68,6 @@ func (s *colSession) rec(slot int64) *probeRec {
 type Collector struct {
 	conn net.PacketConn
 
-	readErrs errorNote
-
 	mu          sync.Mutex
 	sessions    map[uint64]*colSession
 	queryMarker badabing.MarkerConfig
@@ -80,19 +78,6 @@ type Collector struct {
 // NewCollector wraps an open packet socket. Call Run to start receiving.
 func NewCollector(conn net.PacketConn) *Collector {
 	return &Collector{conn: conn, sessions: make(map[uint64]*colSession)}
-}
-
-// OnReadError installs a hook surfaced once per persistent read-error
-// class (a persistent EMSGSIZE-class condition must reach an operator
-// instead of spinning silently). Call before Run.
-func (c *Collector) OnReadError(hook func(error)) {
-	c.readErrs.setHook(hook)
-}
-
-// ReadErrors returns how many transient read errors the receive loop has
-// survived and the current error class ("" after a clean start).
-func (c *Collector) ReadErrors() (uint64, string) {
-	return c.readErrs.snapshot()
 }
 
 // Run reads packets until the socket is closed, in recvmmsg batches
@@ -108,9 +93,7 @@ func (c *Collector) Run() {
 				// A connected socket whose far end died reports the
 				// ICMP-unreachable burst on reads too; the collector
 				// must outlive it — the far end may restart, and the
-				// log it holds is the session's partial evidence. The
-				// error is surfaced (once per class), not swallowed.
-				c.readErrs.note(err)
+				// log it holds is the session's partial evidence.
 				continue
 			}
 			return

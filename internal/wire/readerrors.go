@@ -7,7 +7,7 @@ import (
 )
 
 // errorNote deduplicates transient-read-error surfacing for the
-// reflector and collector loops. Those loops must keep serving through
+// reflector loops. Those loops must keep serving through
 // transient errors (ICMP-unreachable bursts from vanished peers), but
 // silently swallowing them hid real misconfiguration: a persistent
 // EMSGSIZE-class error (oversized datagrams bouncing off the socket,
